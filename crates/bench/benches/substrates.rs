@@ -1,6 +1,7 @@
 //! Criterion benches for the substrates: history validation and
 //! normalisation, zone/chunk computation, the quorum simulator, the exact
-//! search oracle, and bin packing (EXPERIMENTS.md E6–E8 support).
+//! search oracle, and bin packing (support for experiments E6–E8,
+//! `src/bin/exp_*.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kav_core::ExhaustiveSearch;

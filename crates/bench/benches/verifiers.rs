@@ -1,6 +1,6 @@
-//! Criterion benches for the verification algorithms (EXPERIMENTS.md
-//! E2–E5, E9): LBT and FZF scaling on practical and adversarial inputs,
-//! and the GK 1-AV baseline.
+//! Criterion benches for the verification algorithms (the code paths of
+//! experiments E2–E5 and E9, `src/bin/exp_*.rs`): LBT and FZF scaling on
+//! practical and adversarial inputs, and the GK 1-AV baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kav_core::{CandidateOrder, Fzf, GkOneAv, Lbt, LbtConfig, Verifier};

@@ -1,7 +1,8 @@
 //! Shared measurement helpers for the experiment harness.
 //!
-//! The `exp_*` binaries in `src/bin/` regenerate the tables recorded in
-//! `EXPERIMENTS.md`; the Criterion benches in `benches/` provide
+//! The `exp_*` binaries in `src/bin/` each print one experiment table
+//! (E2–E11, numbered in each binary's header); the Criterion benches in
+//! `benches/` provide
 //! statistically careful timings of the same code paths. Both use the
 //! workload constructors re-exported here so the inputs are identical.
 
@@ -23,7 +24,18 @@ pub fn median_time<F: FnMut()>(samples: usize, mut f: F) -> Duration {
         })
         .collect();
     times.sort_unstable();
-    times[times.len() / 2]
+    median(&times)
+}
+
+/// The median of a sorted, non-empty sample: the middle element, or the
+/// mean of the two middle elements for an even count.
+fn median(sorted: &[Duration]) -> Duration {
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2
+    } else {
+        sorted[mid]
+    }
 }
 
 /// Least-squares slope of `log(y)` against `log(x)`: the empirical
@@ -70,6 +82,14 @@ pub fn header(cells: &[&str]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_averages_the_middle_pair_of_an_even_sample() {
+        let ms = Duration::from_millis;
+        assert_eq!(median(&[ms(1), ms(2), ms(9)]), ms(2));
+        assert_eq!(median(&[ms(1), ms(2), ms(4), ms(9)]), ms(3));
+        assert_eq!(median(&[ms(5)]), ms(5));
+    }
 
     #[test]
     fn median_time_runs_the_closure() {

@@ -1,25 +1,18 @@
-//! Subcommand implementations for the `kav` binary.
-
 use crate::args::{ArgError, Args};
+use crate::audit::VerifierSpec;
 use kav_core::{
-    check_witness, diagnose, fleet_verdict, read_checkpoint, smallest_k, worker_loop,
-    CausalVerifier, Checkpoint, CheckpointWriter, ConstrainedSearch, DepthStats, DepthWindow,
-    ExhaustiveSearch, FleetConfig, FleetCoordinator, Fzf, GenK, GkOneAv, Lbt, ModelId,
-    PipelineConfig, PipelineOutput, RegularVerifier, SafeVerifier, ShardProgress,
-    SourcePosition, Staleness, StreamPipeline, UnknownModel, Verdict, Verifier, WorkerLink,
-    DEFAULT_CAUSAL_BUDGET, DEFAULT_CHECKPOINT_EVERY, DEFAULT_GAP_BUDGET, DEFAULT_REPLAY_CAP,
+    check_witness, diagnose, smallest_k, ConstrainedSearch, ModelId, Staleness, UnknownModel,
+    Verdict, Verifier, DEFAULT_GAP_BUDGET,
 };
-use kav_history::fxhash::Fingerprint;
 use kav_history::{
     csv, frame, json, ndjson, render_timeline, repair, History, HistoryStats, RawHistory,
 };
-use serde::Serialize;
 use kav_sim::{scenario_matrix, LatencyModel, Manifest, Scenario, SimConfig, Simulation};
 use kav_weighted::{reduce_bin_packing, BinPacking};
 use kav_workloads as workloads;
 use std::error::Error;
 
-type CmdResult = Result<(), Box<dyn Error>>;
+pub(crate) type CmdResult<T = ()> = Result<T, Box<dyn Error>>;
 
 /// Exit code for a verified k-atomicity violation (`kav stream`).
 pub const EXIT_VIOLATION: u8 = 1;
@@ -38,7 +31,7 @@ pub struct ExitWith {
 }
 
 impl ExitWith {
-    fn new(code: u8, message: impl Into<String>) -> Box<Self> {
+    pub(crate) fn new(code: u8, message: impl Into<String>) -> Box<Self> {
         Box::new(ExitWith { code, message: message.into() })
     }
 }
@@ -51,17 +44,21 @@ impl std::fmt::Display for ExitWith {
 
 impl Error for ExitWith {}
 
+/// An error with the bad-input exit code, [`EXIT_BAD_INPUT`].
+pub(crate) fn bad_input(message: impl Into<String>) -> Box<dyn Error> {
+    ExitWith::new(EXIT_BAD_INPUT, message)
+}
+
 pub fn usage() -> &'static str {
     "kav — k-atomicity verification toolbox\n\
      \n\
      USAGE:\n\
-     \x20 kav verify --k <1|2|N> [--algo gk|lbt|fzf|genk|constrained|search] [--witness]\n\
+     \x20 kav verify --k <1|2|N> [--algo gk|lbt|fzf|genk|constrained] [--witness]\n\
      \x20        [--model k-atomic|regular|safe|causal] [--gap-budget <nodes|unbounded>]\n\
      \x20        <history.json>\n\
      \x20        (genk: any k, bound-sandwich + budgeted constrained escalation;\n\
-     \x20         --budget is a deprecated alias of --gap-budget; non-default --model\n\
-     \x20         picks its own verifier — no --algo/--k; see docs/OPERATIONS.md,\n\
-     \x20         \"Choosing a consistency model\")\n\
+     \x20         non-default --model picks its own verifier — no --algo/--k;\n\
+     \x20         see docs/OPERATIONS.md, \"Choosing a consistency model\")\n\
      \x20 kav smallest-k [--gap-budget <nodes|unbounded>] <history.json>\n\
      \x20 kav stats <history.json>\n\
      \x20 kav diagnose [--budget <nodes>] <history.json>\n\
@@ -86,7 +83,8 @@ pub fn usage() -> &'static str {
      \x20                               into the zero-copy decoder for the chosen --format)\n\
      \x20        exit codes: 0 = verified, 1 = violation, 2 = unusable input\n\
      \x20        (see docs/OPERATIONS.md for the checkpoint/resume lifecycle)\n\
-     \x20 kav serve --workers <N> [same verification flags as stream]\n\
+     \x20 kav serve --workers <N> [same verification flags as stream,\n\
+     \x20        except --progress-every, which is stream-only]\n\
      \x20        [--replay-cap <frames>] [--split-hottest <records>]\n\
      \x20        [--kill-worker <idx:records>]   (fault-injection test hook)\n\
      \x20        <ops.ndjson | ->\n\
@@ -126,13 +124,22 @@ fn load(args: &Args, position: usize) -> Result<History, Box<dyn Error>> {
 }
 
 /// The `(algo, k)` grid the CLI supports, spelled out for error messages.
-const ALGO_RANGES: &str =
-    "supported: --algo gk (k = 1), --algo fzf or lbt (k = 2), --algo genk (any k >= 1)";
+const ALGO_RANGES: &str = "supported: --algo gk (k = 1), --algo fzf or lbt (k = 2), \
+     --algo genk (any k >= 1), and for `kav verify` --algo constrained (any k >= 1, exact)";
+
+/// The algorithm `--k` selects when `--algo` is absent.
+pub(crate) fn default_algo(k: u64) -> &'static str {
+    match k {
+        1 => "gk",
+        2 => "fzf",
+        _ => "genk",
+    }
+}
 
 /// `--algo` aliases: a resumed checkpoint records [`Verifier::name`],
 /// which for the GK baseline (`"gk-zones"`) differs from the flag
 /// spelling (`"gk"`). Both spellings mean the same verifier.
-fn canonical_algo(algo: &str) -> &str {
+pub(crate) fn canonical_algo(algo: &str) -> &str {
     match algo {
         "gk-zones" => "gk",
         other => other,
@@ -142,69 +149,58 @@ fn canonical_algo(algo: &str) -> &str {
 /// An unusable `(algo, k)` combination: a clear message naming the
 /// supported range per algorithm, with the bad-input exit code — never a
 /// panic, never a silent clamp to a default.
-fn bad_algo_k(algo: &str, k: u64, extra: &str) -> Box<dyn Error> {
+pub(crate) fn bad_algo_k(algo: &str, k: u64) -> Box<dyn Error> {
     let message = match canonical_algo(algo) {
-        _ if k == 0 => format!("--k 0 is out of range: k must be at least 1; {ALGO_RANGES}{extra}"),
+        _ if k == 0 => format!("--k 0 is out of range: k must be at least 1; {ALGO_RANGES}"),
         "gk" => format!(
             "--k {k} is out of range for algorithm \"gk\", which decides k = 1 only; \
-             {ALGO_RANGES}{extra}"
+             {ALGO_RANGES}"
         ),
         "fzf" | "lbt" => format!(
             "--k {k} is out of range for algorithm {algo:?}, which decides k = 2 only; \
-             {ALGO_RANGES}{extra}"
+             {ALGO_RANGES}"
         ),
-        // Only `kav stream` reaches these arms: `kav verify` dispatches
-        // search and constrained itself for every k >= 1.
-        "search" => format!(
-            "algorithm \"search\" is offline-only (`kav verify`); for streaming use \
-             --algo genk, which escalates only bound-gap windows to an exact search; \
-             {ALGO_RANGES}{extra}"
-        ),
+        // Only the streaming commands reach this arm: `kav verify`
+        // dispatches constrained itself for every k >= 1.
         "constrained" => format!(
             "algorithm \"constrained\" is offline-only (`kav verify`); for streaming use \
              --algo genk, which escalates bound-gap windows to the same constrained \
-             search; {ALGO_RANGES}{extra}"
+             search; {ALGO_RANGES}"
         ),
-        other => format!("unknown algorithm {other:?}; {ALGO_RANGES}{extra}"),
+        other => format!("unknown algorithm {other:?}; {ALGO_RANGES}"),
     };
-    ExitWith::new(EXIT_BAD_INPUT, message)
+    bad_input(message)
 }
 
-/// Resolves the gap-escalation budget from `--gap-budget` (canonical on
-/// every subcommand) or `--budget` (deprecated alias, kept for old
-/// scripts). `"unbounded"` lifts the budget entirely (`None`); `0` is
-/// rejected with exit 2 — it would mark every escalated window UNKNOWN
-/// without searching, which is never what an operator wants.
-fn gap_budget_flag(args: &Args, default: u64) -> Result<Option<u64>, Box<dyn Error>> {
-    let (flag, value) = match (args.get("gap-budget"), args.get("budget")) {
-        (Some(_), Some(_)) => {
-            return Err(ExitWith::new(
-                EXIT_BAD_INPUT,
-                "--gap-budget and --budget are the same flag (--budget is the \
-                 deprecated alias); pass only one",
-            ));
-        }
-        (Some(v), None) => ("gap-budget", v),
-        (None, Some(v)) => ("budget", v),
-        (None, None) => return Ok(Some(default)),
+/// Resolves the gap-escalation budget from `--gap-budget`.
+/// `"unbounded"` lifts the budget entirely (`None`); `0` is rejected with
+/// exit 2 — it would mark every escalated window UNKNOWN without
+/// searching, which is never what an operator wants. The removed
+/// `--budget` alias is rejected by name rather than silently ignored
+/// like other unknown flags.
+pub(crate) fn gap_budget_flag(args: &Args, default: u64) -> CmdResult<Option<u64>> {
+    if args.get("budget").is_some() {
+        return Err(bad_input(
+            "--budget is not a flag of this command; the search budget is --gap-budget",
+        ));
+    }
+    let Some(value) = args.get("gap-budget") else {
+        return Ok(Some(default));
     };
     if value == "unbounded" {
         return Ok(None);
     }
     let nodes: u64 = value.parse().map_err(|_| {
         ArgError(format!(
-            "--{flag}: cannot parse {value:?} (expected a node count or \"unbounded\")"
+            "--gap-budget: cannot parse {value:?} (expected a node count or \"unbounded\")"
         ))
     })?;
     if nodes == 0 {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!(
-                "--{flag} 0 would mark every bound-gap window UNKNOWN without \
-                 searching; pass a positive node budget (default {DEFAULT_GAP_BUDGET}) \
-                 or \"unbounded\""
-            ),
-        ));
+        return Err(bad_input(format!(
+            "--gap-budget 0 would mark every bound-gap window UNKNOWN without \
+             searching; pass a positive node budget (default {DEFAULT_GAP_BUDGET}) \
+             or \"unbounded\""
+        )));
     }
     Ok(Some(nodes))
 }
@@ -213,69 +209,47 @@ fn gap_budget_flag(args: &Args, default: u64) -> Result<Option<u64>, Box<dyn Err
 /// (the default, one JSON record per line) or `binary` (the fixed-width
 /// frame format of `kav_history::frame`). Returns whether binary was
 /// requested; unknown values get the bad-input exit code.
-fn format_flag(args: &Args) -> Result<bool, Box<dyn Error>> {
+pub(crate) fn format_flag(args: &Args) -> CmdResult<bool> {
     match args.get("format") {
         None | Some("ndjson") => Ok(false),
         Some("binary") => Ok(true),
-        Some(other) => Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!("--format {other:?}: expected \"ndjson\" or \"binary\""),
-        )),
+        Some(other) => {
+            Err(bad_input(format!("--format {other:?}: expected \"ndjson\" or \"binary\"")))
+        }
     }
 }
 
 /// Resolves `--model`: which consistency model the command decides
 /// (default: k-atomic, the paper's native model). Unknown names get the
 /// bad-input exit code, never a silent fallback.
-fn model_flag(args: &Args) -> Result<ModelId, Box<dyn Error>> {
-    match args.get("model") {
-        None => Ok(ModelId::KAtomic),
-        Some(v) => parse_model(v),
-    }
+pub(crate) fn model_flag(args: &Args) -> CmdResult<ModelId> {
+    args.get("model").map_or(Ok(ModelId::KAtomic), parse_model)
 }
 
-fn parse_model(v: &str) -> Result<ModelId, Box<dyn Error>> {
-    v.parse().map_err(|e: UnknownModel| -> Box<dyn Error> {
-        ExitWith::new(EXIT_BAD_INPUT, format!("--model: {e}"))
-    })
+pub(crate) fn parse_model(v: &str) -> CmdResult<ModelId> {
+    v.parse().map_err(|e: UnknownModel| bad_input(format!("--model: {e}")))
 }
 
 /// Non-k-atomic models pick their own verifier and have no staleness
 /// parameter: a `--algo` or `--k` alongside them is a contradiction, not
 /// a preference, and gets the bad-input exit code.
-fn reject_model_flags(args: &Args, model: ModelId) -> CmdResult {
+pub(crate) fn reject_model_flags(args: &Args, model: ModelId) -> CmdResult {
     if model.is_k_atomic() {
         return Ok(());
     }
     if let Some(algo) = args.get("algo") {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!(
-                "--algo {algo} applies to the k-atomic model only; \
-                 --model {model} selects its own verifier"
-            ),
-        ));
+        return Err(bad_input(format!(
+            "--algo {algo} applies to the k-atomic model only; \
+             --model {model} selects its own verifier"
+        )));
     }
     if let Some(k) = args.get("k") {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!(
-                "--k {k} applies to the k-atomic model only; \
-                 the {model} model has no staleness parameter"
-            ),
-        ));
+        return Err(bad_input(format!(
+            "--k {k} applies to the k-atomic model only; \
+             the {model} model has no staleness parameter"
+        )));
     }
     Ok(())
-}
-
-/// The causal verifier, budgeted via `--gap-budget` reinterpreted as the
-/// transitive-closure work budget (the causal analogue of search nodes,
-/// default [`DEFAULT_CAUSAL_BUDGET`]); `"unbounded"` lifts it.
-fn causal_from_flags(args: &Args) -> Result<CausalVerifier, Box<dyn Error>> {
-    Ok(match gap_budget_flag(args, DEFAULT_CAUSAL_BUDGET)? {
-        Some(budget) => CausalVerifier::with_budget(budget),
-        None => CausalVerifier::with_budget(u64::MAX),
-    })
 }
 
 /// Streams records to stdout through one buffered, allocation-free
@@ -312,54 +286,27 @@ fn emit_records_to_stdout(records: &[ndjson::StreamRecord], binary: bool) -> Cmd
 pub fn verify(args: &Args) -> CmdResult {
     let model = model_flag(args)?;
     if !model.is_k_atomic() {
-        reject_model_flags(args, model)?;
+        // The causal model reads `--gap-budget` as its closure budget.
+        let (spec, _) = VerifierSpec::from_flags(args)?;
         let history = load(args, 1)?;
-        let verdict = match model {
-            ModelId::Regular => RegularVerifier.verify(&history),
-            ModelId::Safe => SafeVerifier.verify(&history),
-            ModelId::Causal => causal_from_flags(args)?.verify(&history),
-            ModelId::KAtomic => unreachable!("handled above"),
-        };
-        match verdict {
+        match spec.decide(&history) {
             Verdict::Consistent => println!("YES: history satisfies the {model} model"),
             Verdict::NotKAtomic => println!("NO: history violates the {model} model"),
-            Verdict::Inconclusive => {
-                println!("UNKNOWN: verification budget exhausted ({model})")
-            }
-            Verdict::KAtomic { .. } => {
-                unreachable!("model verifiers return witness-less verdicts")
-            }
+            Verdict::Inconclusive => println!("UNKNOWN: verification budget exhausted ({model})"),
+            Verdict::KAtomic { .. } => unreachable!("model verifiers return witness-less verdicts"),
         }
         return Ok(());
     }
     let k: u64 = args.get_parsed("k", 2)?;
     let history = load(args, 1)?;
-    let algo = args.get("algo").unwrap_or(match k {
-        1 => "gk",
-        2 => "fzf",
-        _ => "genk",
-    });
+    let algo = args.get("algo").unwrap_or(default_algo(k));
     let gap_budget = gap_budget_flag(args, 10_000_000)?;
-    let verdict = match (canonical_algo(algo), k) {
-        ("gk", 1) => GkOneAv.verify(&history),
-        ("lbt", 2) => Lbt::new().verify(&history),
-        ("fzf", 2) => Fzf.verify(&history),
-        ("genk", k) if k >= 1 => GenK::with_gap_budget(k, gap_budget).verify(&history),
-        ("constrained", k) if k >= 1 => match gap_budget {
-            Some(budget) => ConstrainedSearch::with_node_budget(k, budget).verify(&history),
-            None => ConstrainedSearch::new(k).verify(&history),
-        },
-        ("search", k) if k >= 1 => match gap_budget {
-            Some(budget) => ExhaustiveSearch::with_node_budget(k, budget).verify(&history),
-            None => ExhaustiveSearch::new(k).verify(&history),
-        },
-        (a, k) => {
-            return Err(bad_algo_k(
-                a,
-                k,
-                ", or --algo constrained / search (any k >= 1, exact)",
-            ));
+    let verdict = match (algo, gap_budget) {
+        ("constrained", Some(budget)) if k >= 1 => {
+            ConstrainedSearch::with_node_budget(k, budget).verify(&history)
         }
+        ("constrained", None) if k >= 1 => ConstrainedSearch::new(k).verify(&history),
+        _ => VerifierSpec::resolve(ModelId::KAtomic, algo, k, gap_budget)?.decide(&history),
     };
     match &verdict {
         Verdict::KAtomic { witness } => {
@@ -506,13 +453,10 @@ pub fn gen(args: &Args) -> CmdResult {
         return Ok(());
     }
     if format_flag(args)? {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!(
-                "--format binary applies to the stream workloads only \
-                 (--workload {workload} emits a history file, not a record stream)"
-            ),
-        ));
+        return Err(bad_input(format!(
+            "--format binary applies to the stream workloads only \
+             (--workload {workload} emits a history file, not a record stream)"
+        )));
     }
     let history = match workload {
         "staircase" => workloads::staircase(n.max(1) / 2),
@@ -668,1017 +612,11 @@ pub fn simulate(args: &Args) -> CmdResult {
     }
     let Some(scenario) = kav_sim::scenario(name, seed) else {
         let known: Vec<String> = scenario_matrix(0).into_iter().map(|s| s.name).collect();
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!("unknown fault scenario {name:?}; known: {}, or \"all\"", known.join(", ")),
-        ));
+        let known = known.join(", ");
+        let message = format!("unknown fault scenario {name:?}; known: {known}, or \"all\"");
+        return Err(bad_input(message));
     };
     emit_scenario(&scenario, args.get("out"), args.get("manifest"))?;
-    Ok(())
-}
-
-/// `kav stream` — online sliding-window verification of an NDJSON stream.
-///
-/// Exit codes: `0` when every key verifies (or no violation was found but
-/// certification was lost to breaches/orphans — `UNKNOWN`),
-/// [`EXIT_VIOLATION`] when some key is provably not k-atomic, and
-/// [`EXIT_BAD_INPUT`] for everything that prevented or degraded
-/// verification (malformed lines, a key breaking the stream schema,
-/// unreadable files, bad flags) — so `1` *always* means "store is
-/// inconsistent" and never "tap is broken".
-pub fn stream(args: &Args) -> CmdResult {
-    stream_inner(args).map_err(|e| -> Box<dyn Error> {
-        if e.is::<ExitWith>() {
-            e
-        } else {
-            // Any other failure (I/O, arg parsing) verified nothing: give
-            // it the bad-input code rather than the generic 1, which
-            // auditing scripts read as a proven violation.
-            ExitWith::new(EXIT_BAD_INPUT, e.to_string())
-        }
-    })
-}
-
-/// Rejects a flag that contradicts what a resumed checkpoint recorded:
-/// silently switching parameters mid-chain would change what the resumed
-/// counters mean.
-fn reject_resume_conflict(args: &Args, name: &str, recorded: &str) -> CmdResult {
-    match args.get(name) {
-        // `canonical_algo` lets `--algo gk` match a checkpoint that
-        // recorded the verifier's own name, "gk-zones".
-        Some(given) if canonical_algo(given) != canonical_algo(recorded) => Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!(
-                "--{name} {given} conflicts with the checkpoint's {name} = {recorded}; \
-                 drop the flag to continue the audit, or start a fresh one"
-            ),
-        )),
-        _ => Ok(()),
-    }
-}
-
-/// Rejects a `--model` flag that contradicts the consistency model a
-/// resumed checkpoint recorded: the counters in the checkpoint are
-/// verdicts under *that* model's semantics, so continuing under another
-/// would certify something never audited. Names both models so the
-/// operator can see exactly which two disagreed.
-fn reject_resume_model_conflict(args: &Args, recorded: ModelId) -> CmdResult {
-    match args.get("model") {
-        Some(flag) if parse_model(flag)? != recorded => Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!(
-                "--model {} conflicts with the checkpoint's model = {recorded}; \
-                 drop the flag to continue the audit, or start a fresh one",
-                parse_model(flag)?,
-            ),
-        )),
-        _ => Ok(()),
-    }
-}
-
-/// Everything one `kav stream` run needs beyond the verifier itself.
-struct StreamSession<'a> {
-    config: PipelineConfig,
-    strict: bool,
-    /// Emit an NDJSON progress record to stderr every this many records
-    /// (0 = never).
-    progress_every: u64,
-    /// Where to write checkpoints, if anywhere.
-    checkpoint_path: Option<&'a str>,
-    /// The checkpoint this run resumes, if any.
-    resume: Option<Checkpoint>,
-    /// Input path, or `-` for stdin.
-    input: &'a str,
-    /// `--format binary`: the input is fixed-width frames, not NDJSON.
-    binary: bool,
-}
-
-fn stream_inner(args: &Args) -> CmdResult {
-    let resume = match args.get("resume") {
-        Some(path) => Some(read_checkpoint(path).map_err(|e| {
-            ExitWith::new(EXIT_BAD_INPUT, format!("--resume {path}: {e}"))
-        })?),
-        None => None,
-    };
-    // Verification parameters come from the flags on a fresh audit, and
-    // from the checkpoint on a resumed one (where contradicting flags are
-    // rejected; shards/batch remain free — keys re-shard safely).
-    let (k, algo, window, horizon, model) = match &resume {
-        Some(checkpoint) => {
-            let p = &checkpoint.pipeline;
-            reject_resume_model_conflict(args, p.model)?;
-            reject_resume_conflict(args, "k", &p.k.to_string())?;
-            reject_resume_conflict(args, "algo", &p.algo)?;
-            reject_resume_conflict(args, "window", &p.window.to_string())?;
-            reject_resume_conflict(args, "horizon", &p.horizon.to_string())?;
-            (p.k, p.algo.clone(), p.window, Some(p.horizon), p.model)
-        }
-        None => {
-            let model = model_flag(args)?;
-            reject_model_flags(args, model)?;
-            let (k, algo) = if model.is_k_atomic() {
-                let k: u64 = args.get_parsed("k", 2)?;
-                let algo = args
-                    .get("algo")
-                    .unwrap_or(match k {
-                        1 => "gk",
-                        2 => "fzf",
-                        _ => "genk",
-                    })
-                    .to_string();
-                (k, algo)
-            } else {
-                // Model verifiers have no staleness parameter (they
-                // report k = 1) and the algo slot carries the model's
-                // own verifier name.
-                (1, model.as_str().to_string())
-            };
-            let horizon = match args.get("horizon") {
-                Some(_) => Some(args.get_parsed("horizon", 0)?),
-                None => None, // default: DEFAULT_HORIZON_WINDOWS x window
-            };
-            (k, algo, args.get_parsed("window", 1024)?, horizon, model)
-        }
-    };
-    let config = PipelineConfig {
-        window,
-        shards: args.get_parsed("shards", 4)?,
-        horizon,
-        batch: args.get_parsed("batch", PipelineConfig::default().batch)?,
-        checkpoint_every: args.get_parsed("checkpoint-every", DEFAULT_CHECKPOINT_EVERY)?,
-    };
-    let session = StreamSession {
-        config,
-        strict: args.flag("strict"),
-        progress_every: args.get_parsed("progress-every", 0)?,
-        checkpoint_path: args.get("checkpoint"),
-        resume,
-        input: args
-            .positional(1)
-            .ok_or_else(|| ArgError("stream requires an NDJSON file argument (or -)".into()))?,
-        binary: format_flag(args)?,
-    };
-    // The gap-escalation budget for genk segments (search nodes per
-    // sealed window that reaches the bound gap). Not pinned by
-    // checkpoints: it trades UNKNOWNs for latency but never changes what
-    // a counted verdict means — see docs/OPERATIONS.md.
-    let gap_budget = gap_budget_flag(args, DEFAULT_GAP_BUDGET)?;
-    let (output, malformed, total_malformed) = match model {
-        ModelId::KAtomic => match (canonical_algo(&algo), k) {
-            ("gk", 1) => drive_stream(GkOneAv, session)?,
-            ("fzf", 2) => drive_stream(Fzf, session)?,
-            ("lbt", 2) => drive_stream(Lbt::new(), session)?,
-            ("genk", k) if k >= 1 => {
-                drive_stream(GenK::with_gap_budget(k, gap_budget), session)?
-            }
-            (a, k) => return Err(bad_algo_k(a, k, "")),
-        },
-        ModelId::Regular => drive_stream(RegularVerifier, session)?,
-        ModelId::Safe => drive_stream(SafeVerifier, session)?,
-        ModelId::Causal => drive_stream(causal_from_flags(args)?, session)?,
-    };
-
-    println!(
-        "verified {} ops across {} keys ({}, window {}, {} shards)",
-        output.total_ops(),
-        output.keys.len(),
-        semantics_label(model, &algo, k),
-        config.window.max(1),
-        config.shards.max(1),
-    );
-    print_key_table(&output);
-    for line in &malformed {
-        eprintln!("{line}");
-    }
-    if total_malformed > malformed.len() as u64 {
-        eprintln!(
-            "... and {} more malformed records",
-            total_malformed - malformed.len() as u64
-        );
-    }
-    for (key, error) in &output.errors {
-        eprintln!("key {key}: {error}");
-    }
-
-    // A proven violation outranks input trouble: report it first (the
-    // input problems were already printed above). Bad input without a
-    // violation exits with its own distinct code — "the tap is broken" is
-    // not "the store is inconsistent".
-    let violating =
-        output.keys.iter().filter(|(_, r)| r.k_atomic() == Some(false)).count();
-    if violating > 0 {
-        return Err(ExitWith::new(
-            EXIT_VIOLATION,
-            format!("NO: {violating} keys {}", violation_label(model, k)),
-        ));
-    }
-    if !output.errors.is_empty() {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!("{} keys had unusable streams", output.errors.len()),
-        ));
-    }
-    if total_malformed > 0 {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!("{total_malformed} malformed records were skipped"),
-        ));
-    }
-    match output.all_k_atomic() {
-        Some(true) => {
-            println!("YES: {}", certified_label(model, k));
-        }
-        Some(false) => unreachable!("violations and errors are handled above"),
-        None => {
-            if output.keys.iter().any(|(_, r)| r.resumed_uncertified) {
-                println!(
-                    "UNKNOWN: no violation found, but the resume chain could not be \
-                     verified (non-seekable input); re-run the audit end to end, or \
-                     resume from a file, to certify"
-                );
-            } else {
-                println!(
-                    "UNKNOWN: no violation found, but some reads outlived the window or \
-                     the retirement horizon; rerun with a larger --window / --horizon \
-                     to certify"
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The parenthesised semantics of a run: the classic `algo, k=N` pair
-/// for k-atomicity, the model name for everything else.
-fn semantics_label(model: ModelId, algo: &str, k: u64) -> String {
-    if model.is_k_atomic() {
-        format!("{algo}, k={k}")
-    } else {
-        format!("model {model}")
-    }
-}
-
-/// "...keys <are not 2-atomic | violate the causal model>".
-fn violation_label(model: ModelId, k: u64) -> String {
-    if model.is_k_atomic() {
-        format!("are not {k}-atomic")
-    } else {
-        format!("violate the {model} model")
-    }
-}
-
-/// The certified-YES summary line, phrased per model.
-fn certified_label(model: ModelId, k: u64) -> String {
-    if model.is_k_atomic() {
-        format!("every key is {k}-atomic")
-    } else {
-        format!("every key satisfies the {model} model")
-    }
-}
-
-/// Prints the per-key report table shared by `kav stream` and
-/// `kav serve` — the fleet's merged output renders exactly like a
-/// single-process run.
-fn print_key_table(output: &PipelineOutput) {
-    println!("key | ops | segments | reads | depth mean/max | breach/orphan | verdict");
-    for (key, report) in &output.keys {
-        let verdict = match report.k_atomic() {
-            Some(true) => "YES",
-            Some(false) => "NO",
-            None => "UNKNOWN",
-        };
-        println!(
-            "{key:>3} | {:>5} | {:>8} | {:>5} | {:>7.2}/{:<4} | {:>6}/{:<6} | {verdict}",
-            report.ops,
-            report.segments,
-            report.reads,
-            report.mean_read_depth,
-            report.max_read_depth,
-            report.horizon_breaches,
-            report.orphaned_reads,
-        );
-    }
-}
-
-/// One NDJSON progress record, written to stderr every
-/// `--progress-every` records: machine-readable observability for audits
-/// that run for hours (schema documented in docs/OPERATIONS.md).
-#[derive(Serialize)]
-struct ProgressLine {
-    /// Always `"progress"` — distinguishes these records on a shared
-    /// stderr stream.
-    record: &'static str,
-    /// Raw input lines consumed so far.
-    lines: u64,
-    /// Version of the last checkpoint written (0 before the first).
-    checkpoint_version: u64,
-    /// Operations pushed into the pipeline.
-    ops_routed: u64,
-    /// Operations accepted across all keys.
-    ops: u64,
-    /// Malformed records skipped.
-    malformed: u64,
-    /// Keys seen.
-    keys: usize,
-    /// Segments sealed and verified.
-    segments: u64,
-    /// Keys with a proven violation so far.
-    violating_keys: usize,
-    /// Keys whose stream failed.
-    errored_keys: usize,
-    /// Horizon-breach reads.
-    horizon_breaches: u64,
-    /// Orphaned reads.
-    orphaned_reads: u64,
-    /// Operations currently buffered.
-    resident: u64,
-    /// Retired-metadata high-water mark (largest of any key).
-    peak_retired: usize,
-    /// Staleness-depth histogram (bucket 0 = depth 0, bucket i covers
-    /// depths [2^(i-1), 2^i)).
-    depth_hist: Vec<u64>,
-    /// Rolling staleness analytics: depth distribution of the reads that
-    /// arrived during the last [`kav_core::DEFAULT_DEPTH_WINDOW`]
-    /// progress intervals only (p50/p99/max are bucket upper bounds), so
-    /// a staleness regression hours into an audit is visible immediately
-    /// instead of being averaged away by the healthy prefix.
-    window_depth: DepthStats,
-    /// Per-shard breakdown.
-    shards: Vec<ShardProgress>,
-}
-
-/// The three ingest paths `kav stream` reads records from, behind one
-/// cursor interface. Position units are raw input lines for NDJSON and
-/// frames for binary; checkpoints store whichever the session used, so a
-/// resume must keep the format (the fingerprint check enforces this).
-enum IngestSource<'a> {
-    /// stdin NDJSON through the serde reference decoder: a non-seekable
-    /// source cannot be memory-mapped, and keeping this path live in
-    /// production also keeps the reference decoder exercised.
-    Reference(ndjson::Reader<Box<dyn std::io::BufRead>>),
-    /// A memory-mapped NDJSON file through the zero-copy byte-slice
-    /// decoder — the default for file inputs. Produces the same records,
-    /// errors and fingerprints as [`IngestSource::Reference`], so
-    /// checkpoints written by either NDJSON path resume under the other.
-    ZeroCopy(ndjson::SliceReader<'a>),
-    /// A memory-mapped binary frame file (`--format binary`).
-    Binary(frame::FrameReader<'a>),
-}
-
-impl IngestSource<'_> {
-    fn next_record(&mut self) -> Option<Result<ndjson::StreamRecord, ndjson::NdjsonError>> {
-        match self {
-            IngestSource::Reference(r) => r.next(),
-            IngestSource::ZeroCopy(r) => r.next(),
-            IngestSource::Binary(r) => r.next(),
-        }
-    }
-
-    /// Raw input units (lines or frames) consumed so far.
-    fn units_read(&self) -> u64 {
-        match self {
-            IngestSource::Reference(r) => r.lines_read(),
-            IngestSource::ZeroCopy(r) => r.lines_read(),
-            IngestSource::Binary(r) => r.frames_read(),
-        }
-    }
-
-    fn fingerprint(&self) -> Option<u64> {
-        match self {
-            IngestSource::Reference(r) => r.fingerprint(),
-            IngestSource::ZeroCopy(r) => r.fingerprint(),
-            IngestSource::Binary(r) => r.fingerprint(),
-        }
-    }
-
-    /// Skips up to `n` raw units without decoding them, returning how
-    /// many were consumed (resume prefix verification).
-    fn skip_units(&mut self, n: u64) -> std::io::Result<u64> {
-        match self {
-            IngestSource::Reference(r) => r.skip_raw_lines(n),
-            IngestSource::ZeroCopy(r) => r.skip_raw_lines(n),
-            IngestSource::Binary(r) => r.skip_raw_frames(n),
-        }
-    }
-}
-
-/// Feeds the session's input — stdin NDJSON, a memory-mapped NDJSON
-/// file, or a memory-mapped binary frame file — into a (fresh or
-/// resumed) pipeline, checkpointing and emitting progress at the
-/// configured cadences. Malformed records are skipped and counted,
-/// keeping only the first few messages (the run completes; the caller
-/// reports them and exits non-zero) — unless `strict`, which aborts on
-/// the first malformed record with [`EXIT_BAD_INPUT`]. Genuine I/O
-/// failures abort. Returns the pipeline output, the sample messages, and
-/// the total malformed count.
-fn drive_stream<V: Verifier + Clone + Send + 'static>(
-    verifier: V,
-    session: StreamSession<'_>,
-) -> Result<(PipelineOutput, Vec<String>, u64), Box<dyn Error>> {
-    const MALFORMED_SAMPLES: usize = 10;
-    let from_stdin = session.input == "-";
-    // Fingerprint whenever checkpoints are written (so they can later be
-    // verified) or verified (a resume).
-    let fingerprinted = session.checkpoint_path.is_some() || session.resume.is_some();
-    let mapped;
-    let mut source = if from_stdin {
-        if session.binary {
-            return Err(ExitWith::new(
-                EXIT_BAD_INPUT,
-                "--format binary requires a file argument (stdin ingest is NDJSON-only)",
-            ));
-        }
-        let raw: Box<dyn std::io::BufRead> = Box::new(std::io::stdin().lock());
-        IngestSource::Reference(if fingerprinted {
-            ndjson::Reader::with_fingerprint(raw, Fingerprint::new())
-        } else {
-            ndjson::Reader::new(raw)
-        })
-    } else {
-        mapped = crate::mmap::map_file(session.input)?;
-        if session.binary {
-            let reader = if fingerprinted {
-                frame::FrameReader::with_fingerprint(&mapped, Fingerprint::new())
-            } else {
-                frame::FrameReader::new(&mapped)
-            }
-            .map_err(|e| ExitWith::new(EXIT_BAD_INPUT, format!("{}: {e}", session.input)))?;
-            IngestSource::Binary(reader)
-        } else {
-            IngestSource::ZeroCopy(if fingerprinted {
-                ndjson::SliceReader::with_fingerprint(&mapped, Fingerprint::new())
-            } else {
-                ndjson::SliceReader::new(&mapped)
-            })
-        }
-    };
-
-    let mut malformed: Vec<String> = Vec::new();
-    let mut total_malformed: u64 = 0;
-    let mut pipeline = match &session.resume {
-        Some(checkpoint) => {
-            let prefix_verified = if from_stdin {
-                // A non-seekable source cannot re-prove the prefix: the
-                // operator feeds the remaining records, the audit
-                // continues, and YES degrades to UNKNOWN (NO stays
-                // sound). Lines and fingerprint restart with this run's
-                // input, consistent with any checkpoint written from it.
-                eprintln!(
-                    "warning: resuming from stdin skips prefix verification — \
-                     a YES verdict will degrade to UNKNOWN"
-                );
-                false
-            } else {
-                // Re-read the prefix the checkpoint summarised and prove
-                // it is byte-identical before trusting its verdicts.
-                let skipped = source.skip_units(checkpoint.source.lines)?;
-                if skipped < checkpoint.source.lines {
-                    return Err(ExitWith::new(
-                        EXIT_BAD_INPUT,
-                        format!(
-                            "--resume: input ends after {skipped} records but the \
-                             checkpoint covers {}; wrong input file?",
-                            checkpoint.source.lines
-                        ),
-                    ));
-                }
-                if source.fingerprint() != Some(checkpoint.source.fingerprint) {
-                    return Err(ExitWith::new(
-                        EXIT_BAD_INPUT,
-                        format!(
-                            "--resume: the first {} input records differ from the ones \
-                             the checkpoint summarised (fingerprint mismatch — wrong \
-                             file, or a different --format?); resuming would silently \
-                             corrupt the audit",
-                            checkpoint.source.lines
-                        ),
-                    ));
-                }
-                true
-            };
-            total_malformed = checkpoint.source.malformed;
-            malformed = checkpoint.source.malformed_samples.clone();
-            let pipeline = StreamPipeline::resume(
-                verifier,
-                session.config,
-                &checkpoint.pipeline,
-                prefix_verified,
-            )
-            .map_err(|e| ExitWith::new(EXIT_BAD_INPUT, e.to_string()))?;
-            println!(
-                "resumed from checkpoint v{} ({} ops, {} records{})",
-                checkpoint.version,
-                checkpoint.pipeline.ops_routed,
-                checkpoint.source.lines,
-                if prefix_verified { ", prefix verified" } else { ", prefix unverified" },
-            );
-            pipeline
-        }
-        None => StreamPipeline::new(verifier, session.config),
-    };
-    let mut writer = session.checkpoint_path.map(|path| {
-        CheckpointWriter::starting_at(
-            path,
-            session.resume.as_ref().map_or(0, |checkpoint| checkpoint.version),
-        )
-    });
-
-    let mut records: u64 = 0;
-    let mut depth_window = DepthWindow::default();
-    // `while let` rather than `for`: the loop body needs the source back
-    // each iteration (unit counts, fingerprints) for checkpoint metadata.
-    while let Some(record) = source.next_record() {
-        match record {
-            Ok(record) => pipeline.push(record.key, record.op()),
-            Err(e @ ndjson::NdjsonError::Parse { .. }) => {
-                if session.strict {
-                    return Err(ExitWith::new(EXIT_BAD_INPUT, format!("--strict: {e}")));
-                }
-                total_malformed += 1;
-                if malformed.len() < MALFORMED_SAMPLES {
-                    malformed.push(e.to_string());
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-        records += 1;
-        if let Some(writer) = &mut writer {
-            if pipeline.checkpoint_due() {
-                let snapshot = pipeline.snapshot();
-                let position = SourcePosition {
-                    lines: source.units_read(),
-                    fingerprint: source
-                        .fingerprint()
-                        .expect("checkpointing sessions always fingerprint"),
-                    malformed: total_malformed,
-                    malformed_samples: malformed.clone(),
-                };
-                writer.write(position, snapshot)?;
-            }
-        }
-        if session.progress_every > 0 && records.is_multiple_of(session.progress_every) {
-            let progress = pipeline.progress();
-            let window_depth = depth_window.observe(&progress.depth_hist);
-            let line = ProgressLine {
-                record: "progress",
-                lines: source.units_read(),
-                checkpoint_version: writer.as_ref().map_or(0, CheckpointWriter::version),
-                ops_routed: progress.ops_routed,
-                ops: progress.ops,
-                malformed: total_malformed,
-                keys: progress.keys,
-                segments: progress.segments,
-                violating_keys: progress.violating_keys,
-                errored_keys: progress.errored_keys,
-                horizon_breaches: progress.horizon_breaches,
-                orphaned_reads: progress.orphaned_reads,
-                resident: progress.resident,
-                peak_retired: progress.peak_retired,
-                depth_hist: progress.depth_hist,
-                window_depth,
-                shards: progress.shards,
-            };
-            eprintln!(
-                "{}",
-                serde_json::to_string(&line).expect("progress records serialize")
-            );
-        }
-    }
-    Ok((pipeline.finish(), malformed, total_malformed))
-}
-
-/// Maps the CLI `--algo` spelling (plus `k`) to the [`Verifier::name`]
-/// that goes on the fleet wire — workers refuse assignments whose name
-/// disagrees with the verifier they run, so the coordinator must speak
-/// the verifier's own name, not the flag alias.
-fn wire_algo_name(algo: &str, k: u64) -> Result<&'static str, Box<dyn Error>> {
-    match (canonical_algo(algo), k) {
-        ("gk", 1) => Ok("gk-zones"),
-        ("fzf", 2) => Ok("fzf"),
-        ("lbt", 2) => Ok("lbt"),
-        ("genk", k) if k >= 1 => Ok("genk"),
-        (a, k) => Err(bad_algo_k(a, k, "")),
-    }
-}
-
-/// `kav work` — one fleet worker: speaks the coordinator↔worker protocol
-/// on stdin/stdout until FINISH (exit 0) or a protocol fault (exit
-/// [`EXIT_BAD_INPUT`] with the diagnostic on stderr — a fault is unusable
-/// input, never a verdict). Spawned by `kav serve`; runnable by hand only
-/// for debugging the wire format.
-pub fn work(args: &Args) -> CmdResult {
-    let model = model_flag(args)?;
-    reject_model_flags(args, model)?;
-    let stdin = std::io::stdin().lock();
-    let stdout = std::io::stdout().lock();
-    let result = if model.is_k_atomic() {
-        let k: u64 = args.get_parsed("k", 2)?;
-        let algo = args.get("algo").unwrap_or(match k {
-            1 => "gk",
-            2 => "fzf",
-            _ => "genk",
-        });
-        let gap_budget = gap_budget_flag(args, DEFAULT_GAP_BUDGET)?;
-        match (canonical_algo(algo), k) {
-            ("gk", 1) => worker_loop(GkOneAv, stdin, stdout),
-            ("fzf", 2) => worker_loop(Fzf, stdin, stdout),
-            ("lbt", 2) => worker_loop(Lbt::new(), stdin, stdout),
-            ("genk", k) if k >= 1 => {
-                worker_loop(GenK::with_gap_budget(k, gap_budget), stdin, stdout)
-            }
-            (a, k) => return Err(bad_algo_k(a, k, "")),
-        }
-    } else {
-        match model {
-            ModelId::Regular => worker_loop(RegularVerifier, stdin, stdout),
-            ModelId::Safe => worker_loop(SafeVerifier, stdin, stdout),
-            ModelId::Causal => worker_loop(causal_from_flags(args)?, stdin, stdout),
-            ModelId::KAtomic => unreachable!("handled above"),
-        }
-    };
-    result.map_err(|e| -> Box<dyn Error> {
-        ExitWith::new(EXIT_BAD_INPUT, format!("worker: {e}"))
-    })
-}
-
-/// `kav serve` — multi-process fleet verification: the coordinator
-/// partitions the key space over `--workers` spawned `kav work`
-/// processes, fans ingest out by key hash, merges their checkpoints at
-/// cadence and their final reports at the end. Exit codes, checkpoint
-/// files and the report table are interchangeable with `kav stream`;
-/// worker death is absorbed by checkpoint hand-off (see
-/// docs/OPERATIONS.md, "Running a fleet").
-pub fn serve(args: &Args) -> CmdResult {
-    serve_inner(args).map_err(|e| -> Box<dyn Error> {
-        if e.is::<ExitWith>() {
-            e
-        } else {
-            // Transport and protocol faults verified nothing: bad input,
-            // never the violation code.
-            ExitWith::new(EXIT_BAD_INPUT, e.to_string())
-        }
-    })
-}
-
-fn serve_inner(args: &Args) -> CmdResult {
-    const MALFORMED_SAMPLES: usize = 10;
-    let resume = match args.get("resume") {
-        Some(path) => Some(read_checkpoint(path).map_err(|e| {
-            ExitWith::new(EXIT_BAD_INPUT, format!("--resume {path}: {e}"))
-        })?),
-        None => None,
-    };
-    // Verification parameters resolve exactly as in `kav stream`: flags
-    // on a fresh audit, the checkpoint on a resumed one.
-    let (k, algo, window, horizon, model) = match &resume {
-        Some(checkpoint) => {
-            let p = &checkpoint.pipeline;
-            reject_resume_model_conflict(args, p.model)?;
-            reject_resume_conflict(args, "k", &p.k.to_string())?;
-            reject_resume_conflict(args, "algo", &p.algo)?;
-            reject_resume_conflict(args, "window", &p.window.to_string())?;
-            reject_resume_conflict(args, "horizon", &p.horizon.to_string())?;
-            (p.k, p.algo.clone(), p.window, Some(p.horizon), p.model)
-        }
-        None => {
-            let model = model_flag(args)?;
-            reject_model_flags(args, model)?;
-            let (k, algo) = if model.is_k_atomic() {
-                let k: u64 = args.get_parsed("k", 2)?;
-                let algo = args
-                    .get("algo")
-                    .unwrap_or(match k {
-                        1 => "gk",
-                        2 => "fzf",
-                        _ => "genk",
-                    })
-                    .to_string();
-                (k, algo)
-            } else {
-                (1, model.as_str().to_string())
-            };
-            let horizon = match args.get("horizon") {
-                Some(_) => Some(args.get_parsed("horizon", 0)?),
-                None => None,
-            };
-            (k, algo, args.get_parsed("window", 1024)?, horizon, model)
-        }
-    };
-    let workers: usize = args.get_parsed("workers", 2)?;
-    if workers == 0 {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            "--workers 0: a fleet needs at least one worker",
-        ));
-    }
-    // The causal closure budget and the k-atomic gap budget share the
-    // flag, but not the default: each model's own ceiling applies.
-    let gap_budget = gap_budget_flag(
-        args,
-        if model == ModelId::Causal { DEFAULT_CAUSAL_BUDGET } else { DEFAULT_GAP_BUDGET },
-    )?;
-    let config = FleetConfig {
-        // On the wire the algo slot must carry the verifier's own name;
-        // for model runs that is the model's name.
-        algo: if model.is_k_atomic() {
-            wire_algo_name(&algo, k)?.to_string()
-        } else {
-            model.as_str().to_string()
-        },
-        model,
-        k,
-        window,
-        horizon,
-        // One pipeline thread per worker by default: the fleet's
-        // parallelism is the processes themselves.
-        worker_shards: args.get_parsed("shards", 1)?,
-        batch: args.get_parsed("batch", FleetConfig::default().batch)?,
-        checkpoint_every: args.get_parsed("checkpoint-every", DEFAULT_CHECKPOINT_EVERY)?,
-        replay_cap: args.get_parsed("replay-cap", DEFAULT_REPLAY_CAP)?,
-    };
-    let kill: Option<(usize, u64)> = match args.get("kill-worker") {
-        None => None,
-        Some(v) => {
-            let parsed = v.split_once(':').and_then(|(idx, at)| {
-                Some((idx.parse().ok()?, at.parse().ok()?))
-            });
-            let (idx, at) = parsed.ok_or_else(|| {
-                ArgError(format!("--kill-worker: expected idx:records, got {v:?}"))
-            })?;
-            if idx >= workers {
-                return Err(ExitWith::new(
-                    EXIT_BAD_INPUT,
-                    format!("--kill-worker {idx}: the fleet has workers 0..{workers}"),
-                ));
-            }
-            Some((idx, at))
-        }
-    };
-    let split_at: u64 = args.get_parsed("split-hottest", 0)?;
-    let input = args.positional(1).ok_or_else(|| {
-        ArgError("serve requires an NDJSON file argument (or -)".into())
-    })?;
-    let binary = format_flag(args)?;
-    let strict = args.flag("strict");
-    let checkpoint_path = args.get("checkpoint");
-
-    // Spawn the fleet before touching the input: a fleet that cannot
-    // start verifies nothing. Children speak the protocol on their
-    // stdin/stdout; stderr passes through for diagnostics.
-    let exe = std::env::current_exe()?;
-    let mut children: Vec<std::process::Child> = Vec::with_capacity(workers);
-    let mut links: Vec<WorkerLink> = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let mut command = std::process::Command::new(&exe);
-        command.arg("work");
-        if model.is_k_atomic() {
-            // `kav work` rejects --algo/--k alongside a non-default
-            // --model, so each spawn passes exactly one vocabulary.
-            command.arg("--algo").arg(canonical_algo(&algo));
-            command.arg("--k").arg(k.to_string());
-        } else {
-            command.arg("--model").arg(model.as_str());
-        }
-        let mut child = command
-            .arg("--gap-budget")
-            .arg(match gap_budget {
-                Some(nodes) => nodes.to_string(),
-                None => "unbounded".to_string(),
-            })
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
-            .spawn()?;
-        let child_stdin = child.stdin.take().expect("stdin is piped");
-        let child_stdout = child.stdout.take().expect("stdout is piped");
-        links.push(WorkerLink {
-            writer: Box::new(std::io::BufWriter::new(child_stdin)),
-            reader: Box::new(std::io::BufReader::new(child_stdout)),
-        });
-        children.push(child);
-    }
-
-    let from_stdin = input == "-";
-    let fingerprinted = checkpoint_path.is_some() || resume.is_some();
-    let mapped;
-    let mut source = if from_stdin {
-        if binary {
-            return Err(ExitWith::new(
-                EXIT_BAD_INPUT,
-                "--format binary requires a file argument (stdin ingest is NDJSON-only)",
-            ));
-        }
-        let raw: Box<dyn std::io::BufRead> = Box::new(std::io::stdin().lock());
-        IngestSource::Reference(if fingerprinted {
-            ndjson::Reader::with_fingerprint(raw, Fingerprint::new())
-        } else {
-            ndjson::Reader::new(raw)
-        })
-    } else {
-        mapped = crate::mmap::map_file(input)?;
-        if binary {
-            let reader = if fingerprinted {
-                frame::FrameReader::with_fingerprint(&mapped, Fingerprint::new())
-            } else {
-                frame::FrameReader::new(&mapped)
-            }
-            .map_err(|e| ExitWith::new(EXIT_BAD_INPUT, format!("{input}: {e}")))?;
-            IngestSource::Binary(reader)
-        } else {
-            IngestSource::ZeroCopy(if fingerprinted {
-                ndjson::SliceReader::with_fingerprint(&mapped, Fingerprint::new())
-            } else {
-                ndjson::SliceReader::new(&mapped)
-            })
-        }
-    };
-
-    let mut malformed: Vec<String> = Vec::new();
-    let mut total_malformed: u64 = 0;
-    let mut fleet = match &resume {
-        Some(checkpoint) => {
-            let prefix_verified = if from_stdin {
-                eprintln!(
-                    "warning: resuming from stdin skips prefix verification — \
-                     a YES verdict will degrade to UNKNOWN"
-                );
-                false
-            } else {
-                let skipped = source.skip_units(checkpoint.source.lines)?;
-                if skipped < checkpoint.source.lines {
-                    return Err(ExitWith::new(
-                        EXIT_BAD_INPUT,
-                        format!(
-                            "--resume: input ends after {skipped} records but the \
-                             checkpoint covers {}; wrong input file?",
-                            checkpoint.source.lines
-                        ),
-                    ));
-                }
-                if source.fingerprint() != Some(checkpoint.source.fingerprint) {
-                    return Err(ExitWith::new(
-                        EXIT_BAD_INPUT,
-                        format!(
-                            "--resume: the first {} input records differ from the ones \
-                             the checkpoint summarised (fingerprint mismatch — wrong \
-                             file, or a different --format?); resuming would silently \
-                             corrupt the audit",
-                            checkpoint.source.lines
-                        ),
-                    ));
-                }
-                true
-            };
-            total_malformed = checkpoint.source.malformed;
-            malformed = checkpoint.source.malformed_samples.clone();
-            let fleet =
-                FleetCoordinator::resume(config, links, &checkpoint.pipeline, prefix_verified)
-                    .map_err(|e| ExitWith::new(EXIT_BAD_INPUT, e.to_string()))?;
-            println!(
-                "resumed fleet from checkpoint v{} ({} ops, {} records{})",
-                checkpoint.version,
-                checkpoint.pipeline.ops_routed,
-                checkpoint.source.lines,
-                if prefix_verified { ", prefix verified" } else { ", prefix unverified" },
-            );
-            fleet
-        }
-        None => FleetCoordinator::new(config, links)?,
-    };
-    let mut writer = checkpoint_path.map(|path| {
-        CheckpointWriter::starting_at(
-            path,
-            resume.as_ref().map_or(0, |checkpoint| checkpoint.version),
-        )
-    });
-
-    let mut records: u64 = 0;
-    while let Some(record) = source.next_record() {
-        match record {
-            Ok(record) => fleet.push(record.key, record.op())?,
-            Err(e @ ndjson::NdjsonError::Parse { .. }) => {
-                if strict {
-                    return Err(ExitWith::new(EXIT_BAD_INPUT, format!("--strict: {e}")));
-                }
-                total_malformed += 1;
-                if malformed.len() < MALFORMED_SAMPLES {
-                    malformed.push(e.to_string());
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-        records += 1;
-        if let Some((idx, at)) = kill {
-            if records == at {
-                // Fault-injection hook: SIGKILL the worker mid-stream; the
-                // coordinator must absorb it by checkpoint hand-off.
-                children[idx].kill()?;
-                children[idx].wait()?;
-            }
-        }
-        if split_at > 0 && records == split_at {
-            fleet.split_hottest()?;
-        }
-        if let Some(writer) = &mut writer {
-            if fleet.checkpoint_due() {
-                let snapshot = fleet.snapshot_fleet()?;
-                let position = SourcePosition {
-                    lines: source.units_read(),
-                    fingerprint: source
-                        .fingerprint()
-                        .expect("checkpointing sessions always fingerprint"),
-                    malformed: total_malformed,
-                    malformed_samples: malformed.clone(),
-                };
-                writer.write(position, snapshot)?;
-            }
-        }
-    }
-    let (output, summary) = fleet.finish()?;
-    for child in &mut children {
-        let _ = child.wait();
-    }
-
-    println!(
-        "fleet: {} workers ({} alive at the end), {} ranges, {} hand-offs \
-         ({} uncertified), {} splits, {} frames dropped",
-        summary.workers,
-        summary.workers_alive,
-        summary.ranges,
-        summary.hand_offs,
-        summary.uncertified_hand_offs,
-        summary.splits,
-        summary.frames_dropped,
-    );
-    println!(
-        "verified {} ops across {} keys ({}, window {}, {} workers)",
-        output.total_ops(),
-        output.keys.len(),
-        semantics_label(model, &algo, k),
-        window.max(1),
-        workers,
-    );
-    print_key_table(&output);
-    for line in &malformed {
-        eprintln!("{line}");
-    }
-    if total_malformed > malformed.len() as u64 {
-        eprintln!(
-            "... and {} more malformed records",
-            total_malformed - malformed.len() as u64
-        );
-    }
-    for (key, error) in &output.errors {
-        eprintln!("key {key}: {error}");
-    }
-
-    let violating =
-        output.keys.iter().filter(|(_, r)| r.k_atomic() == Some(false)).count();
-    if violating > 0 {
-        return Err(ExitWith::new(
-            EXIT_VIOLATION,
-            format!("NO: {violating} keys {}", violation_label(model, k)),
-        ));
-    }
-    if !output.errors.is_empty() {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!("{} keys had unusable streams", output.errors.len()),
-        ));
-    }
-    if total_malformed > 0 {
-        return Err(ExitWith::new(
-            EXIT_BAD_INPUT,
-            format!("{total_malformed} malformed records were skipped"),
-        ));
-    }
-    match fleet_verdict(&output, &summary) {
-        Some(true) => {
-            println!("YES: {} (fleet certified)", certified_label(model, k));
-        }
-        Some(false) => unreachable!("violations and errors are handled above"),
-        None => {
-            if summary.uncertified_hand_offs > 0 || summary.frames_dropped > 0 {
-                println!(
-                    "UNKNOWN: no violation found, but {} hand-off(s) lost their replay \
-                     and {} frames were dropped past the break; checkpoint at least \
-                     every --replay-cap records (or rerun end to end) to certify",
-                    summary.uncertified_hand_offs, summary.frames_dropped,
-                );
-            } else if output.keys.iter().any(|(_, r)| r.resumed_uncertified) {
-                println!(
-                    "UNKNOWN: no violation found, but the resume chain could not be \
-                     verified (non-seekable input); re-run the audit end to end, or \
-                     resume from a file, to certify"
-                );
-            } else {
-                println!(
-                    "UNKNOWN: no violation found, but some reads outlived the window or \
-                     the retirement horizon; rerun with a larger --window / --horizon \
-                     to certify"
-                );
-            }
-        }
-    }
     Ok(())
 }
 

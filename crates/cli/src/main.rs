@@ -4,6 +4,7 @@
 //! exchanged as JSON files in the `kav-history` format.
 
 mod args;
+mod audit;
 mod commands;
 mod mmap;
 
@@ -33,9 +34,9 @@ fn main() -> ExitCode {
         "gen" => commands::gen(&args),
         "sim" => commands::sim(&args),
         "simulate" => commands::simulate(&args),
-        "stream" => commands::stream(&args),
-        "serve" => commands::serve(&args),
-        "work" => commands::work(&args),
+        "stream" => audit::stream(&args),
+        "serve" => audit::serve(&args),
+        "work" => audit::work(&args),
         "reduce" => commands::reduce(&args),
         other => {
             eprintln!("error: unknown subcommand {other:?}\n\n{}", commands::usage());

@@ -138,6 +138,15 @@ fn malformed_input_is_reported() {
     assert!(stderr(&out).contains("requires a value"));
 }
 
+/// The two audit drivers, `kav stream` and `kav serve`, which share one
+/// session: tests of that shared behaviour run against both.
+const DRIVERS: [&[&str]; 2] = [&["stream"], &["serve", "--workers", "2"]];
+
+/// `driver` followed by `rest`.
+fn argv<'a>(driver: &[&'a str], rest: &[&'a str]) -> Vec<&'a str> {
+    [driver, rest].concat()
+}
+
 fn kav_with_stdin(args: &[&str], stdin: &str) -> Output {
     use std::io::Write;
     use std::process::Stdio;
@@ -207,36 +216,38 @@ fn stream_exits_one_on_violation() {
 
 #[test]
 fn stream_exits_two_on_bad_records() {
-    // Malformed JSON lines: skipped but reported with line numbers, and
-    // the run still completes (valid records verify) — exit code 2 says
-    // "input was unusable", distinct from a verified violation's 1.
-    let ndjson = "{\"kind\":\"write\"\n\
-        {\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":10}\n\
-        not json\n\
-        {\"kind\":\"read\",\"value\":1,\"start\":12,\"finish\":20}\n";
-    let out = kav_with_stdin(&["stream", "-"], ndjson);
-    assert_eq!(out.status.code(), Some(2), "bad input exits 2: {}", stderr(&out));
-    assert!(stderr(&out).contains("line 1"), "{}", stderr(&out));
-    assert!(stderr(&out).contains("line 3"), "{}", stderr(&out));
-    assert!(stderr(&out).contains("2 malformed records were skipped"), "{}", stderr(&out));
-    assert!(stdout(&out).contains("verified 2 ops across 1 keys"), "{}", stdout(&out));
-    assert!(stdout(&out).contains("| YES"), "{}", stdout(&out));
+    for driver in DRIVERS {
+        // Malformed JSON lines: skipped but reported with line numbers, and
+        // the run still completes (valid records verify) — exit code 2 says
+        // "input was unusable", distinct from a verified violation's 1.
+        let ndjson = "{\"kind\":\"write\"\n\
+            {\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":10}\n\
+            not json\n\
+            {\"kind\":\"read\",\"value\":1,\"start\":12,\"finish\":20}\n";
+        let out = kav_with_stdin(&argv(driver, &["-"]), ndjson);
+        assert_eq!(out.status.code(), Some(2), "bad input exits 2: {}", stderr(&out));
+        assert!(stderr(&out).contains("line 1"), "{}", stderr(&out));
+        assert!(stderr(&out).contains("line 3"), "{}", stderr(&out));
+        assert!(stderr(&out).contains("2 malformed records were skipped"), "{}", stderr(&out));
+        assert!(stdout(&out).contains("verified 2 ops across 1 keys"), "{}", stdout(&out));
+        assert!(stdout(&out).contains("| YES"), "{}", stdout(&out));
 
-    // Well-formed JSON violating the schema rules (out of completion
-    // order): the offending key is reported — still an input problem, 2.
-    let ndjson = r#"
-        {"key":1,"kind":"write","value":1,"start":0,"finish":10}
-        {"key":1,"kind":"write","value":2,"start":2,"finish":8}
-    "#;
-    let out = kav_with_stdin(&["stream", "-"], ndjson);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stderr(&out).contains("key 1"), "{}", stderr(&out));
-    assert!(stderr(&out).contains("completion order"), "{}", stderr(&out));
+        // Well-formed JSON violating the schema rules (out of completion
+        // order): the offending key is reported — still an input problem, 2.
+        let ndjson = r#"
+            {"key":1,"kind":"write","value":1,"start":0,"finish":10}
+            {"key":1,"kind":"write","value":2,"start":2,"finish":8}
+        "#;
+        let out = kav_with_stdin(&argv(driver, &["-"]), ndjson);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains("key 1"), "{}", stderr(&out));
+        assert!(stderr(&out).contains("completion order"), "{}", stderr(&out));
 
-    // Missing input argument.
-    let out = kav(&["stream"]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("NDJSON"), "{}", stderr(&out));
+        // Missing input argument.
+        let out = kav(driver);
+        assert!(!out.status.success());
+        assert!(stderr(&out).contains("NDJSON"), "{}", stderr(&out));
+    }
 }
 
 #[test]
@@ -246,6 +257,7 @@ fn stream_never_reports_io_or_usage_trouble_as_a_violation() {
     // code instead of the generic 1.
     let out = kav(&["stream", "/nonexistent/ops.ndjson"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("/nonexistent/ops.ndjson: "), "{}", stderr(&out));
 
     let out = kav(&["stream", "--window", "many", "-"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
@@ -254,35 +266,39 @@ fn stream_never_reports_io_or_usage_trouble_as_a_violation() {
 
 #[test]
 fn stream_violation_outranks_bad_records() {
-    // Both a malformed line AND a genuine violation: the violation wins
-    // the exit code (1), while the malformed line is still reported.
-    let ndjson = "not json\n\
-        {\"key\":5,\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":10}\n\
-        {\"key\":5,\"kind\":\"write\",\"value\":2,\"start\":12,\"finish\":20}\n\
-        {\"key\":5,\"kind\":\"write\",\"value\":3,\"start\":22,\"finish\":30}\n\
-        {\"key\":5,\"kind\":\"read\",\"value\":1,\"start\":32,\"finish\":40}\n";
-    let out = kav_with_stdin(&["stream", "-"], ndjson);
-    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
-    assert!(stderr(&out).contains("line 1"), "{}", stderr(&out));
-    assert!(stderr(&out).contains("NO: 1 keys are not 2-atomic"), "{}", stderr(&out));
+    for driver in DRIVERS {
+        // Both a malformed line AND a genuine violation: the violation wins
+        // the exit code (1), while the malformed line is still reported.
+        let ndjson = "not json\n\
+            {\"key\":5,\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":10}\n\
+            {\"key\":5,\"kind\":\"write\",\"value\":2,\"start\":12,\"finish\":20}\n\
+            {\"key\":5,\"kind\":\"write\",\"value\":3,\"start\":22,\"finish\":30}\n\
+            {\"key\":5,\"kind\":\"read\",\"value\":1,\"start\":32,\"finish\":40}\n";
+        let out = kav_with_stdin(&argv(driver, &["-"]), ndjson);
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        assert!(stderr(&out).contains("line 1"), "{}", stderr(&out));
+        assert!(stderr(&out).contains("NO: 1 keys are not 2-atomic"), "{}", stderr(&out));
+    }
 }
 
 #[test]
 fn stream_strict_fails_fast_on_first_malformed_line() {
-    let ndjson = "{\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":10}\n\
-        not json\n\
-        {\"kind\":\"read\",\"value\":1,\"start\":12,\"finish\":20}\n";
-    let out = kav_with_stdin(&["stream", "--strict", "-"], ndjson);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stderr(&out).contains("--strict"), "{}", stderr(&out));
-    assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
-    // Fail-fast: no verification summary was printed.
-    assert!(!stdout(&out).contains("verified"), "{}", stdout(&out));
+    for driver in DRIVERS {
+        let ndjson = "{\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":10}\n\
+            not json\n\
+            {\"kind\":\"read\",\"value\":1,\"start\":12,\"finish\":20}\n";
+        let out = kav_with_stdin(&argv(driver, &["--strict", "-"]), ndjson);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains("--strict"), "{}", stderr(&out));
+        assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
+        // Fail-fast: no verification summary was printed.
+        assert!(!stdout(&out).contains("verified"), "{}", stdout(&out));
 
-    // The same input without --strict completes and verifies the good key.
-    let out = kav_with_stdin(&["stream", "-"], ndjson);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stdout(&out).contains("verified 2 ops"), "{}", stdout(&out));
+        // The same input without --strict completes and verifies the good key.
+        let out = kav_with_stdin(&argv(driver, &["-"]), ndjson);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stdout(&out).contains("verified 2 ops"), "{}", stdout(&out));
+    }
 }
 
 #[test]
@@ -359,73 +375,78 @@ fn stream_checkpointed_run_resumes_to_the_same_verdicts() {
 
 #[test]
 fn stream_resume_rejects_a_diverged_prefix_and_conflicting_flags() {
-    let input = stream_fixture("tamper_ops.ndjson");
-    let ckpt = temp_file("tamper_ops.ckpt");
-    std::fs::remove_file(&ckpt).ok();
-    let out = kav(&[
-        "stream", "--window", "32", "--checkpoint", ckpt.to_str().unwrap(),
-        "--checkpoint-every", "50", input.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
+    for driver in DRIVERS {
+        let input = stream_fixture("tamper_ops.ndjson");
+        let ckpt = temp_file(&format!("tamper_ops_{}.ckpt", driver[0]));
+        std::fs::remove_file(&ckpt).ok();
+        let out = kav(&argv(driver, &[
+            "--window", "32", "--checkpoint", ckpt.to_str().unwrap(),
+            "--checkpoint-every", "50", input.to_str().unwrap(),
+        ]));
+        assert!(out.status.success(), "{}", stderr(&out));
 
-    // Changing an already-audited record breaks the fingerprint: resume
-    // must refuse rather than silently continue a different audit.
-    let original = std::fs::read_to_string(&input).unwrap();
-    let tampered_input = temp_file("tampered_ops.ndjson");
-    let mut lines: Vec<&str> = original.lines().collect();
-    let swapped = lines[0].replace("\"start\":", "\"start\": ");
-    lines[0] = &swapped;
-    std::fs::write(&tampered_input, lines.join("\n") + "\n").unwrap();
-    let out = kav(&[
-        "stream", "--resume", ckpt.to_str().unwrap(), tampered_input.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stderr(&out).contains("fingerprint mismatch"), "{}", stderr(&out));
+        // Changing an already-audited record breaks the fingerprint: resume
+        // must refuse rather than silently continue a different audit.
+        let original = std::fs::read_to_string(&input).unwrap();
+        let tampered_input = temp_file("tampered_ops.ndjson");
+        let mut lines: Vec<&str> = original.lines().collect();
+        let swapped = lines[0].replace("\"start\":", "\"start\": ");
+        lines[0] = &swapped;
+        std::fs::write(&tampered_input, lines.join("\n") + "\n").unwrap();
+        let out = kav(&argv(driver, &[
+            "--resume", ckpt.to_str().unwrap(), tampered_input.to_str().unwrap(),
+        ]));
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains("fingerprint mismatch"), "{}", stderr(&out));
 
-    // Contradicting a checkpointed parameter is rejected, not silently
-    // adopted.
-    let out = kav(&[
-        "stream", "--resume", ckpt.to_str().unwrap(), "--window", "64",
-        input.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stderr(&out).contains("conflicts with the checkpoint"), "{}", stderr(&out));
+        // Contradicting a checkpointed parameter is rejected, not silently
+        // adopted.
+        let out = kav(&argv(driver, &[
+            "--resume", ckpt.to_str().unwrap(), "--window", "64", input.to_str().unwrap(),
+        ]));
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains("conflicts with the checkpoint"), "{}", stderr(&out));
 
-    // A checkpoint that is not a checkpoint.
-    let garbled = temp_file("garbled.ckpt");
-    std::fs::write(&garbled, "{ nope").unwrap();
-    let out = kav(&["stream", "--resume", garbled.to_str().unwrap(), input.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stderr(&out).contains("not a valid checkpoint"), "{}", stderr(&out));
+        // A checkpoint that is not a checkpoint.
+        let garbled = temp_file("garbled.ckpt");
+        std::fs::write(&garbled, "{ nope").unwrap();
+        let out =
+            kav(&argv(driver, &["--resume", garbled.to_str().unwrap(), input.to_str().unwrap()]));
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains("not a valid checkpoint"), "{}", stderr(&out));
+    }
 }
 
 #[test]
 fn stream_resume_from_stdin_degrades_yes_to_unknown() {
-    let input = stream_fixture("stdin_resume_ops.ndjson");
-    let ckpt = temp_file("stdin_resume_ops.ckpt");
-    std::fs::remove_file(&ckpt).ok();
-    let out = kav(&[
-        "stream", "--window", "32", "--checkpoint", ckpt.to_str().unwrap(),
-        "--checkpoint-every", "50", input.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
+    for driver in DRIVERS {
+        let input = stream_fixture("stdin_resume_ops.ndjson");
+        let ckpt = temp_file(&format!("stdin_resume_ops_{}.ckpt", driver[0]));
+        std::fs::remove_file(&ckpt).ok();
+        let out = kav(&argv(driver, &[
+            "--window", "32", "--checkpoint", ckpt.to_str().unwrap(),
+            "--checkpoint-every", "50", input.to_str().unwrap(),
+        ]));
+        assert!(out.status.success(), "{}", stderr(&out));
 
-    // Feed exactly the unaudited remainder on stdin: the audit completes,
-    // but without prefix verification YES degrades to UNKNOWN (exit 0 —
-    // nothing is wrong with store or tap).
-    let lines_done = checkpoint_lines(&ckpt);
-    let remainder: String = std::fs::read_to_string(&input)
-        .unwrap()
-        .lines()
-        .skip(lines_done)
-        .map(|l| format!("{l}\n"))
-        .collect();
-    let out = kav_with_stdin(&["stream", "--resume", ckpt.to_str().unwrap(), "-"], &remainder);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert!(stdout(&out).contains("prefix unverified"), "{}", stdout(&out));
-    assert!(stdout(&out).contains("UNKNOWN"), "{}", stdout(&out));
-    assert!(stdout(&out).contains("resume chain"), "{}", stdout(&out));
-    assert!(stderr(&out).contains("resuming from stdin"), "{}", stderr(&out));
+        // Feed exactly the unaudited remainder on stdin: the audit completes,
+        // but without prefix verification YES degrades to UNKNOWN (exit 0 —
+        // nothing is wrong with store or tap).
+        let lines_done = checkpoint_lines(&ckpt);
+        let remainder: String = std::fs::read_to_string(&input)
+            .unwrap()
+            .lines()
+            .skip(lines_done)
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let out =
+            kav_with_stdin(&argv(driver, &["--resume", ckpt.to_str().unwrap(), "-"]), &remainder);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        assert!(stdout(&out).contains("prefix unverified"), "{}", stdout(&out));
+        assert!(stdout(&out).contains("UNKNOWN"), "{}", stdout(&out));
+        assert!(stdout(&out).contains("resume chain"), "{}", stdout(&out));
+        assert!(stderr(&out).contains("resuming from stdin"), "{}", stderr(&out));
+    }
 }
 
 #[test]
@@ -604,10 +625,10 @@ fn verify_genk_is_the_general_k_default() {
     assert!(out.status.success());
     assert!(stdout(&out).contains("NO"), "{}", stdout(&out));
 
-    // The exact oracle stays reachable.
+    // The exhaustive search is a test oracle, not a CLI algorithm.
     let out = kav(&["verify", "--k", "4", "--algo", "search", path.to_str().unwrap()]);
-    assert!(out.status.success());
-    assert!(stdout(&out).contains("YES"), "{}", stdout(&out));
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("unknown algorithm \"search\""), "{}", stderr(&out));
 
     // Out-of-range combinations fail with the range message there too.
     let out = kav(&["verify", "--k", "3", "--algo", "fzf", path.to_str().unwrap()]);
@@ -652,20 +673,25 @@ fn gap_budget_flag_is_unified_across_subcommands() {
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("YES"), "{}", stdout(&out));
 
-    // ... and --budget still works as the deprecated alias.
-    let out = kav(&["verify", "--k", "3", "--budget", "100000", path]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("YES"), "{}", stdout(&out));
-
-    // smallest-k takes both spellings too.
+    // ... and on smallest-k.
     let out = kav(&["smallest-k", "--gap-budget", "100000", path]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("smallest k = 3"), "{}", stdout(&out));
 
-    // Passing both is ambiguous: exit 2 with a pointer to the alias.
-    let out = kav(&["verify", "--k", "3", "--gap-budget", "5", "--budget", "5", path]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stderr(&out).contains("deprecated alias"), "{}", stderr(&out));
+    // The removed --budget alias is refused by name (exit 2, pointing at
+    // --gap-budget) rather than silently ignored like unknown flags.
+    let cases: &[&[&str]] = &[
+        &["verify", "--k", "3", "--budget", "100000", path],
+        &["smallest-k", "--budget", "100000", path],
+        &["stream", "--k", "3", "--budget", "100000", "-"],
+        &["serve", "--k", "3", "--budget", "100000", "-"],
+        &["work", "--k", "3", "--budget", "100000"],
+    ];
+    for args in cases {
+        let out = kav_with_stdin(args, "");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("--gap-budget"), "{args:?}: {}", stderr(&out));
+    }
 }
 
 #[test]
@@ -684,8 +710,8 @@ fn gap_budget_zero_is_rejected_with_exit_two() {
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("UNKNOWN without searching"), "{}", stderr(&out));
 
-    // And via the alias.
-    let out = kav(&["smallest-k", "--budget", "0", path]);
+    // And on smallest-k.
+    let out = kav(&["smallest-k", "--gap-budget", "0", path]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
 }
 
@@ -878,6 +904,45 @@ fn work_rejects_garbage_with_the_bad_input_exit() {
     let out = kav_with_stdin(&["work", "--algo", "gk", "--k", "2"], "");
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("out of range"), "{}", stderr(&out));
+}
+
+#[test]
+fn serve_validates_the_run_before_spawning_workers() {
+    // Every check that needs no worker runs before any is spawned, so an
+    // early error leaves no orphan to report a broken fleet transport.
+    let out = kav_with_stdin(&["serve", "--workers", "2", "--format", "binary", "-"], "");
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("requires a file argument"), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("worker:"), "{}", stderr(&out));
+
+    let input = stream_fixture("orphan_ops.ndjson");
+    let ckpt = temp_file("orphan_ops.ckpt");
+    std::fs::remove_file(&ckpt).ok();
+    let out = kav(&[
+        "serve", "--workers", "2", "--window", "32", "--checkpoint", ckpt.to_str().unwrap(),
+        "--checkpoint-every", "50", input.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let tampered = temp_file("orphan_ops_tampered.ndjson");
+    let original = std::fs::read_to_string(&input).unwrap();
+    std::fs::write(&tampered, original.replacen("\"start\":", "\"start\": ", 1)).unwrap();
+    let out = kav(&[
+        "serve", "--workers", "2", "--resume", ckpt.to_str().unwrap(), tampered.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("fingerprint mismatch"), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("worker:"), "{}", stderr(&out));
+}
+
+#[test]
+fn serve_refuses_progress_records() {
+    // Progress records come from the in-process pipeline's probe, which a
+    // fleet does not have: the flag is refused, not silently ignored.
+    let input = stream_fixture("serve_progress_ops.ndjson");
+    let out = kav(&["serve", "--workers", "2", "--progress-every", "60", input.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("`kav stream`-only"), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("\"record\":\"progress\""), "{}", stderr(&out));
 }
 
 #[test]

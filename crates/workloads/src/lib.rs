@@ -1,7 +1,7 @@
 //! Synthetic history generators for the k-atomicity workbench.
 //!
-//! Each generator targets a specific experiment from the paper
-//! (see `EXPERIMENTS.md` at the workspace root):
+//! Each generator targets a specific experiment from the paper (the
+//! `exp_*` binaries of `kav_bench` print one table per experiment):
 //!
 //! * [`random_k_atomic`] — histories that are k-atomic **by construction**
 //!   (a hidden commit order realises the bound), with tunable concurrency;

@@ -22,10 +22,10 @@
 //!
 //! Trying candidates in decreasing finish order reduces the *trials* to
 //! one per epoch (the successful candidate comes first) — the
-//! candidate-order ablation of EXPERIMENTS.md — but the total running time
-//! stays `Θ(c·n)` either way, because merely identifying the candidate
-//! set costs `O(c)` per epoch (exactly how Theorem 3.2 charges line 3 of
-//! Figure 2). The staircase therefore shows the `O(n log n + c·n)` bound
+//! candidate-order ablation of experiment E10 (`exp_lbt_ablation`) — but
+//! the total running time stays `Θ(c·n)` either way, because merely
+//! identifying the candidate set costs `O(c)` per epoch (exactly how
+//! Theorem 3.2 charges line 3 of Figure 2). The staircase therefore shows the `O(n log n + c·n)` bound
 //! of Theorem 3.2 to be tight, while FZF sees `m` disjoint forward zones —
 //! `m` singleton chunks — and stays `O(n log n)` (Theorem 4.6).
 
