@@ -374,6 +374,29 @@ fn stream_checkpointed_run_resumes_to_the_same_verdicts() {
 }
 
 #[test]
+fn checkpoint_to_a_bare_file_name_lands_in_the_working_directory() {
+    // `Path::new("audit.ckpt").parent()` is `Some("")`: syncing the
+    // checkpoint's directory after the rename must fall back to `.`. The
+    // subprocess's `current_dir` keeps this test's own directory fixed.
+    let input = stream_fixture("bare_name_ops.ndjson");
+    let dir = temp_file("bare_name_dir");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_kav"))
+        .current_dir(&dir)
+        .args(["stream", "--window", "32", "--checkpoint", "audit.ckpt"])
+        .args(["--checkpoint-every", "50", input.to_str().unwrap()])
+        .output()
+        .expect("kav binary runs");
+    assert!(out.status.success(), "{}", stderr(&out));
+    let checkpoint =
+        kav_core::read_checkpoint(dir.join("audit.ckpt")).expect("the checkpoint reads back");
+    assert_eq!(checkpoint.version, 4, "240 records / 50 = 4 checkpoints");
+    assert_eq!(checkpoint.source.lines, 200);
+    assert!(!dir.join("audit.ckpt.tmp").exists(), "temp file must be renamed away");
+}
+
+#[test]
 fn stream_resume_rejects_a_diverged_prefix_and_conflicting_flags() {
     for driver in DRIVERS {
         let input = stream_fixture("tamper_ops.ndjson");

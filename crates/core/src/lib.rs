@@ -100,7 +100,7 @@ pub use stream::{
     OnlineSnapshot, OnlineVerifier, PipelineConfig, PipelineOutput, PipelineProgress,
     PipelineSnapshot, ProtocolError, ShardProgress, SnapshotError, SourcePosition,
     StreamPipeline, StreamReport, WorkerLink, CHECKPOINT_FORMAT, DEFAULT_CHECKPOINT_EVERY,
-    DEFAULT_DELTA_EVERY, DEFAULT_DEPTH_WINDOW, DEFAULT_HORIZON_WINDOWS, DEFAULT_REPLAY_CAP,
+    DEFAULT_DEPTH_WINDOW, DEFAULT_HORIZON_WINDOWS, DEFAULT_REPLAY_CAP,
 };
 pub use verdict::{Verdict, Verifier};
 pub use witness::{check_witness, TotalOrder, WitnessError};

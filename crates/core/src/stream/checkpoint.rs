@@ -12,25 +12,24 @@
 //!
 //! [`CheckpointWriter`] overwrites a single path **atomically** — the new
 //! checkpoint is written to a sibling temp file, synced, then renamed over
-//! the previous one — so a crash mid-write leaves the last complete
-//! checkpoint intact, never a torn file. Versions are monotone: every
+//! the previous one, and the directory is synced so the rename survives a
+//! power loss — so a crash mid-write leaves the last complete checkpoint
+//! intact, never a torn file. Versions are monotone: every
 //! write embeds a strictly increasing `version`, and resuming hands the
 //! last version back to [`CheckpointWriter::starting_at`] so the chain
 //! keeps counting across processes.
 //!
-//! # Delta checkpoints
+//! # Full snapshots, and delta files from older builds
 //!
-//! Serializing every key at every checkpoint makes the snapshot cost
-//! proportional to the *key population*, not to the traffic since the
-//! last checkpoint. The writer therefore keeps the last state it wrote
-//! and, between full snapshots, serializes only a [`CheckpointDelta`]:
-//! the keys whose adapter state changed, the keys that finalised (new
-//! reports/errors), and the keys whose live state disappeared. The file
-//! still contains one self-sufficient JSON document — the last full
-//! `pipeline` snapshot plus the accumulated `deltas` — and is still
-//! replaced atomically; after [`DEFAULT_DELTA_EVERY`] deltas the next
-//! write is a full snapshot again, re-basing the file.
-//! [`read_checkpoint`] resolves the deltas into one merged
+//! Every write is one full snapshot: the file is exactly the serialized
+//! [`Checkpoint`] with empty [`deltas`](Checkpoint::deltas), plus a
+//! newline. Older builds could instead append [`CheckpointDelta`] hops to
+//! the last full snapshot. Each hop carried the complete state of every
+//! key that changed since the previous version, so on a stream that
+//! touches every key between checkpoints a hop was as large as a full
+//! snapshot, and since the whole file was rewritten on every write, the
+//! hops only made each write larger. Files written with delta hops still
+//! resume: [`read_checkpoint`] resolves the hops into one merged
 //! [`PipelineSnapshot`], so resume paths never see them.
 //!
 //! # Examples
@@ -63,7 +62,7 @@ use super::pipeline::{KeyError, KeyReport, KeySnapshot, PipelineSnapshot};
 use super::OnlineSnapshot;
 use kav_history::frame::KeyRange;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -82,12 +81,6 @@ pub const CHECKPOINT_FORMAT: u32 = 1;
 /// `exp_stream_throughput`'s checkpoint axis and `docs/OPERATIONS.md`.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1_000_000;
 
-/// Default number of delta checkpoints written between two full
-/// snapshots (see the module docs). Bounds both the resolution work on
-/// read and the file growth between re-bases; `0` disables deltas
-/// entirely (every checkpoint is full).
-pub const DEFAULT_DELTA_EVERY: usize = 8;
-
 /// Where in the input stream a checkpoint was taken.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SourcePosition {
@@ -103,8 +96,9 @@ pub struct SourcePosition {
     pub malformed_samples: Vec<String>,
 }
 
-/// One incremental checkpoint hop: what changed since the previous
-/// version (see the module docs on delta checkpoints).
+/// One incremental checkpoint hop, as older builds wrote them: what
+/// changed since the previous version (see the module docs). This build
+/// reads such hops but never writes them.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointDelta {
     /// The chain version this delta advanced the checkpoint to.
@@ -117,7 +111,7 @@ pub struct CheckpointDelta {
     /// delta was produced under. Resolution rejects a delta whose
     /// partition disagrees with its base: per-key state diffed under one
     /// key-range assignment must not be replayed onto a snapshot taken
-    /// under another (the writer re-bases instead of writing such a
+    /// under another (the old writer re-based instead of writing such a
     /// delta, so only a corrupted or hand-spliced file trips this).
     #[serde(default)]
     pub partition: Option<KeyRange>,
@@ -142,9 +136,10 @@ pub struct Checkpoint {
     pub version: u64,
     /// Input position the *latest* state (base plus deltas) corresponds to.
     pub source: SourcePosition,
-    /// The last full snapshot written (the delta base).
+    /// The full snapshot (in files from older builds, the delta base).
     pub pipeline: PipelineSnapshot,
-    /// Incremental hops since `pipeline` was written, oldest first.
+    /// Incremental hops since `pipeline` was written, oldest first. This
+    /// build always writes none; files from older builds may carry some.
     /// [`read_checkpoint`] resolves them into `pipeline` and clears this,
     /// so consumers always see the merged state. Absent (empty) in files
     /// written before deltas existed.
@@ -271,24 +266,12 @@ fn resolve_deltas(mut checkpoint: Checkpoint) -> Result<Checkpoint, CheckpointEr
 }
 
 /// Writes an audit's checkpoint chain to a single path, atomically and
-/// with monotone versions; between full snapshots only per-key deltas
-/// are serialized (see the module docs).
+/// with monotone versions, one full snapshot per write.
 #[derive(Debug)]
 pub struct CheckpointWriter {
     path: PathBuf,
     tmp: PathBuf,
     version: u64,
-    /// Full snapshot cadence: a full write after this many deltas
-    /// (`0` = every write is full).
-    delta_every: usize,
-    /// Serialized base snapshot of the current file, reused verbatim by
-    /// delta writes (unchanged keys are not re-serialized).
-    base_json: String,
-    /// Serialized deltas accumulated since the base, oldest first.
-    delta_jsons: Vec<String>,
-    /// The resolved state as of the last successful write — what the
-    /// next delta diffs against.
-    prev: Option<PipelineSnapshot>,
 }
 
 impl CheckpointWriter {
@@ -299,28 +282,12 @@ impl CheckpointWriter {
 
     /// A writer continuing an existing chain: the next write produces
     /// `last_version + 1`. Pass the version of the checkpoint the audit
-    /// resumed from. The first write after a resume is always a full
-    /// snapshot (the previous file's base is unknown to this process).
+    /// resumed from.
     pub fn starting_at(path: impl Into<PathBuf>, last_version: u64) -> Self {
         let path = path.into();
         let mut tmp = path.clone().into_os_string();
         tmp.push(".tmp");
-        CheckpointWriter {
-            path,
-            tmp: PathBuf::from(tmp),
-            version: last_version,
-            delta_every: DEFAULT_DELTA_EVERY,
-            base_json: String::new(),
-            delta_jsons: Vec::new(),
-            prev: None,
-        }
-    }
-
-    /// Sets the full-snapshot cadence: a full write after `every` deltas,
-    /// `0` making every checkpoint a full snapshot.
-    pub fn delta_every(mut self, every: usize) -> Self {
-        self.delta_every = every;
-        self
+        CheckpointWriter { path, tmp: PathBuf::from(tmp), version: last_version }
     }
 
     /// The version of the last checkpoint written (0 before the first).
@@ -333,125 +300,55 @@ impl CheckpointWriter {
         &self.path
     }
 
-    /// Persists one checkpoint: serialize (fully, or as a delta against
-    /// the previous write), write to the sibling temp file, sync, rename
-    /// over `path`. Returns the new version.
+    /// Persists one checkpoint: serialize it, write it to the sibling temp
+    /// file, sync, rename over `path`, sync the directory. Returns the new
+    /// version.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; the previous checkpoint (if any) is still
-    /// intact — and the writer's delta chain unchanged — on every error
-    /// path.
+    /// Propagates I/O failures. Up to the rename the previous checkpoint
+    /// (if any) is still intact. A failure to sync the directory comes
+    /// after the rename: the new version is in place but may not survive
+    /// a power loss, and the next write still gets a fresh version.
     pub fn write(
         &mut self,
         source: SourcePosition,
         pipeline: PipelineSnapshot,
     ) -> io::Result<u64> {
-        let serialize_err =
-            |e: serde_json::Error| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
         let version = self.version + 1;
-        // A partition change (a shard hand-off or split re-tagged the
-        // pipeline) forces a re-base: a delta diffed under the new shard
-        // map against a base from the old one is exactly the mixed chain
-        // `read_checkpoint` rejects.
-        let repartitioned = match self.prev.as_ref() {
-            None => true,
-            Some(prev) => prev.partition != pipeline.partition,
+        let checkpoint = Checkpoint {
+            format: CHECKPOINT_FORMAT,
+            version,
+            source,
+            pipeline,
+            deltas: Vec::new(),
         };
-        let full = self.delta_every == 0
-            || repartitioned
-            || self.delta_jsons.len() >= self.delta_every;
-        // Serialize the new piece, but mutate the writer's chain state
-        // only after the rename succeeds.
-        let (base_json, delta_json) = if full {
-            (Some(serde_json::to_string(&pipeline).map_err(serialize_err)?), None)
-        } else {
-            let prev = self.prev.as_ref().expect("non-full write has a previous state");
-            let delta = diff_snapshots(prev, &pipeline, version);
-            (None, Some(serde_json::to_string(&delta).map_err(serialize_err)?))
-        };
-        let source_json = serde_json::to_string(&source).map_err(serialize_err)?;
-        let base = base_json.as_deref().unwrap_or(&self.base_json);
-        let mut deltas = String::new();
-        if let Some(delta) = &delta_json {
-            for d in &self.delta_jsons {
-                deltas.push_str(d);
-                deltas.push(',');
-            }
-            deltas.push_str(delta);
-        }
-        // Hand-assembled envelope in the derive's field order, so the
-        // file is byte-identical to serializing a `Checkpoint` — without
-        // re-serializing the unchanged base on delta writes.
-        let json = format!(
-            "{{\"format\":{CHECKPOINT_FORMAT},\"version\":{version},\"source\":{source_json},\
-             \"pipeline\":{base},\"deltas\":[{deltas}]}}"
-        );
+        let mut json = serde_json::to_string(&checkpoint)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        json.push('\n');
         let mut file = fs::File::create(&self.tmp)?;
         file.write_all(json.as_bytes())?;
-        file.write_all(b"\n")?;
         file.sync_all()?;
         drop(file);
         fs::rename(&self.tmp, &self.path)?;
-        match (base_json, delta_json) {
-            (Some(base), _) => {
-                self.base_json = base;
-                self.delta_jsons.clear();
-            }
-            (None, Some(delta)) => self.delta_jsons.push(delta),
-            (None, None) => unreachable!("every write is either full or a delta"),
-        }
-        self.prev = Some(pipeline);
         self.version = version;
+        sync_parent_dir(&self.path)?;
         Ok(version)
     }
 }
 
-/// What changed between two consecutive checkpoint states.
-fn diff_snapshots(
-    prev: &PipelineSnapshot,
-    next: &PipelineSnapshot,
-    version: u64,
-) -> CheckpointDelta {
-    let prev_states: HashMap<u64, &OnlineSnapshot> =
-        prev.states.iter().map(|entry| (entry.key, &entry.state)).collect();
-    let changed: Vec<KeySnapshot> = next
-        .states
-        .iter()
-        .filter(|entry| prev_states.get(&entry.key) != Some(&&entry.state))
-        .cloned()
-        .collect();
-    let next_keys: HashSet<u64> = next.states.iter().map(|entry| entry.key).collect();
-    let removed: Vec<u64> = prev
-        .states
-        .iter()
-        .map(|entry| entry.key)
-        .filter(|key| !next_keys.contains(key))
-        .collect();
-    let prev_reports: HashSet<u64> = prev.reports.iter().map(|entry| entry.key).collect();
-    let new_reports: Vec<KeyReport> = next
-        .reports
-        .iter()
-        .filter(|entry| !prev_reports.contains(&entry.key))
-        .cloned()
-        .collect();
-    let prev_errors: HashSet<u64> = prev.errors.iter().map(|entry| entry.key).collect();
-    let new_errors: Vec<KeyError> = next
-        .errors
-        .iter()
-        .filter(|entry| !prev_errors.contains(&entry.key))
-        .cloned()
-        .collect();
-    CheckpointDelta {
-        version,
-        ops_routed: next.ops_routed,
-        uncertified: next.uncertified,
-        partition: next.partition,
-        changed,
-        removed,
-        new_reports,
-        new_errors,
+/// Syncs the directory holding `path`, so that a rename into it survives
+/// a power loss. A bare file name lives in the working directory.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    if !cfg!(unix) {
+        // Only Unix lets a directory be opened and synced like a file.
+        return Ok(());
     }
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]
@@ -460,6 +357,7 @@ mod tests {
     use crate::stream::{PipelineConfig, StreamPipeline};
     use crate::Fzf;
     use kav_history::{Operation, Time, Value};
+    use std::collections::{HashMap, HashSet};
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("kav_checkpoint_tests");
@@ -475,6 +373,151 @@ mod tests {
         pipeline.push(1, Operation::write(Value(1), Time(0), Time(10)));
         pipeline.push(1, Operation::read(Value(1), Time(12), Time(20)));
         pipeline.snapshot()
+    }
+
+    /// What changed between two consecutive checkpoint states, as older
+    /// builds' writer computed each delta hop.
+    fn diff_snapshots(
+        prev: &PipelineSnapshot,
+        next: &PipelineSnapshot,
+        version: u64,
+    ) -> CheckpointDelta {
+        let prev_states: HashMap<u64, &OnlineSnapshot> =
+            prev.states.iter().map(|entry| (entry.key, &entry.state)).collect();
+        let next_keys: HashSet<u64> = next.states.iter().map(|entry| entry.key).collect();
+        let prev_reports: HashSet<u64> = prev.reports.iter().map(|entry| entry.key).collect();
+        let prev_errors: HashSet<u64> = prev.errors.iter().map(|entry| entry.key).collect();
+        CheckpointDelta {
+            version,
+            ops_routed: next.ops_routed,
+            uncertified: next.uncertified,
+            partition: next.partition,
+            changed: next
+                .states
+                .iter()
+                .filter(|entry| prev_states.get(&entry.key) != Some(&&entry.state))
+                .cloned()
+                .collect(),
+            removed: prev
+                .states
+                .iter()
+                .map(|entry| entry.key)
+                .filter(|key| !next_keys.contains(key))
+                .collect(),
+            new_reports: next
+                .reports
+                .iter()
+                .filter(|entry| !prev_reports.contains(&entry.key))
+                .cloned()
+                .collect(),
+            new_errors: next
+                .errors
+                .iter()
+                .filter(|entry| !prev_errors.contains(&entry.key))
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// Writes checkpoint files the way older builds did: a full snapshot,
+    /// then up to `delta_every` delta hops appended to it (a partition
+    /// change re-bases early), the whole chain rewritten on every write.
+    struct DeltaChainWriter {
+        path: PathBuf,
+        version: u64,
+        delta_every: usize,
+        base: Option<PipelineSnapshot>,
+        deltas: Vec<CheckpointDelta>,
+        prev: Option<PipelineSnapshot>,
+    }
+
+    impl DeltaChainWriter {
+        fn new(path: &Path, delta_every: usize) -> Self {
+            DeltaChainWriter {
+                path: path.to_owned(),
+                version: 0,
+                delta_every,
+                base: None,
+                deltas: Vec::new(),
+                prev: None,
+            }
+        }
+
+        fn write(&mut self, source: SourcePosition, pipeline: PipelineSnapshot) -> u64 {
+            let version = self.version + 1;
+            match &self.prev {
+                Some(prev)
+                    if prev.partition == pipeline.partition
+                        && self.deltas.len() < self.delta_every =>
+                {
+                    self.deltas.push(diff_snapshots(prev, &pipeline, version));
+                }
+                _ => {
+                    self.base = Some(pipeline.clone());
+                    self.deltas.clear();
+                }
+            }
+            let checkpoint = Checkpoint {
+                format: CHECKPOINT_FORMAT,
+                version,
+                source,
+                pipeline: self.base.clone().expect("the first write is a full snapshot"),
+                deltas: self.deltas.clone(),
+            };
+            fs::write(&self.path, serde_json::to_string(&checkpoint).unwrap() + "\n").unwrap();
+            self.prev = Some(pipeline);
+            self.version = version;
+            version
+        }
+    }
+
+    /// A small checkpoint touching every serialization corner the
+    /// checkpoint format has: a non-default model, a fleet partition, a
+    /// client-tagged buffered op, an error message that needs escapes and
+    /// a non-integral float.
+    fn golden_checkpoint() -> Checkpoint {
+        let config = PipelineConfig { shards: 1, window: 4, ..Default::default() };
+        let mut pipeline = StreamPipeline::new(crate::RegularVerifier, config);
+        pipeline.push(1, Operation::write(Value(1), Time(0), Time(10)).with_client(7));
+        pipeline.push(1, Operation::read(Value(1), Time(12), Time(20)).with_client(8));
+        let mut snapshot = pipeline.snapshot();
+        pipeline.finish();
+        snapshot.partition = Some(KeyRange::ALL.split().1);
+        let mut online = crate::OnlineVerifier::new(crate::RegularVerifier, 4);
+        online.push(Operation::write(Value(2), Time(0), Time(3))).unwrap();
+        online.push(Operation::read(Value(2), Time(4), Time(6))).unwrap();
+        let mut report = online.abort();
+        report.mean_read_depth = 1.0 / 3.0;
+        snapshot.reports.push(KeyReport { key: 2, report });
+        snapshot.errors.push(KeyError { key: 3, error: "bad \"value\"\nat line 2".into() });
+        Checkpoint {
+            format: CHECKPOINT_FORMAT,
+            version: 3,
+            source: SourcePosition {
+                lines: 5,
+                fingerprint: 0xFEED_FACE_CAFE_BEEF,
+                malformed: 1,
+                malformed_samples: vec!["line 4: expected value".into()],
+            },
+            pipeline: snapshot,
+            deltas: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn checkpoint_bytes_match_the_golden_capture() {
+        // Captured from the tree serializer; the direct writer must not
+        // drift from it by a byte.
+        let golden = r#"{"format":1,"version":3,"source":{"lines":5,"fingerprint":18369614221190020847,"malformed":1,"malformed_samples":["line 4: expected value"]},"pipeline":{"algo":"regular","model":"regular","k":1,"window":4,"horizon":64,"ops_routed":2,"uncertified":false,"partition":{"bits":1,"prefix":1},"states":[{"key":1,"state":{"algo":"regular","model":"regular","k":1,"window":4,"next_attempt":0,"ops":2,"segments":0,"violations":0,"inconclusive":0,"horizon_breaches":0,"resumed_uncertified":false,"builder":{"horizon":64,"base":0,"watermark":20,"buffer":[{"kind":"write","value":1,"start":0,"finish":10,"weight":1,"client":7},{"kind":"read","value":1,"start":12,"finish":20,"weight":1,"client":8}],"retired_recent":[],"retired_total":0,"peak_retired":0,"orphaned":[],"orphaned_reads":0,"writes_accepted":1,"reads_accepted":1,"depth_sum":0,"max_depth":0,"depth_count_reads":1,"depth_hist":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"segments_sealed":0,"peak_resident":2}}}],"reports":[{"key":2,"report":{"model":"regular","k":1,"ops":2,"segments":1,"violations":0,"inconclusive":1,"horizon_breaches":0,"orphaned_reads":0,"peak_resident":2,"peak_retired":0,"reads":1,"mean_read_depth":0.3333333333333333,"max_read_depth":0,"depth_hist":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"resumed_uncertified":false}}],"errors":[{"key":3,"error":"bad \"value\"\nat line 2"}]},"deltas":[]}"#;
+        let checkpoint = golden_checkpoint();
+        assert_eq!(serde_json::to_string(&checkpoint).unwrap(), golden);
+        let back: Checkpoint = serde_json::from_str(golden).unwrap();
+        assert_eq!(back, checkpoint);
+        let path = temp_path("golden.ckpt");
+        let mut writer = CheckpointWriter::starting_at(&path, 2);
+        writer.write(checkpoint.source.clone(), checkpoint.pipeline.clone()).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), format!("{golden}\n"));
+        fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -511,18 +554,46 @@ mod tests {
     }
 
     #[test]
+    fn every_write_is_one_full_snapshot() {
+        let path = temp_path("full.ckpt");
+        let config = PipelineConfig { shards: 2, window: 4, batch: 1, ..Default::default() };
+        let mut pipeline = StreamPipeline::new(Fzf, config);
+        let mut writer = CheckpointWriter::new(&path);
+        for v in 1..=12u64 {
+            pipeline.push(v % 3, Operation::write(Value(v), Time(10 * v), Time(10 * v + 5)));
+            let source = SourcePosition { lines: v, ..Default::default() };
+            let snapshot = pipeline.snapshot();
+            writer.write(source.clone(), snapshot.clone()).unwrap();
+            let expected = Checkpoint {
+                format: CHECKPOINT_FORMAT,
+                version: v,
+                source,
+                pipeline: snapshot,
+                deltas: vec![],
+            };
+            assert_eq!(
+                fs::read_to_string(&path).unwrap(),
+                serde_json::to_string(&expected).unwrap() + "\n",
+                "write {v}"
+            );
+            assert_eq!(read_checkpoint(&path).unwrap(), expected, "write {v}");
+        }
+        pipeline.finish();
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn delta_writes_resolve_to_the_latest_state() {
         let path = temp_path("delta.ckpt");
         let config = PipelineConfig { shards: 2, window: 4, batch: 1, ..Default::default() };
         let mut pipeline = StreamPipeline::new(Fzf, config);
-        let mut writer = CheckpointWriter::new(&path);
+        let mut writer = DeltaChainWriter::new(&path, 8);
         let mut saw_delta_file = false;
         for v in 1..=20u64 {
             pipeline.push(v % 3, Operation::write(Value(v), Time(10 * v), Time(10 * v + 5)));
             let snapshot = pipeline.snapshot();
-            let version = writer
-                .write(SourcePosition { lines: v, ..Default::default() }, snapshot.clone())
-                .unwrap();
+            let version =
+                writer.write(SourcePosition { lines: v, ..Default::default() }, snapshot.clone());
             assert_eq!(version, v);
             saw_delta_file |= fs::read_to_string(&path).unwrap().contains("\"changed\"");
             let read = read_checkpoint(&path).unwrap();
@@ -531,14 +602,12 @@ mod tests {
             assert_eq!(read.source.lines, v, "source tracks the latest write");
             assert_eq!(read.pipeline, snapshot, "write {v}");
         }
-        assert!(saw_delta_file, "the default cadence must actually write deltas");
+        assert!(saw_delta_file, "the chain must actually carry deltas");
         // A key that fails mid-chain crosses the delta as removed state
         // plus a new report and error.
         pipeline.push(0, Operation::write(Value(99), Time(1), Time(2)));
         let snapshot = pipeline.snapshot();
-        writer
-            .write(SourcePosition { lines: 21, ..Default::default() }, snapshot.clone())
-            .unwrap();
+        writer.write(SourcePosition { lines: 21, ..Default::default() }, snapshot.clone());
         let read = read_checkpoint(&path).unwrap();
         assert_eq!(read.pipeline, snapshot);
         assert_eq!(read.pipeline.errors.len(), 1);
@@ -548,23 +617,11 @@ mod tests {
     }
 
     #[test]
-    fn delta_every_zero_always_writes_full_snapshots() {
-        let path = temp_path("nodelta.ckpt");
-        let mut writer = CheckpointWriter::new(&path).delta_every(0);
-        for v in 1..=3u64 {
-            writer.write(SourcePosition::default(), small_snapshot()).unwrap();
-            let text = fs::read_to_string(&path).unwrap();
-            assert!(text.contains("\"deltas\":[]"), "write {v} must be full: {text}");
-        }
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn inconsistent_delta_chains_are_rejected() {
         let path = temp_path("badchain.ckpt");
-        let mut writer = CheckpointWriter::new(&path);
-        writer.write(SourcePosition::default(), small_snapshot()).unwrap();
-        writer.write(SourcePosition::default(), small_snapshot()).unwrap();
+        let mut writer = DeltaChainWriter::new(&path, 8);
+        writer.write(SourcePosition::default(), small_snapshot());
+        writer.write(SourcePosition::default(), small_snapshot());
         let parsed: Checkpoint =
             serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(parsed.deltas.len(), 1, "second write is a delta");
@@ -590,12 +647,11 @@ mod tests {
     fn mixed_partition_delta_chains_are_rejected() {
         // Regression: a delta produced under one shard map used to resolve
         // silently onto a base snapshot taken under another. The chain is
-        // now tagged and the mix is a parse error, and the writer re-bases
-        // on a partition change so it never produces such a file itself.
+        // now tagged and the mix is a parse error.
         let path = temp_path("mixedpartition.ckpt");
-        let mut writer = CheckpointWriter::new(&path);
-        writer.write(SourcePosition::default(), small_snapshot()).unwrap();
-        writer.write(SourcePosition::default(), small_snapshot()).unwrap();
+        let mut writer = DeltaChainWriter::new(&path, 8);
+        writer.write(SourcePosition::default(), small_snapshot());
+        writer.write(SourcePosition::default(), small_snapshot());
         let parsed: Checkpoint =
             serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(parsed.deltas.len(), 1, "second write is a delta");
@@ -611,11 +667,12 @@ mod tests {
             other => panic!("mixed-partition chain must be rejected, got {other:?}"),
         }
 
-        // A real partition change goes through the writer, which re-bases:
-        // the file holds a fresh full snapshot, no cross-partition delta.
+        // A real partition change through the writer continues the chain
+        // with a full snapshot: no cross-partition delta.
+        let mut checkpoints = CheckpointWriter::starting_at(&path, writer.version);
         let mut moved = small_snapshot();
         moved.partition = Some(KeyRange::ALL.split().1);
-        writer.write(SourcePosition::default(), moved.clone()).unwrap();
+        checkpoints.write(SourcePosition::default(), moved.clone()).unwrap();
         let rebased: Checkpoint =
             serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
         assert!(rebased.deltas.is_empty(), "partition change must re-base the file");

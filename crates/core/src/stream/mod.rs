@@ -97,7 +97,7 @@ pub use depth::{DepthStats, DepthWindow, DEFAULT_DEPTH_WINDOW};
 
 pub use checkpoint::{
     read_checkpoint, Checkpoint, CheckpointDelta, CheckpointError, CheckpointWriter,
-    SourcePosition, CHECKPOINT_FORMAT, DEFAULT_CHECKPOINT_EVERY, DEFAULT_DELTA_EVERY,
+    SourcePosition, CHECKPOINT_FORMAT, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use coordinator::{FleetConfig, FleetCoordinator, WorkerLink, DEFAULT_REPLAY_CAP};
 pub use merge::{

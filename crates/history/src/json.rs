@@ -128,6 +128,45 @@ mod tests {
     }
 
     #[test]
+    fn pretty_bytes_match_the_golden_capture() {
+        // Captured from the tree serializer: history files must not drift
+        // by a byte, and the compact reader must read them back.
+        let raw = RawHistory::from_ops([
+            crate::Operation::write(Value(1), Time(0), Time(10)),
+            crate::Operation::read(Value(1), Time(12), Time(20)).with_client(3),
+            crate::Operation::weighted_write(Value(2), Time(5), Time(7), crate::Weight(4)),
+        ]);
+        let golden = r#"{
+  "ops": [
+    {
+      "kind": "write",
+      "value": 1,
+      "start": 0,
+      "finish": 10,
+      "weight": 1
+    },
+    {
+      "kind": "read",
+      "value": 1,
+      "start": 12,
+      "finish": 20,
+      "weight": 1,
+      "client": 3
+    },
+    {
+      "kind": "write",
+      "value": 2,
+      "start": 5,
+      "finish": 7,
+      "weight": 4
+    }
+  ]
+}"#;
+        assert_eq!(to_json_string(&raw), golden);
+        assert_eq!(from_json_str(golden).unwrap(), raw);
+    }
+
+    #[test]
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join("kav_history_json_test");
         fs::create_dir_all(&dir).unwrap();

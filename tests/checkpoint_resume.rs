@@ -383,10 +383,82 @@ fn fault_schedule_audits_resume_across_partition_heal_boundaries() {
     }
 }
 
-/// The on-disk delta chain is equivalent to full snapshots: an audit
-/// that checkpoints through [`CheckpointWriter`] with a short delta
-/// cadence, is killed at checkpoints landing before, on and between
-/// full-snapshot boundaries, and resumes from the resolved file —
+/// Writes checkpoint files the way older builds did: a full snapshot,
+/// then up to `delta_every` delta hops appended to it, the whole chain
+/// rewritten on every write. The first write of a resumed audit is full.
+struct DeltaChainWriter {
+    path: std::path::PathBuf,
+    version: u64,
+    delta_every: usize,
+    base: Option<PipelineSnapshot>,
+    deltas: Vec<k_atomicity::verify::CheckpointDelta>,
+    prev: Option<PipelineSnapshot>,
+}
+
+impl DeltaChainWriter {
+    fn starting_at(path: &str, version: u64, delta_every: usize) -> Self {
+        DeltaChainWriter {
+            path: path.into(),
+            version,
+            delta_every,
+            base: None,
+            deltas: Vec::new(),
+            prev: None,
+        }
+    }
+
+    fn write(&mut self, source: k_atomicity::verify::SourcePosition, next: PipelineSnapshot) {
+        use k_atomicity::verify::{Checkpoint, CheckpointDelta, CHECKPOINT_FORMAT};
+        let version = self.version + 1;
+        match &self.prev {
+            Some(prev) if self.deltas.len() < self.delta_every => {
+                let was_live = |key| prev.states.iter().find(|entry| entry.key == key);
+                self.deltas.push(CheckpointDelta {
+                    version,
+                    ops_routed: next.ops_routed,
+                    uncertified: next.uncertified,
+                    partition: next.partition,
+                    changed: next.states.iter()
+                        .filter(|entry| was_live(entry.key).map(|p| &p.state) != Some(&entry.state))
+                        .cloned()
+                        .collect(),
+                    removed: prev.states.iter()
+                        .map(|entry| entry.key)
+                        .filter(|&key| next.states.iter().all(|entry| entry.key != key))
+                        .collect(),
+                    new_reports: next.reports.iter()
+                        .filter(|entry| prev.reports.iter().all(|p| p.key != entry.key))
+                        .cloned()
+                        .collect(),
+                    new_errors: next.errors.iter()
+                        .filter(|entry| prev.errors.iter().all(|p| p.key != entry.key))
+                        .cloned()
+                        .collect(),
+                });
+            }
+            _ => {
+                self.base = Some(next.clone());
+                self.deltas.clear();
+            }
+        }
+        let checkpoint = Checkpoint {
+            format: CHECKPOINT_FORMAT,
+            version,
+            source,
+            pipeline: self.base.clone().expect("the first write is a full snapshot"),
+            deltas: self.deltas.clone(),
+        };
+        let json = serde_json::to_string(&checkpoint).expect("checkpoints serialize");
+        std::fs::write(&self.path, json + "\n").expect("checkpoints write");
+        self.prev = Some(next);
+        self.version = version;
+    }
+}
+
+/// The on-disk delta chain of older builds is equivalent to full
+/// snapshots: an audit that checkpoints in that format with a short
+/// delta cadence, is killed at checkpoints landing before, on and
+/// between full-snapshot boundaries, and resumes from the resolved file —
 /// through a second kill-and-resume hop, each hop re-reading the NDJSON
 /// prefix with a *different* decoder than wrote the checkpoint — must
 /// finish with reports byte-identical to the uninterrupted audit.
@@ -394,7 +466,7 @@ fn fault_schedule_audits_resume_across_partition_heal_boundaries() {
 fn delta_checkpoint_files_resume_across_kill_boundaries() {
     use k_atomicity::history::fxhash::Fingerprint;
     use k_atomicity::history::ndjson;
-    use k_atomicity::verify::{read_checkpoint, CheckpointWriter, SourcePosition};
+    use k_atomicity::verify::{read_checkpoint, SourcePosition};
 
     let records = streaming_workload(StreamingWorkloadConfig {
         keys: 3,
@@ -445,7 +517,7 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
             StreamPipeline::resume(Fzf, config, &checkpoint.pipeline, true)
                 .expect("own checkpoints resume")
         };
-        let mut writer = CheckpointWriter::starting_at(path, version).delta_every(3);
+        let mut writer = DeltaChainWriter::starting_at(path, version, 3);
         let mut fp = Fingerprint::new();
         for (i, record) in records.iter().enumerate().take(until) {
             let line = ndjson::to_line(record) + "\n";
@@ -461,10 +533,10 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
                     malformed: 0,
                     malformed_samples: Vec::new(),
                 };
-                writer.write(source, pipeline.snapshot()).expect("checkpoints write");
+                writer.write(source, pipeline.snapshot());
             }
         }
-        (pipeline, writer.version())
+        (pipeline, writer.version)
     };
 
     for (first_kill, second_kill) in [(12, 24), (4, 36), (24, 28), (36, 40)] {
