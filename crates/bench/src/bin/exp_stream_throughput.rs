@@ -350,12 +350,10 @@ fn main() {
         }
     }
 
-    // Parse axis: decode cost alone, no pipeline — the serde reference
-    // decoder vs the zero-copy byte-slice decoder over identical NDJSON
-    // bytes, plus the binary frame decoder over the same records
-    // frame-encoded. This isolates what the columnar-ingest rework bought
-    // on the hot path (`kav stream` maps files straight into the
-    // zero-copy decoder; `--format binary` maps into the frame decoder).
+    // Parse axis: decode cost alone, no pipeline — the NDJSON reader over
+    // the records' NDJSON bytes vs the binary frame decoder over the same
+    // records frame-encoded (`kav stream` maps NDJSON files into the
+    // former and `--format binary` files into the latter).
     println!(
         "\n## parse throughput (decoder only, {} records per round)\n",
         records.len()
@@ -374,15 +372,12 @@ fn main() {
     let rounds: usize = if preset == "smoke" { 4 } else { 8 };
     let mut parse_rows: Vec<String> = Vec::new();
     let mut serde_ops_per_sec = 0.0f64;
-    for path in ["serde", "zero-copy", "binary-frame"] {
+    for path in ["serde", "binary-frame"] {
         let t0 = Instant::now();
         for _ in 0..rounds {
             // Fold the decoded keys so the decode cannot be discarded.
             let decoded: u64 = match path {
                 "serde" => ndjson::Reader::new(ndjson_buf.as_bytes())
-                    .map(|r| r.expect("bench lines are valid").key)
-                    .fold(0, u64::wrapping_add),
-                "zero-copy" => ndjson::SliceReader::new(ndjson_buf.as_bytes())
                     .map(|r| r.expect("bench lines are valid").key)
                     .fold(0, u64::wrapping_add),
                 _ => frame::FrameReader::new(&frame_buf)

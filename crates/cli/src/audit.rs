@@ -351,12 +351,7 @@ impl<'a> AuditSession<'a> {
                     "--format binary requires a file argument (stdin ingest is NDJSON-only)",
                 ));
             }
-            let raw = std::io::stdin().lock();
-            IngestSource::Reference(if fingerprinted {
-                ndjson::Reader::with_fingerprint(raw, Fingerprint::new())
-            } else {
-                ndjson::Reader::new(raw)
-            })
+            IngestSource::Stdin(ndjson_reader(std::io::stdin().lock(), fingerprinted))
         } else {
             mapped =
                 crate::mmap::map_file(self.input).map_err(|e| format!("{}: {e}", self.input))?;
@@ -369,11 +364,7 @@ impl<'a> AuditSession<'a> {
                 .map_err(|e| bad_input(format!("{}: {e}", self.input)))?;
                 IngestSource::Binary(reader)
             } else {
-                IngestSource::ZeroCopy(if fingerprinted {
-                    ndjson::SliceReader::with_fingerprint(&mapped, Fingerprint::new())
-                } else {
-                    ndjson::SliceReader::new(&mapped)
-                })
+                IngestSource::File(ndjson_reader(&mapped[..], fingerprinted))
             }
         };
         let (prefix_verified, mut total_malformed, mut malformed) = match &self.resume {
@@ -698,7 +689,7 @@ impl Drop for Workers {
 /// and proves it byte-identical before its verdicts are trusted. Returns
 /// whether the prefix was verified — a non-seekable source cannot be.
 fn verify_prefix(source: &mut IngestSource<'_>, checkpoint: &Checkpoint) -> CmdResult<bool> {
-    if let IngestSource::Reference(_) = source {
+    if let IngestSource::Stdin(_) = source {
         // The operator feeds the remaining records, the audit continues,
         // and YES degrades to UNKNOWN (NO stays sound). Lines and
         // fingerprint restart with this run's input, consistent with any
@@ -756,17 +747,26 @@ struct ProgressLine {
     shards: Vec<ShardProgress>,
 }
 
-/// The three ingest paths, behind one cursor. Positions count raw lines
-/// for NDJSON and frames for binary; checkpoints store whichever the run
-/// used, so a resume must keep the format (the fingerprint enforces it).
+/// The NDJSON decoder over `input`, fingerprinting every line when
+/// `fingerprinted`.
+fn ndjson_reader<R: std::io::BufRead>(input: R, fingerprinted: bool) -> ndjson::Reader<R> {
+    if fingerprinted {
+        ndjson::Reader::with_fingerprint(input, Fingerprint::new())
+    } else {
+        ndjson::Reader::new(input)
+    }
+}
+
+/// The ingest paths, behind one cursor. Positions count raw lines for
+/// NDJSON and frames for binary; checkpoints store whichever the run used,
+/// so a resume must keep the format (the fingerprint enforces it).
 enum IngestSource<'a> {
-    /// stdin through the serde reference decoder: a non-seekable source
-    /// cannot be memory-mapped, and this keeps the reference decoder live.
-    Reference(ndjson::Reader<std::io::StdinLock<'static>>),
-    /// A memory-mapped NDJSON file through the zero-copy decoder. Same
-    /// records, errors and fingerprints as [`IngestSource::Reference`], so
-    /// checkpoints from either NDJSON path resume under the other.
-    ZeroCopy(ndjson::SliceReader<'a>),
+    /// NDJSON on stdin. It decodes exactly like [`IngestSource::File`]; it
+    /// is its own variant only because stdin cannot be re-read to prove a
+    /// resumed prefix.
+    Stdin(ndjson::Reader<std::io::StdinLock<'static>>),
+    /// A memory-mapped NDJSON file.
+    File(ndjson::SliceReader<'a>),
     /// A memory-mapped binary frame file (`--format binary`).
     Binary(frame::FrameReader<'a>),
 }
@@ -774,24 +774,24 @@ enum IngestSource<'a> {
 impl IngestSource<'_> {
     fn next_record(&mut self) -> Option<Result<ndjson::StreamRecord, ndjson::NdjsonError>> {
         match self {
-            IngestSource::Reference(r) => r.next(),
-            IngestSource::ZeroCopy(r) => r.next(),
+            IngestSource::Stdin(r) => r.next(),
+            IngestSource::File(r) => r.next(),
             IngestSource::Binary(r) => r.next(),
         }
     }
 
     fn units_read(&self) -> u64 {
         match self {
-            IngestSource::Reference(r) => r.lines_read(),
-            IngestSource::ZeroCopy(r) => r.lines_read(),
+            IngestSource::Stdin(r) => r.lines_read(),
+            IngestSource::File(r) => r.lines_read(),
             IngestSource::Binary(r) => r.frames_read(),
         }
     }
 
     fn fingerprint(&self) -> Option<u64> {
         match self {
-            IngestSource::Reference(r) => r.fingerprint(),
-            IngestSource::ZeroCopy(r) => r.fingerprint(),
+            IngestSource::Stdin(r) => r.fingerprint(),
+            IngestSource::File(r) => r.fingerprint(),
             IngestSource::Binary(r) => r.fingerprint(),
         }
     }
@@ -799,8 +799,8 @@ impl IngestSource<'_> {
     /// Skips up to `n` raw units without decoding them; returns how many.
     fn skip_units(&mut self, n: u64) -> std::io::Result<u64> {
         match self {
-            IngestSource::Reference(r) => r.skip_raw_lines(n),
-            IngestSource::ZeroCopy(r) => r.skip_raw_lines(n),
+            IngestSource::Stdin(r) => r.skip_raw_lines(n),
+            IngestSource::File(r) => r.skip_raw_lines(n),
             IngestSource::Binary(r) => r.skip_raw_frames(n),
         }
     }

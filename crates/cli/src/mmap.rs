@@ -1,11 +1,10 @@
 //! Read-only memory-mapped file ingest.
 //!
-//! `kav stream` feeds whole input files to the byte-slice decoders
-//! ([`kav_history::ndjson::SliceReader`] and
-//! [`kav_history::frame::FrameReader`]), which want the file as one
-//! `&[u8]`. Mapping the file shares the page cache with the kernel
-//! instead of copying it through a userspace buffer, so ingest starts
-//! immediately and touches each byte once.
+//! `kav stream` and `kav serve` read whole input files as one `&[u8]`:
+//! NDJSON through [`kav_history::ndjson::SliceReader`] and binary frames
+//! through [`kav_history::frame::FrameReader`]. Mapping the file shares
+//! the page cache with the kernel instead of copying the whole file
+//! through a userspace buffer first, so ingest starts immediately.
 //!
 //! The mapping is raw-syscall based (the workspace carries no libc
 //! binding) and therefore gated to Linux on x86_64/aarch64; everywhere

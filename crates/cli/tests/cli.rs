@@ -147,7 +147,7 @@ fn argv<'a>(driver: &[&'a str], rest: &[&'a str]) -> Vec<&'a str> {
     [driver, rest].concat()
 }
 
-fn kav_with_stdin(args: &[&str], stdin: &str) -> Output {
+fn kav_with_stdin(args: &[&str], stdin: impl AsRef<[u8]>) -> Output {
     use std::io::Write;
     use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_kav"))
@@ -159,7 +159,7 @@ fn kav_with_stdin(args: &[&str], stdin: &str) -> Output {
         .expect("kav binary spawns");
     // A write error (EPIPE) is fine: kav exits without draining stdin
     // when its flags are rejected up front.
-    let _ = child.stdin.take().unwrap().write_all(stdin.as_bytes());
+    let _ = child.stdin.take().unwrap().write_all(stdin.as_ref());
     child.wait_with_output().expect("kav binary runs")
 }
 
@@ -298,6 +298,97 @@ fn stream_strict_fails_fast_on_first_malformed_line() {
         let out = kav_with_stdin(&argv(driver, &["-"]), ndjson);
         assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
         assert!(stdout(&out).contains("verified 2 ops"), "{}", stdout(&out));
+    }
+}
+
+/// `lines` as an NDJSON document whose line 2 is not UTF-8: a key-7
+/// record that would be well-formed but for one byte in an unknown field.
+fn with_invalid_utf8_on_line_two(lines: &[&str]) -> Vec<u8> {
+    let mut doc = format!("{}\n", lines[0]).into_bytes();
+    doc.extend_from_slice(
+        b"{\"key\":7,\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":1,\"note\":\"caf\xe9\"}\n",
+    );
+    for line in &lines[1..] {
+        doc.extend_from_slice(format!("{line}\n").as_bytes());
+    }
+    doc
+}
+
+#[test]
+fn invalid_utf8_is_a_malformed_record_from_a_file_or_stdin() {
+    let clean = with_invalid_utf8_on_line_two(&[
+        r#"{"key":1,"kind":"write","value":1,"start":0,"finish":10}"#,
+        r#"{"key":1,"kind":"read","value":1,"start":12,"finish":20}"#,
+    ]);
+    let ladder = with_invalid_utf8_on_line_two(&[
+        r#"{"key":5,"kind":"write","value":1,"start":0,"finish":10}"#,
+        r#"{"key":5,"kind":"write","value":2,"start":12,"finish":20}"#,
+        r#"{"key":5,"kind":"write","value":3,"start":22,"finish":30}"#,
+        r#"{"key":5,"kind":"read","value":1,"start":32,"finish":40}"#,
+    ]);
+    let (clean_file, ladder_file) = (temp_file("bad_utf8.ndjson"), temp_file("bad_utf8_no.ndjson"));
+    std::fs::write(&clean_file, &clean).unwrap();
+    std::fs::write(&ladder_file, &ladder).unwrap();
+    for driver in DRIVERS {
+        let run = |input: &[u8], file: &PathBuf, rest: &[&str], from_stdin: bool| {
+            if from_stdin {
+                kav_with_stdin(&argv(driver, &[rest, &["-"]].concat()), input)
+            } else {
+                kav(&argv(driver, &[rest, &[file.to_str().unwrap()]].concat()))
+            }
+        };
+        for from_stdin in [false, true] {
+            // The bad line is skipped and reported with its number; the key
+            // table still prints and the run completes with exit 2.
+            let out = run(&clean, &clean_file, &[], from_stdin);
+            assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+            assert!(stdout(&out).contains("verified 2 ops across 1 keys"), "{}", stdout(&out));
+            assert!(stdout(&out).contains("| YES"), "{}", stdout(&out));
+            let bad_line = "line 2: invalid stream record: invalid utf-8";
+            assert!(stderr(&out).contains(bad_line), "{}", stderr(&out));
+            assert!(stderr(&out).contains("1 malformed records were skipped"), "{}", stderr(&out));
+
+            // A proven violation still outranks the bad line.
+            let out = run(&ladder, &ladder_file, &[], from_stdin);
+            assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+            assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
+            assert!(stderr(&out).contains("NO: 1 keys are not 2-atomic"), "{}", stderr(&out));
+
+            // --strict stops at the bad line and names it.
+            let out = run(&clean, &clean_file, &["--strict"], from_stdin);
+            assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+            assert!(stderr(&out).contains("--strict: line 2"), "{}", stderr(&out));
+            assert!(!stdout(&out).contains("verified"), "{}", stdout(&out));
+        }
+    }
+}
+
+#[test]
+fn stdin_and_file_checkpoints_are_byte_identical() {
+    // The same bytes, one bad line included, checkpoint the same whether
+    // they are read from a file or from stdin: one decoder reads both.
+    let input = stream_fixture("ckpt_source_ops.ndjson");
+    let mut doc = std::fs::read(&input).unwrap();
+    doc.splice(0..0, b"{\"kind\":\xff}\n".iter().copied());
+    std::fs::write(&input, &doc).unwrap();
+    for driver in DRIVERS {
+        let checkpoint = |from_stdin: bool| {
+            let ckpt = temp_file(&format!("ckpt_source_{}_{from_stdin}.ckpt", driver[0]));
+            std::fs::remove_file(&ckpt).ok();
+            let flags = ["--window", "32", "--checkpoint", ckpt.to_str().unwrap()];
+            let flags = [&flags[..], &["--checkpoint-every", "50"]].concat();
+            let out = if from_stdin {
+                kav_with_stdin(&argv(driver, &[&flags[..], &["-"]].concat()), &doc)
+            } else {
+                kav(&argv(driver, &[&flags[..], &[input.to_str().unwrap()]].concat()))
+            };
+            assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+            (stdout(&out), std::fs::read(&ckpt).unwrap())
+        };
+        let (file_out, file_ckpt) = checkpoint(false);
+        let (stdin_out, stdin_ckpt) = checkpoint(true);
+        assert_eq!(file_out, stdin_out);
+        assert!(file_ckpt == stdin_ckpt, "{} checkpoints differ by source", driver[0]);
     }
 }
 

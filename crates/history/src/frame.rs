@@ -510,7 +510,7 @@ pub fn write_frames<'a>(
 }
 
 /// Reader over an in-memory binary frame stream (an mmap'd file or fully
-/// buffered pipe) — the frame-format peer of `ndjson::SliceReader`.
+/// buffered pipe) — the frame-format peer of `ndjson::Reader`.
 ///
 /// Frames take the place of lines: [`frames_read`](FrameReader::frames_read)
 /// is the checkpoint position unit, errors carry the 1-based frame number,

@@ -27,6 +27,11 @@
 //! Records of the same key must appear in strictly increasing `finish`
 //! order (completion order); different keys may interleave arbitrarily.
 //! Blank lines are ignored.
+//!
+//! Every NDJSON byte is decoded the same way, whether it comes from a
+//! memory-mapped file or from stdin: a [`Reader`] splits the input into
+//! raw lines and decodes each with [`parse_line`], which is
+//! `serde_json::from_str`. Records are written by [`StreamWriter`].
 
 use crate::fxhash::Fingerprint;
 use crate::{OpKind, Operation, Time, Value, Weight, UNTAGGED_CLIENT};
@@ -34,7 +39,7 @@ use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io::{BufRead, BufReader};
+use std::io::BufRead;
 use std::path::Path;
 
 /// One line of an NDJSON operation stream: an operation plus its register.
@@ -154,447 +159,6 @@ pub fn parse_line(line: &str) -> Result<StreamRecord, serde_json::Error> {
     serde_json::from_str(line)
 }
 
-// ---------------------------------------------------------------------------
-// Zero-copy byte-slice decoder
-// ---------------------------------------------------------------------------
-
-/// Maximum JSON nesting depth, matching the reference parser's recursion
-/// limit (serde_json's default of 128).
-const MAX_DEPTH: usize = 128;
-
-/// Decoded name/tag scratch: sized for every known field name and `kind`
-/// tag; longer content cannot match any of them and is tracked as
-/// overflow (while the string is still fully validated).
-struct SmallBuf {
-    data: [u8; 24],
-    len: usize,
-    overflow: bool,
-}
-
-impl SmallBuf {
-    fn new() -> Self {
-        SmallBuf { data: [0; 24], len: 0, overflow: false }
-    }
-
-    fn push_bytes(&mut self, bytes: &[u8]) {
-        let end = self.len + bytes.len();
-        if end > self.data.len() {
-            self.overflow = true;
-            return;
-        }
-        self.data[self.len..end].copy_from_slice(bytes);
-        self.len = end;
-    }
-
-    fn push_char(&mut self, c: char) {
-        let mut utf8 = [0u8; 4];
-        self.push_bytes(c.encode_utf8(&mut utf8).as_bytes());
-    }
-
-    /// The decoded content, or `None` if it outgrew the buffer.
-    fn as_bytes(&self) -> Option<&[u8]> {
-        if self.overflow {
-            None
-        } else {
-            Some(&self.data[..self.len])
-        }
-    }
-}
-
-/// Outcome of scanning one JSON number token.
-enum Num {
-    /// Carried a decimal point or exponent.
-    Float,
-    /// `-`-prefixed integer in `i64` range (so `-0` is `Neg(0)`).
-    Neg(i64),
-    /// Non-negative integer in `u64` range.
-    Pos(u64),
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Scanner<'_> {
-    fn err(&self, message: &str) -> serde_json::Error {
-        serde::DeError::custom(message).into()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), serde_json::Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn digits(&mut self) -> usize {
-        let start = self.pos;
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        self.pos - start
-    }
-
-    /// Scans one number token with the reference grammar, applying the
-    /// same parse-time range checks (integer overflow errors even inside
-    /// skipped fields, exactly as the reference parser errors while
-    /// building its value tree).
-    fn scan_number(&mut self) -> Result<Num, serde_json::Error> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        match self.bytes.get(self.pos) {
-            Some(b'0') => {
-                self.pos += 1;
-                if matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                    return Err(self.err("leading zeros are not allowed"));
-                }
-            }
-            Some(b'1'..=b'9') => {
-                self.digits();
-            }
-            _ => return Err(self.err("expected digit")),
-        }
-        let mut is_float = false;
-        if self.bytes.get(self.pos) == Some(&b'.') {
-            is_float = true;
-            self.pos += 1;
-            if self.digits() == 0 {
-                return Err(self.err("expected digit after decimal point"));
-            }
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.bytes.get(self.pos), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if self.digits() == 0 {
-                return Err(self.err("expected digit in exponent"));
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        if is_float {
-            // The grammar above never fails an `f64` parse; keep the check
-            // so the two decoders cannot diverge.
-            text.parse::<f64>().map_err(|_| self.err("invalid number"))?;
-            Ok(Num::Float)
-        } else if text.starts_with('-') {
-            text.parse::<i64>().map(Num::Neg).map_err(|_| self.err("number out of range"))
-        } else {
-            text.parse::<u64>().map(Num::Pos).map_err(|_| self.err("number out of range"))
-        }
-    }
-
-    /// Parses the 4 hex digits after `\u`, leaving `pos` on the last
-    /// digit (reference parser mechanics).
-    fn hex4(&mut self) -> Result<u32, serde_json::Error> {
-        let digits = self
-            .bytes
-            .get(self.pos + 1..self.pos + 5)
-            .ok_or_else(|| self.err("truncated unicode escape"))?;
-        let text =
-            std::str::from_utf8(digits).map_err(|_| self.err("invalid unicode escape"))?;
-        let code =
-            u32::from_str_radix(text, 16).map_err(|_| self.err("invalid unicode escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    /// Scans one string token, validating escapes exactly like the
-    /// reference parser; when `out` is given, the *decoded* content is
-    /// appended (field names and `kind` tags match on decoded content, so
-    /// `"key"` is the `key` field there too).
-    fn scan_string(&mut self, mut out: Option<&mut SmallBuf>) -> Result<(), serde_json::Error> {
-        self.expect(b'"')?;
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let decoded = match self.bytes.get(self.pos) {
-                        Some(b'"') => '"',
-                        Some(b'\\') => '\\',
-                        Some(b'/') => '/',
-                        Some(b'n') => '\n',
-                        Some(b't') => '\t',
-                        Some(b'r') => '\r',
-                        Some(b'b') => '\u{8}',
-                        Some(b'f') => '\u{c}',
-                        Some(b'u') => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if self.bytes.get(self.pos + 1) != Some(&b'\\')
-                                    || self.bytes.get(self.pos + 2) != Some(&b'u')
-                                {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            match char::from_u32(code) {
-                                Some(c) => c,
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    };
-                    if let Some(buf) = out.as_deref_mut() {
-                        buf.push_char(decoded);
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x20 => {
-                    return Err(self.err("control character in string"));
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar's worth of bytes.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    if let Some(buf) = out.as_deref_mut() {
-                        buf.push_bytes(&self.bytes[start..self.pos]);
-                    }
-                }
-            }
-        }
-    }
-
-    fn scan_keyword(&mut self, word: &str) -> Result<(), serde_json::Error> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
-        }
-    }
-
-    /// Validates and skips one JSON value of any shape, mirroring the
-    /// reference grammar (depth limit, string escapes, number range
-    /// checks) without building a value tree. Used for unknown fields and
-    /// for later duplicates of known ones (first occurrence wins, like
-    /// the reference decoder's `Value::get`).
-    fn scan_value(&mut self, depth: usize) -> Result<(), serde_json::Error> {
-        if depth >= MAX_DEPTH {
-            return Err(self.err("recursion limit exceeded"));
-        }
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'{') => {
-                self.pos += 1;
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    if self.peek() != Some(b'"') {
-                        return Err(self.err("expected object key"));
-                    }
-                    self.scan_string(None)?;
-                    self.expect(b':')?;
-                    self.scan_value(depth + 1)?;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(self.err("expected `,` or `}`")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.scan_value(depth + 1)?;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(self.err("expected `,` or `]`")),
-                    }
-                }
-            }
-            Some(b'"') => self.scan_string(None),
-            Some(b't') => self.scan_keyword("true"),
-            Some(b'f') => self.scan_keyword("false"),
-            Some(b'n') => self.scan_keyword("null"),
-            Some(b'-' | b'0'..=b'9') => self.scan_number().map(|_| ()),
-            Some(_) => Err(self.err("expected value")),
-        }
-    }
-
-    /// Scans one `u64` field value (`key`, `value`, `start`, `finish`):
-    /// the reference decoder accepts a non-negative integer (including
-    /// `-0`) and rejects floats, negatives and non-numbers.
-    fn scan_u64_field(&mut self) -> Result<u64, serde_json::Error> {
-        match self.peek() {
-            Some(b'-' | b'0'..=b'9') => match self.scan_number()? {
-                Num::Pos(u) => Ok(u),
-                Num::Neg(i) => u64::try_from(i)
-                    .map_err(|_| self.err(&format!("invalid value {i} for unsigned integer"))),
-                Num::Float => Err(self.err("expected an unsigned integer")),
-            },
-            _ => Err(self.err("expected an unsigned integer")),
-        }
-    }
-
-    /// Scans the `weight` field: a `u64` additionally bounded to `u32`.
-    fn scan_u32_field(&mut self) -> Result<u32, serde_json::Error> {
-        let raw = self.scan_u64_field()?;
-        u32::try_from(raw).map_err(|_| self.err(&format!("integer {raw} out of range for u32")))
-    }
-
-    /// Scans the `kind` field: a string whose decoded content is `read`
-    /// or `write` (the reference decoder matches unit variants on the
-    /// decoded string, so escapes like `"read"` are accepted).
-    fn scan_kind_field(&mut self) -> Result<OpKind, serde_json::Error> {
-        if self.peek() != Some(b'"') {
-            return Err(self.err("expected enum OpKind"));
-        }
-        let mut tag = SmallBuf::new();
-        self.scan_string(Some(&mut tag))?;
-        match tag.as_bytes() {
-            Some(b"read") => Ok(OpKind::Read),
-            Some(b"write") => Ok(OpKind::Write),
-            _ => Err(self.err("unknown variant of OpKind")),
-        }
-    }
-}
-
-/// Parses one NDJSON line directly from bytes — the zero-copy hot path.
-///
-/// A hand-rolled field scanner over `&[u8]`: no intermediate `String` or
-/// `serde_json::Value` is built. It accepts exactly the records
-/// [`parse_line`] accepts and rejects exactly the lines it rejects —
-/// including duplicate-field, unknown-field, escape, depth-limit and
-/// number-range behavior (property-tested in
-/// `tests/decoder_equivalence.rs`). Error *messages* may differ; verdicts
-/// never do. [`parse_line`] remains the reference decoder.
-///
-/// # Errors
-///
-/// Returns a JSON error on malformed input, exactly when the reference
-/// decoder would.
-///
-/// # Examples
-///
-/// ```
-/// use kav_history::ndjson;
-/// use kav_history::Value;
-///
-/// let record = ndjson::parse_line_bytes(
-///     br#"{"kind":"write","value":7,"start":0,"finish":3}"#,
-/// )?;
-/// assert_eq!(record.key, 0);
-/// assert_eq!(record.value, Value(7));
-/// # Ok::<(), serde_json::Error>(())
-/// ```
-pub fn parse_line_bytes(bytes: &[u8]) -> Result<StreamRecord, serde_json::Error> {
-    let mut s = Scanner { bytes, pos: 0 };
-    match s.peek() {
-        Some(b'{') => {}
-        // A line whose top-level value is anything else is an error on the
-        // reference path too (a syntax error or "expected struct"), so
-        // classification alone decides the verdict.
-        Some(_) => return Err(s.err("expected struct StreamRecord")),
-        None => return Err(s.err("unexpected end of input")),
-    }
-    s.pos += 1;
-    let mut key: Option<u64> = None;
-    let mut kind: Option<OpKind> = None;
-    let mut value: Option<u64> = None;
-    let mut start: Option<u64> = None;
-    let mut finish: Option<u64> = None;
-    let mut weight: Option<u32> = None;
-    let mut client: Option<u64> = None;
-    if s.peek() == Some(b'}') {
-        s.pos += 1;
-    } else {
-        loop {
-            if s.peek() != Some(b'"') {
-                return Err(s.err("expected object key"));
-            }
-            let mut name = SmallBuf::new();
-            s.scan_string(Some(&mut name))?;
-            s.expect(b':')?;
-            match name.as_bytes() {
-                Some(b"key") if key.is_none() => key = Some(s.scan_u64_field()?),
-                Some(b"kind") if kind.is_none() => kind = Some(s.scan_kind_field()?),
-                Some(b"value") if value.is_none() => value = Some(s.scan_u64_field()?),
-                Some(b"start") if start.is_none() => start = Some(s.scan_u64_field()?),
-                Some(b"finish") if finish.is_none() => finish = Some(s.scan_u64_field()?),
-                Some(b"weight") if weight.is_none() => weight = Some(s.scan_u32_field()?),
-                Some(b"client") if client.is_none() => client = Some(s.scan_u64_field()?),
-                // Unknown fields and later duplicates are validated and
-                // skipped; field values sit at nesting depth 1.
-                _ => s.scan_value(1)?,
-            }
-            match s.peek() {
-                Some(b',') => s.pos += 1,
-                Some(b'}') => {
-                    s.pos += 1;
-                    break;
-                }
-                _ => return Err(s.err("expected `,` or `}`")),
-            }
-        }
-    }
-    s.skip_ws();
-    if s.pos != bytes.len() {
-        return Err(s.err("trailing characters"));
-    }
-    let missing = |field: &str| -> serde_json::Error {
-        serde::DeError::custom(format!("missing field `{field}`")).into()
-    };
-    Ok(StreamRecord {
-        key: key.unwrap_or(0),
-        kind: kind.ok_or_else(|| missing("kind"))?,
-        value: Value(value.ok_or_else(|| missing("value"))?),
-        start: Time(start.ok_or_else(|| missing("start"))?),
-        finish: Time(finish.ok_or_else(|| missing("finish"))?),
-        weight: weight.map_or(Weight::UNIT, Weight),
-        client: client.unwrap_or(UNTAGGED_CLIENT),
-    })
-}
-
 /// Serialises one record as a single NDJSON line (no trailing newline).
 ///
 /// Allocates a fresh `String` per call; the hot write path is
@@ -644,10 +208,10 @@ fn push_u64(out: &mut String, mut n: u64) {
     out.push_str(std::str::from_utf8(&digits[i..]).expect("decimal digits are ASCII"));
 }
 
-/// Buffered NDJSON writer reusing one line buffer across records — the
-/// write-side twin of the zero-copy decoder. `kav gen --out`,
-/// `kav simulate --out` and [`write_stream`] route through it; the output
-/// is byte-for-byte what writing [`to_line`] plus `\n` per record yields.
+/// Buffered NDJSON writer reusing one line buffer across records.
+/// `kav gen --out`, `kav simulate --out` and [`write_stream`] route through
+/// it; the output is byte-for-byte what writing [`to_line`] plus `\n` per
+/// record yields.
 pub struct StreamWriter<W: std::io::Write> {
     out: W,
     buf: String,
@@ -686,6 +250,12 @@ impl<W: std::io::Write> StreamWriter<W> {
 /// Streaming reader over any [`BufRead`], yielding records with 1-based
 /// line numbers attached to errors. Blank lines are skipped.
 ///
+/// This is the one NDJSON decoder: stdin arrives through a chunked
+/// `BufRead`, and a memory-mapped file is read as a [`SliceReader`]. Each
+/// raw line is copied into one reused buffer and decoded with
+/// [`parse_line`]; a line that is not valid UTF-8 is a malformed record
+/// ([`NdjsonError::Parse`]), like any other line that fails to decode.
+///
 /// For checkpointable audits the reader can also maintain a running
 /// [`Fingerprint`] of every *raw line* it consumes (including blank and
 /// malformed ones): a resumed audit re-reads the already-processed prefix
@@ -694,21 +264,41 @@ impl<W: std::io::Write> StreamWriter<W> {
 pub struct Reader<R> {
     input: R,
     line: u64,
-    buf: String,
+    buf: Vec<u8>,
     fingerprint: Option<Fingerprint>,
 }
+
+/// A [`Reader`] over bytes already in memory, such as a memory-mapped
+/// file. `&[u8]` is a [`BufRead`], so this is the decoder stdin goes
+/// through too.
+///
+/// # Examples
+///
+/// ```
+/// use kav_history::ndjson::SliceReader;
+/// use kav_history::Value;
+///
+/// let bytes = b"{\"kind\":\"write\",\"value\":7,\"start\":0,\"finish\":3}\n\n";
+/// let mut reader = SliceReader::new(bytes);
+/// let record = reader.next().unwrap()?;
+/// assert_eq!((record.key, record.value), (0, Value(7)));
+/// assert!(reader.next().is_none());
+/// assert_eq!(reader.lines_read(), 2);
+/// # Ok::<(), kav_history::ndjson::NdjsonError>(())
+/// ```
+pub type SliceReader<'a> = Reader<&'a [u8]>;
 
 impl<R: BufRead> Reader<R> {
     /// Wraps a buffered reader (no fingerprinting).
     pub fn new(input: R) -> Self {
-        Reader { input, line: 0, buf: String::new(), fingerprint: None }
+        Reader { input, line: 0, buf: Vec::new(), fingerprint: None }
     }
 
     /// Wraps a buffered reader and fingerprints every consumed line —
     /// pass [`Fingerprint::new`] for a fresh stream, or a digest carried
     /// over from a checkpoint to continue its chain.
     pub fn with_fingerprint(input: R, fingerprint: Fingerprint) -> Self {
-        Reader { input, line: 0, buf: String::new(), fingerprint: Some(fingerprint) }
+        Reader { input, line: 0, buf: Vec::new(), fingerprint: Some(fingerprint) }
     }
 
     /// Lines consumed so far (blank and malformed lines included).
@@ -730,23 +320,24 @@ impl<R: BufRead> Reader<R> {
     /// Propagates I/O errors from the underlying reader.
     pub fn skip_raw_lines(&mut self, n: u64) -> std::io::Result<u64> {
         let mut skipped = 0;
-        while skipped < n {
-            self.buf.clear();
-            if self.input.read_line(&mut self.buf)? == 0 {
-                break;
-            }
-            self.consume_line();
+        while skipped < n && self.read_raw_line()? {
             skipped += 1;
         }
         Ok(skipped)
     }
 
-    /// Counts and fingerprints the line currently in `buf`.
-    fn consume_line(&mut self) {
+    /// Reads the next raw line, with its `\n` if it has one, into `buf`,
+    /// and counts and fingerprints it. `false` at end of input.
+    fn read_raw_line(&mut self) -> std::io::Result<bool> {
+        self.buf.clear();
+        if self.input.read_until(b'\n', &mut self.buf)? == 0 {
+            return Ok(false);
+        }
         self.line += 1;
         if let Some(fp) = &mut self.fingerprint {
-            fp.update(self.buf.as_bytes());
+            fp.update(&self.buf);
         }
+        Ok(true)
     }
 }
 
@@ -755,140 +346,22 @@ impl<R: BufRead> Iterator for Reader<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            self.buf.clear();
-            match self.input.read_line(&mut self.buf) {
-                Ok(0) => return None,
-                Ok(_) => {}
+            match self.read_raw_line() {
+                Ok(true) => {}
+                Ok(false) => return None,
                 Err(e) => return Some(Err(e.into())),
             }
-            self.consume_line();
-            let text = self.buf.trim();
-            if text.is_empty() {
-                continue;
-            }
-            return Some(parse_line(text).map_err(|source| NdjsonError::Parse {
+            let decoded = match std::str::from_utf8(&self.buf).map(str::trim) {
+                Ok("") => continue,
+                Ok(text) => parse_line(text),
+                Err(e) => Err(serde::DeError::custom(e.to_string()).into()),
+            };
+            return Some(decoded.map_err(|source| NdjsonError::Parse {
                 line: self.line as usize,
                 source,
             }));
         }
     }
-}
-
-/// Streaming reader over an in-memory byte slice (an mmap'd file or a
-/// fully buffered pipe), decoding through [`parse_line_bytes`] — the
-/// zero-copy twin of [`Reader`].
-///
-/// Line accounting, blank-line handling, parse verdicts, 1-based error
-/// lines and the [`Fingerprint`] chain are identical to [`Reader`] over
-/// the same bytes (property-tested), so checkpoints written against one
-/// reader resume against the other.
-pub struct SliceReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: u64,
-    fingerprint: Option<Fingerprint>,
-}
-
-impl<'a> SliceReader<'a> {
-    /// Wraps a byte slice (no fingerprinting).
-    pub fn new(bytes: &'a [u8]) -> Self {
-        SliceReader { bytes, pos: 0, line: 0, fingerprint: None }
-    }
-
-    /// Wraps a byte slice and fingerprints every consumed line — pass
-    /// [`Fingerprint::new`] for a fresh stream, or a digest carried over
-    /// from a checkpoint to continue its chain.
-    pub fn with_fingerprint(bytes: &'a [u8], fingerprint: Fingerprint) -> Self {
-        SliceReader { bytes, pos: 0, line: 0, fingerprint: Some(fingerprint) }
-    }
-
-    /// Lines consumed so far (blank and malformed lines included).
-    pub fn lines_read(&self) -> u64 {
-        self.line
-    }
-
-    /// The running digest of all consumed lines, when fingerprinting.
-    pub fn fingerprint(&self) -> Option<u64> {
-        self.fingerprint.as_ref().map(Fingerprint::value)
-    }
-
-    /// The next raw line including its `\n` terminator (the final line
-    /// may lack one); `None` at end of input. Does not consume.
-    fn peek_raw_line(&self) -> Option<&'a [u8]> {
-        if self.pos >= self.bytes.len() {
-            return None;
-        }
-        let rest = &self.bytes[self.pos..];
-        let end = rest.iter().position(|&b| b == b'\n').map_or(rest.len(), |i| i + 1);
-        Some(&rest[..end])
-    }
-
-    /// Counts and fingerprints a peeked raw line.
-    fn consume(&mut self, line: &[u8]) {
-        self.pos += line.len();
-        self.line += 1;
-        if let Some(fp) = &mut self.fingerprint {
-            fp.update(line);
-        }
-    }
-
-    /// Consumes up to `n` raw lines without parsing them (they still
-    /// count toward [`lines_read`](SliceReader::lines_read) and the
-    /// fingerprint). Returns how many lines were actually available.
-    ///
-    /// # Errors
-    ///
-    /// Rejects invalid UTF-8, like [`Reader::skip_raw_lines`].
-    pub fn skip_raw_lines(&mut self, n: u64) -> std::io::Result<u64> {
-        let mut skipped = 0;
-        while skipped < n {
-            let Some(raw) = self.peek_raw_line() else { break };
-            if std::str::from_utf8(raw).is_err() {
-                self.pos += raw.len();
-                return Err(invalid_utf8());
-            }
-            self.consume(raw);
-            skipped += 1;
-        }
-        Ok(skipped)
-    }
-}
-
-fn invalid_utf8() -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
-}
-
-impl Iterator for SliceReader<'_> {
-    type Item = Result<StreamRecord, NdjsonError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let raw = self.peek_raw_line()?;
-            let Ok(text) = std::str::from_utf8(raw) else {
-                // Mirror `read_line`: the bad bytes are consumed from the
-                // source but neither counted nor fingerprinted.
-                self.pos += raw.len();
-                return Some(Err(NdjsonError::Io(invalid_utf8())));
-            };
-            self.consume(raw);
-            let text = text.trim();
-            if text.is_empty() {
-                continue;
-            }
-            return Some(parse_line_bytes(text.as_bytes()).map_err(|source| {
-                NdjsonError::Parse { line: self.line as usize, source }
-            }));
-        }
-    }
-}
-
-/// Reads a whole NDJSON file into memory.
-///
-/// # Errors
-///
-/// Returns [`NdjsonError`] on I/O failure or the first malformed record.
-pub fn read_stream(path: impl AsRef<Path>) -> Result<Vec<StreamRecord>, NdjsonError> {
-    Reader::new(BufReader::new(fs::File::open(path)?)).collect()
 }
 
 /// Writes records as NDJSON, one per line.
@@ -987,7 +460,9 @@ mod tests {
         let path = dir.join("ops.ndjson");
         let records = sample();
         write_stream(&path, &records).unwrap();
-        assert_eq!(read_stream(&path).unwrap(), records);
+        let file = std::io::BufReader::new(fs::File::open(&path).unwrap());
+        let read: Vec<StreamRecord> = Reader::new(file).collect::<Result<_, _>>().unwrap();
+        assert_eq!(read, records);
         fs::remove_file(path).ok();
     }
 
@@ -1045,31 +520,60 @@ mod tests {
     }
 
     #[test]
-    fn byte_decoder_accepts_what_the_reference_accepts() {
-        for line in [
-            r#"{"kind":"write","value":7,"start":0,"finish":3}"#,
-            r#"{"key":9,"kind":"read","value":7,"start":0,"finish":3,"weight":2}"#,
-            r#"{"kind":"read","value":7,"start":0,"finish":3,"client":12}"#,
-            r#"{"kind":"read","value":7,"start":0,"finish":3,"client":5,"client":6}"#,
+    fn parse_line_accepts_well_formed_variants() {
+        let record = |key, kind, value, finish, weight, client| StreamRecord {
+            key,
+            kind,
+            value: Value(value),
+            start: Time(0),
+            finish: Time(finish),
+            weight: Weight(weight),
+            client,
+        };
+        let (read, write) = (OpKind::Read, OpKind::Write);
+        for (line, expected) in [
+            (r#"{"kind":"write","value":7,"start":0,"finish":3}"#, record(0, write, 7, 3, 1, 0)),
+            (
+                r#"{"key":9,"kind":"read","value":7,"start":0,"finish":3,"weight":2}"#,
+                record(9, read, 7, 3, 2, 0),
+            ),
+            (
+                r#"{"kind":"read","value":7,"start":0,"finish":3,"client":12}"#,
+                record(0, read, 7, 3, 1, 12),
+            ),
+            (
+                r#"{"kind":"read","value":7,"start":0,"finish":3,"client":5,"client":6}"#,
+                record(0, read, 7, 3, 1, 5),
+            ),
             // Escaped field names and tags decode before matching:
             // `\u006b` is `k`, so this sets `key` and a `kind` of "read".
-            "{\"\\u006bey\":5,\"kind\":\"re\\u0061d\",\"value\":1,\"start\":0,\"finish\":1}",
+            (
+                "{\"\\u006bey\":5,\"kind\":\"re\\u0061d\",\"value\":1,\"start\":0,\"finish\":1}",
+                record(5, read, 1, 1, 1, 0),
+            ),
             // Unknown fields of any shape are skipped.
-            r#"{"kind":"read","value":1,"start":0,"finish":1,"x":[{"y":null},1.5,"s"]}"#,
+            (
+                r#"{"kind":"read","value":1,"start":0,"finish":1,"x":[{"y":null},1.5,"s"]}"#,
+                record(0, read, 1, 1, 1, 0),
+            ),
             // Duplicate fields: first occurrence wins.
-            r#"{"kind":"read","kind":"write","value":1,"value":2,"start":0,"finish":1}"#,
+            (
+                r#"{"kind":"read","kind":"write","value":1,"value":2,"start":0,"finish":1}"#,
+                record(0, read, 1, 1, 1, 0),
+            ),
             // `-0` is an in-range unsigned integer.
-            r#"{"kind":"read","value":-0,"start":0,"finish":1}"#,
-            " {\t\"kind\" : \"read\", \"value\":1, \"start\":0, \"finish\":1 } ",
+            (r#"{"kind":"read","value":-0,"start":0,"finish":1}"#, record(0, read, 0, 1, 1, 0)),
+            (
+                " {\t\"kind\" : \"read\", \"value\":1, \"start\":0, \"finish\":1 } ",
+                record(0, read, 1, 1, 1, 0),
+            ),
         ] {
-            let by_str = parse_line(line).unwrap();
-            let by_bytes = parse_line_bytes(line.as_bytes()).unwrap();
-            assert_eq!(by_str, by_bytes, "decoders disagree on {line:?}");
+            assert_eq!(parse_line(line).unwrap(), expected, "{line:?}");
         }
     }
 
     #[test]
-    fn byte_decoder_rejects_what_the_reference_rejects() {
+    fn parse_line_rejects_malformed_lines() {
         for line in [
             "",
             "null",
@@ -1088,12 +592,11 @@ mod tests {
             r#"{"kind":"write","value":1,"start":0,"finish":2,}"#,
             r#"{"kind":"write","value":1,"start":0,"finish":2"#,
         ] {
-            assert!(parse_line(line).is_err(), "reference accepted {line:?}");
-            assert!(parse_line_bytes(line.as_bytes()).is_err(), "bytes accepted {line:?}");
+            assert!(parse_line(line).is_err(), "accepted {line:?}");
         }
-        // The recursion limit matches: 127 nested arrays in an unknown
-        // field pass (the field value sits at depth 1), 128 do not — on
-        // both decoders.
+        // The recursion limit is serde_json's 128: an unknown field's value
+        // sits at depth 1, so 126 nested arrays in it pass, 127 reach the
+        // limit and 200 are far past it.
         let nest = |n: usize| {
             format!(
                 "{{\"kind\":\"read\",\"value\":1,\"start\":0,\"finish\":1,\"x\":{}0{}}}",
@@ -1102,19 +605,17 @@ mod tests {
             )
         };
         assert!(parse_line(&nest(126)).is_ok());
-        assert!(parse_line_bytes(nest(126).as_bytes()).is_ok());
-        assert_eq!(
-            parse_line(&nest(127)).is_ok(),
-            parse_line_bytes(nest(127).as_bytes()).is_ok()
-        );
+        assert!(parse_line(&nest(127)).is_err());
         assert!(parse_line(&nest(200)).is_err());
-        assert!(parse_line_bytes(nest(200).as_bytes()).is_err());
     }
 
     #[test]
     fn slice_reader_matches_reader_on_records_errors_and_fingerprints() {
+        // The whole slice at once (a memory-mapped file) against the same
+        // bytes in 3-byte chunks (how stdin arrives).
         let text = "\n{\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":2}\n\n{ bad\n{\"kind\":\"read\",\"value\":1,\"start\":3,\"finish\":4}";
-        let mut by_io = Reader::with_fingerprint(text.as_bytes(), Fingerprint::new());
+        let chunked = || std::io::BufReader::with_capacity(3, text.as_bytes());
+        let mut by_io = Reader::with_fingerprint(chunked(), Fingerprint::new());
         let mut by_slice = SliceReader::with_fingerprint(text.as_bytes(), Fingerprint::new());
         loop {
             match (by_io.next(), by_slice.next()) {
@@ -1129,13 +630,46 @@ mod tests {
         assert_eq!(by_io.lines_read(), by_slice.lines_read());
         assert_eq!(by_io.fingerprint(), by_slice.fingerprint());
         assert!(by_io.fingerprint().is_some());
-        // Cross-path skip: Reader fingerprints a prefix, SliceReader
-        // continues the chain, and vice versa.
-        let mut skip_io = Reader::with_fingerprint(text.as_bytes(), Fingerprint::new());
+        // Skipping the raw lines continues the same chain on either input.
+        let mut skip_io = Reader::with_fingerprint(chunked(), Fingerprint::new());
         assert_eq!(skip_io.skip_raw_lines(5).unwrap(), 5);
         let mut skip_slice = SliceReader::with_fingerprint(text.as_bytes(), Fingerprint::new());
         assert_eq!(skip_slice.skip_raw_lines(5).unwrap(), 5);
         assert_eq!(skip_io.fingerprint(), skip_slice.fingerprint());
         assert_eq!(skip_io.fingerprint(), by_io.fingerprint());
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_malformed_line_that_is_counted_and_fingerprinted() {
+        let good = "{\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":2}\n";
+        let mut bytes = good.as_bytes().to_vec();
+        // Well-formed but for one byte in an unknown field.
+        let bad = b"{\"kind\":\"read\",\"value\":1,\"start\":3,\"finish\":4,\"x\":\"\xff\"}\n";
+        bytes.extend_from_slice(bad);
+        bytes.extend_from_slice(good.replace("\"value\":1", "\"value\":2").as_bytes());
+        let mut reader = SliceReader::with_fingerprint(&bytes, Fingerprint::new());
+        assert!(reader.next().unwrap().is_ok());
+        match reader.next().unwrap() {
+            Err(NdjsonError::Parse { line, source }) => {
+                assert_eq!(line, 2);
+                assert!(source.to_string().contains("utf-8"), "{source}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        // Decoding carries on past the bad line.
+        assert_eq!(reader.next().unwrap().unwrap().value, Value(2));
+        assert!(reader.next().is_none());
+        assert_eq!(reader.lines_read(), 3);
+        // The bad line's bytes are in the digest: skipping verifies the
+        // prefix, and a different bad byte changes the digest.
+        let mut skip = SliceReader::with_fingerprint(&bytes, Fingerprint::new());
+        assert_eq!(skip.skip_raw_lines(3).unwrap(), 3);
+        assert_eq!(skip.fingerprint(), reader.fingerprint());
+        let mut other = bytes.clone();
+        let at = other.iter().position(|&b| b == 0xff).unwrap();
+        other[at] = 0xfe;
+        let mut diverged = SliceReader::with_fingerprint(&other, Fingerprint::new());
+        assert_eq!(diverged.skip_raw_lines(3).unwrap(), 3);
+        assert_ne!(diverged.fingerprint(), reader.fingerprint());
     }
 }

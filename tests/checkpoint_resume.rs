@@ -460,8 +460,8 @@ impl DeltaChainWriter {
 /// delta cadence, is killed at checkpoints landing before, on and
 /// between full-snapshot boundaries, and resumes from the resolved file —
 /// through a second kill-and-resume hop, each hop re-reading the NDJSON
-/// prefix with a *different* decoder than wrote the checkpoint — must
-/// finish with reports byte-identical to the uninterrupted audit.
+/// prefix from a *differently chunked* source than the previous one —
+/// must finish with reports byte-identical to the uninterrupted audit.
 #[test]
 fn delta_checkpoint_files_resume_across_kill_boundaries() {
     use k_atomicity::history::fxhash::Fingerprint;
@@ -479,8 +479,8 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
     let baseline = uninterrupted(&records, config);
 
     // The stream as its on-disk NDJSON bytes: the checkpoint fingerprints
-    // must match what a prefix re-read would produce, whichever decoder
-    // performs it.
+    // must match what a prefix re-read would produce, however the bytes
+    // arrive.
     let doc: String = records.iter().map(|r| ndjson::to_line(r) + "\n").collect();
     let dir = std::env::temp_dir().join("kav_delta_resume_test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -491,28 +491,32 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
     // write, so kills at records 12/24/36 land on delta-resolved state
     // (writes 3, 6, 9 — the chain is base + deltas at two of the three).
     let drive = |from: usize, until: usize, version: u64| {
-        let mut reference = ndjson::Reader::with_fingerprint(doc.as_bytes(), Fingerprint::new());
-        let mut zero_copy =
-            ndjson::SliceReader::with_fingerprint(doc.as_bytes(), Fingerprint::new());
+        // The whole slice at once (a memory-mapped file), or 7-byte reads
+        // (stdin).
+        let mut whole = ndjson::SliceReader::with_fingerprint(doc.as_bytes(), Fingerprint::new());
+        let mut chunked = ndjson::Reader::with_fingerprint(
+            std::io::BufReader::with_capacity(7, doc.as_bytes()),
+            Fingerprint::new(),
+        );
         let mut pipeline = if from == 0 {
             StreamPipeline::new(Fzf, config)
         } else {
             let checkpoint = read_checkpoint(path).expect("checkpoint reads back");
             assert!(checkpoint.deltas.is_empty(), "read_checkpoint resolves deltas");
             assert_eq!(checkpoint.source.lines, from as u64);
-            // Alternate which decoder re-proves the prefix — the hop is
+            // Alternate which source re-proves the prefix — the hop is
             // only sound because both produce the same fingerprint chain.
             let replayed = if version.is_multiple_of(2) {
-                reference.skip_raw_lines(from as u64).unwrap();
-                reference.fingerprint()
+                whole.skip_raw_lines(from as u64).unwrap();
+                whole.fingerprint()
             } else {
-                zero_copy.skip_raw_lines(from as u64).unwrap();
-                zero_copy.fingerprint()
+                chunked.skip_raw_lines(from as u64).unwrap();
+                chunked.fingerprint()
             };
             assert_eq!(
                 replayed,
                 Some(checkpoint.source.fingerprint),
-                "prefix fingerprint must verify on either decoder"
+                "prefix fingerprint must verify on either source"
             );
             StreamPipeline::resume(Fzf, config, &checkpoint.pipeline, true)
                 .expect("own checkpoints resume")

@@ -1,12 +1,16 @@
-//! The zero-copy byte-slice decoder must be observationally equivalent
-//! to the serde reference decoder: on any input line — well-formed in any
-//! field order, decorated with unknown fields and whitespace, or
-//! malformed anywhere — both decoders must agree on the verdict, on the
-//! decoded record, and (through the readers) on the 1-based position of
-//! the first error and on the resume fingerprint chain. This suite is
-//! part of the acceptance gate for the columnar ingest path: the serde
-//! decoder stays in the tree as the executable specification the fast
-//! path is judged against.
+//! The one NDJSON decoder, checked against two references: serde's
+//! `Value` tree and itself over differently chunked input.
+//!
+//! * On any line — well-formed in any field order, decorated with unknown
+//!   fields and whitespace, or malformed anywhere — [`ndjson::parse_line`]
+//!   (serde_json's direct reader) returns exactly what parsing a `Value`
+//!   tree and converting it returns: the same record, or an error on both.
+//! * Over a document mixing valid, blank, malformed and non-UTF-8 lines,
+//!   an [`ndjson::Reader`] over the whole slice (a memory-mapped file) and
+//!   one over the same bytes in small chunks (stdin) yield the same
+//!   records, the same 1-based errors, the same line counts and the same
+//!   resume fingerprints, so checkpoints from either source interchange.
+//! * The binary frame format roundtrips the same records.
 
 use k_atomicity::history::frame::{FrameReader, FrameWriter, FRAME_LEN, FRAME_LEN_V2};
 use k_atomicity::history::fxhash::Fingerprint;
@@ -120,12 +124,26 @@ const BREAKAGES: &[&str] = &[
     "null",
 ];
 
+/// Lines that are not UTF-8: a stray byte inside a skipped string, a
+/// truncated multi-byte sequence, an encoded surrogate, and a lone
+/// continuation byte. Each is one malformed record.
+const NOT_UTF8: &[&[u8]] = &[
+    b"{\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":3,\"x\":\"\xff\"}",
+    b"{\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":3,\"x\":\"\xe2\x82\"}",
+    b"\xed\xa0\x80",
+    b"\x80",
+];
+
+/// The reference path: parse a `Value` tree, then convert it.
+fn via_tree(line: &str) -> Result<StreamRecord, serde_json::Error> {
+    serde_json::from_str::<serde_json::Value>(line).and_then(serde_json::from_value)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Any well-formed rendering — any field order, defaults dropped,
-    /// unknown fields, whitespace — decodes to the same record on both
-    /// paths.
+    /// unknown fields, whitespace — decodes to the record it renders.
     #[test]
     fn well_formed_lines_decode_identically(
         record in record_strategy(),
@@ -136,31 +154,21 @@ proptest! {
     ) {
         let line =
             render_line(&record, rotation, drop_defaults, unknown_field(unknown_pick), pad);
-        let reference = ndjson::parse_line(&line).expect("reference accepts");
-        let fast = ndjson::parse_line_bytes(line.as_bytes()).expect("fast path accepts");
-        prop_assert_eq!(&fast, &reference);
-        prop_assert_eq!(&fast, &record);
+        prop_assert_eq!(ndjson::parse_line(&line).expect("well-formed"), record);
     }
 
-    /// On arbitrary printable input the decoders agree on the verdict,
-    /// and whenever both accept they decode the same record. (Error
-    /// *messages* are not part of the contract; the verdict and, below,
-    /// the error line are.)
+    /// On arbitrary printable input the decoder and the tree path agree:
+    /// the same record, or an error on both.
     #[test]
     fn arbitrary_lines_get_the_same_verdict(
         bytes in prop::collection::vec(0x20u8..0x7f, 0..60),
     ) {
         let line = String::from_utf8(bytes).expect("printable ASCII");
-        let reference = ndjson::parse_line(&line);
-        let fast = ndjson::parse_line_bytes(line.as_bytes());
-        prop_assert_eq!(fast.is_ok(), reference.is_ok(), "line: {:?}", line);
-        if let (Ok(fast), Ok(reference)) = (fast, reference) {
-            prop_assert_eq!(fast, reference);
-        }
+        prop_assert_eq!(ndjson::parse_line(&line).ok(), via_tree(&line).ok(), "line: {:?}", line);
     }
 
     /// Truncating or corrupting a valid line at any byte keeps the
-    /// decoders in agreement.
+    /// decoder and the tree path in agreement.
     #[test]
     fn mutilated_lines_get_the_same_verdict(
         record in record_strategy(),
@@ -173,92 +181,102 @@ proptest! {
         bytes.truncate(bytes.len() * cut_permille / 1000);
         let (flip_on, flip_at, flip_byte) = flip;
         if flip_on && !bytes.is_empty() {
-            // Keep the mutation valid UTF-8 so both paths see a string
-            // (invalid UTF-8 is an I/O-level concern, tested at the
-            // reader layer).
+            // Keep the mutation valid UTF-8: both paths take text (the
+            // reader turns invalid UTF-8 into a malformed record, tested
+            // below).
             let at = flip_at % bytes.len();
             bytes[at] = flip_byte & 0x7f;
         }
         let line = String::from_utf8(bytes).expect("ASCII stays ASCII");
-        let reference = ndjson::parse_line(&line);
-        let fast = ndjson::parse_line_bytes(line.as_bytes());
-        prop_assert_eq!(fast.is_ok(), reference.is_ok(), "line: {:?}", line);
-        if let (Ok(fast), Ok(reference)) = (fast, reference) {
-            prop_assert_eq!(fast, reference);
-        }
+        prop_assert_eq!(ndjson::parse_line(&line).ok(), via_tree(&line).ok(), "line: {:?}", line);
     }
 
-    /// Document level: over a stream mixing valid, blank and malformed
-    /// lines, the buffered serde reader and the zero-copy slice reader
-    /// yield the same record sequence, the same 1-based error lines, the
-    /// same line counts and the same resume fingerprints — which is what
-    /// lets a checkpoint written from one ingest path resume under the
-    /// other.
+    /// Document level: over a stream mixing valid, blank, malformed and
+    /// non-UTF-8 lines, the reader over the whole slice (how `kav` reads a
+    /// memory-mapped file) and the reader over the same bytes in `chunk`-
+    /// byte reads (how stdin arrives) yield the same record sequence, the
+    /// same 1-based errors, the same line counts and the same resume
+    /// fingerprints — which is what lets a checkpoint written from one
+    /// source resume under the other. Every well-formed line decodes to
+    /// its record and every other non-blank line is one error.
     #[test]
     fn readers_agree_on_records_errors_and_fingerprints(
         records in prop::collection::vec(record_strategy(), 0..12),
-        breakage_picks in prop::collection::vec(0usize..BREAKAGES.len(), 0..4),
+        breakage_picks in prop::collection::vec(0usize..BREAKAGES.len() + NOT_UTF8.len(), 0..4),
         blanks in 0usize..3,
         trailing_newline in any::<bool>(),
         shuffle_seed in any::<u64>(),
+        chunk in 1usize..16,
     ) {
-        let mut lines: Vec<String> = records
+        let mut lines: Vec<(Vec<u8>, Option<StreamRecord>)> = records
             .iter()
             .enumerate()
-            .map(|(i, r)| render_line(r, i, i % 2 == 0, None, i % 3 == 0))
+            .map(|(i, r)| (render_line(r, i, i % 2 == 0, None, i % 3 == 0).into_bytes(), Some(*r)))
             .collect();
-        lines.extend(breakage_picks.iter().map(|&i| BREAKAGES[i].to_owned()));
-        lines.extend((0..blanks).map(|_| String::new()));
+        lines.extend(breakage_picks.iter().map(|&i| {
+            let line = match BREAKAGES.get(i) {
+                Some(text) => text.as_bytes(),
+                None => NOT_UTF8[i - BREAKAGES.len()],
+            };
+            (line.to_vec(), None)
+        }));
+        lines.extend((0..blanks).map(|_| (Vec::new(), None)));
         // Deterministic Fisher-Yates so malformed lines land anywhere.
         let mut state = shuffle_seed | 1;
         for i in (1..lines.len()).rev() {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             lines.swap(i, (state >> 33) as usize % (i + 1));
         }
-        let mut doc = lines.join("\n");
+        let mut doc = lines.iter().map(|(line, _)| line.as_slice()).collect::<Vec<_>>().join(&b'\n');
         if trailing_newline && !doc.is_empty() {
-            doc.push('\n');
+            doc.push(b'\n');
         }
 
-        let mut reference =
-            ndjson::Reader::with_fingerprint(doc.as_bytes(), Fingerprint::new());
-        let mut fast =
-            ndjson::SliceReader::with_fingerprint(doc.as_bytes(), Fingerprint::new());
+        let mut whole = ndjson::SliceReader::with_fingerprint(&doc, Fingerprint::new());
+        let mut chunked = ndjson::Reader::with_fingerprint(
+            std::io::BufReader::with_capacity(chunk, doc.as_slice()),
+            Fingerprint::new(),
+        );
+        let (mut decoded, mut errors) = (Vec::new(), 0);
         loop {
-            let (a, b) = (reference.next(), fast.next());
+            let (a, b) = (whole.next(), chunked.next());
+            prop_assert_eq!(whole.lines_read(), chunked.lines_read(), "line counts diverge");
             prop_assert_eq!(
-                reference.lines_read(),
-                fast.lines_read(),
-                "line counts diverge"
-            );
-            prop_assert_eq!(
-                reference.fingerprint(),
-                fast.fingerprint(),
+                whole.fingerprint(),
+                chunked.fingerprint(),
                 "fingerprints diverge at line {}",
-                reference.lines_read()
+                whole.lines_read()
             );
             match (a, b) {
                 (None, None) => break,
-                (Some(Ok(a)), Some(Ok(b))) => prop_assert_eq!(a, b),
+                (Some(Ok(a)), Some(Ok(b))) => {
+                    prop_assert_eq!(a, b);
+                    decoded.push(a);
+                }
                 (
-                    Some(Err(NdjsonError::Parse { line: a, .. })),
-                    Some(Err(NdjsonError::Parse { line: b, .. })),
-                ) => prop_assert_eq!(a, b, "error lines diverge: {} vs {}", a, b),
+                    Some(Err(a @ NdjsonError::Parse { .. })),
+                    Some(Err(b @ NdjsonError::Parse { .. })),
+                ) => {
+                    prop_assert_eq!(a.to_string(), b.to_string());
+                    errors += 1;
+                }
                 (a, b) => prop_assert!(false, "readers diverge: {:?} vs {:?}", a, b),
             }
         }
+        let expected: Vec<StreamRecord> = lines.iter().filter_map(|(_, r)| *r).collect();
+        prop_assert_eq!(decoded, expected);
+        prop_assert_eq!(errors, breakage_picks.len());
     }
 
     /// The buffered line writer is byte-identical to serde serialisation,
-    /// and both decoders roundtrip its output.
+    /// and the decoder roundtrips its output.
     #[test]
     fn buffered_writer_matches_serde(record in record_strategy()) {
         let mut line = String::new();
         ndjson::write_line_into(&record, &mut line);
         prop_assert_eq!(&line, &serde_json::to_string(&record).unwrap());
         prop_assert_eq!(&line, &ndjson::to_line(&record));
-        prop_assert_eq!(ndjson::parse_line(&line).unwrap(), record.clone());
-        prop_assert_eq!(ndjson::parse_line_bytes(line.as_bytes()).unwrap(), record);
+        prop_assert_eq!(ndjson::parse_line(&line).unwrap(), record);
     }
 
     /// The binary frame format roundtrips the same records the NDJSON
