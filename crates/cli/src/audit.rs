@@ -24,7 +24,12 @@ use kav_history::fxhash::Fingerprint;
 use kav_history::{frame, ndjson, History};
 use serde::Serialize;
 use std::error::Error;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+
+/// Read buffer of a file input; stdin reads through its own lock's buffer.
+const INPUT_BUFFER_BYTES: usize = 64 * 1024;
 
 /// A verifier, resolved once from `(model, algo, k, budget)`: flags on a
 /// fresh run, the checkpoint on a resumed one.
@@ -344,32 +349,28 @@ impl<'a> AuditSession<'a> {
         // Fingerprint whenever checkpoints are written (so they can later
         // be verified) or verified (a resume).
         let fingerprinted = self.checkpoint_path.is_some() || self.resume.is_some();
-        let mapped;
-        let mut source = if self.input == "-" {
-            if self.binary {
-                return Err(bad_input(
-                    "--format binary requires a file argument (stdin ingest is NDJSON-only)",
-                ));
-            }
-            IngestSource::Stdin(ndjson_reader(std::io::stdin().lock(), fingerprinted))
+        let input: Box<dyn BufRead> = if self.input == "-" {
+            Box::new(std::io::stdin().lock())
         } else {
-            mapped =
-                crate::mmap::map_file(self.input).map_err(|e| format!("{}: {e}", self.input))?;
-            if self.binary {
-                let reader = if fingerprinted {
-                    frame::FrameReader::with_fingerprint(&mapped, Fingerprint::new())
-                } else {
-                    frame::FrameReader::new(&mapped)
-                }
-                .map_err(|e| bad_input(format!("{}: {e}", self.input)))?;
-                IngestSource::Binary(reader)
+            let file = File::open(self.input).map_err(|e| format!("{}: {e}", self.input))?;
+            Box::new(BufReader::with_capacity(INPUT_BUFFER_BYTES, file))
+        };
+        let mut source = if self.binary {
+            let reader = if fingerprinted {
+                frame::Reader::with_fingerprint(input, Fingerprint::new())
             } else {
-                IngestSource::File(ndjson_reader(&mapped[..], fingerprinted))
+                frame::Reader::new(input)
             }
+            .map_err(|e| bad_input(format!("{}: {e}", self.input)))?;
+            IngestSource::Binary(reader)
+        } else if fingerprinted {
+            IngestSource::Ndjson(ndjson::Reader::with_fingerprint(input, Fingerprint::new()))
+        } else {
+            IngestSource::Ndjson(ndjson::Reader::new(input))
         };
         let (prefix_verified, mut total_malformed, mut malformed) = match &self.resume {
             Some(checkpoint) => (
-                verify_prefix(&mut source, checkpoint)?,
+                verify_prefix(&mut source, self.input, checkpoint)?,
                 checkpoint.source.malformed,
                 checkpoint.source.malformed_samples.clone(),
             ),
@@ -410,7 +411,9 @@ impl<'a> AuditSession<'a> {
                         malformed.push(e.to_string());
                     }
                 }
-                Err(e) => return Err(e.into()),
+                Err(ndjson::NdjsonError::Io(e)) => {
+                    return Err(format!("{}: {e}", self.input).into())
+                }
             }
             records += 1;
             if let (Sink::Fleet { workers, coordinator }, Some(plan)) = (&mut sink, &self.fleet) {
@@ -686,10 +689,14 @@ impl Drop for Workers {
 }
 
 /// Step 2's resume check: re-reads the prefix the checkpoint summarised
-/// and proves it byte-identical before its verdicts are trusted. Returns
-/// whether the prefix was verified — a non-seekable source cannot be.
-fn verify_prefix(source: &mut IngestSource<'_>, checkpoint: &Checkpoint) -> CmdResult<bool> {
-    if let IngestSource::Stdin(_) = source {
+/// from `input` and proves it byte-identical before its verdicts are
+/// trusted. Returns whether the prefix was verified — stdin cannot be.
+fn verify_prefix(
+    source: &mut IngestSource,
+    input: &str,
+    checkpoint: &Checkpoint,
+) -> CmdResult<bool> {
+    if input == "-" {
         // The operator feeds the remaining records, the audit continues,
         // and YES degrades to UNKNOWN (NO stays sound). Lines and
         // fingerprint restart with this run's input, consistent with any
@@ -701,7 +708,7 @@ fn verify_prefix(source: &mut IngestSource<'_>, checkpoint: &Checkpoint) -> CmdR
         return Ok(false);
     }
     let lines = checkpoint.source.lines;
-    let skipped = source.skip_units(lines)?;
+    let skipped = source.skip_units(lines).map_err(|e| format!("{input}: {e}"))?;
     let problem = if skipped < lines {
         format!(
             "input ends after {skipped} records but the checkpoint covers {lines}; \
@@ -747,51 +754,33 @@ struct ProgressLine {
     shards: Vec<ShardProgress>,
 }
 
-/// The NDJSON decoder over `input`, fingerprinting every line when
-/// `fingerprinted`.
-fn ndjson_reader<R: std::io::BufRead>(input: R, fingerprinted: bool) -> ndjson::Reader<R> {
-    if fingerprinted {
-        ndjson::Reader::with_fingerprint(input, Fingerprint::new())
-    } else {
-        ndjson::Reader::new(input)
-    }
-}
-
-/// The ingest paths, behind one cursor. Positions count raw lines for
+/// The two input formats behind one cursor. Positions count raw lines for
 /// NDJSON and frames for binary; checkpoints store whichever the run used,
 /// so a resume must keep the format (the fingerprint enforces it).
-enum IngestSource<'a> {
-    /// NDJSON on stdin. It decodes exactly like [`IngestSource::File`]; it
-    /// is its own variant only because stdin cannot be re-read to prove a
-    /// resumed prefix.
-    Stdin(ndjson::Reader<std::io::StdinLock<'static>>),
-    /// A memory-mapped NDJSON file.
-    File(ndjson::SliceReader<'a>),
-    /// A memory-mapped binary frame file (`--format binary`).
-    Binary(frame::FrameReader<'a>),
+enum IngestSource {
+    Ndjson(ndjson::Reader<Box<dyn BufRead>>),
+    /// `--format binary`.
+    Binary(frame::Reader<Box<dyn BufRead>>),
 }
 
-impl IngestSource<'_> {
+impl IngestSource {
     fn next_record(&mut self) -> Option<Result<ndjson::StreamRecord, ndjson::NdjsonError>> {
         match self {
-            IngestSource::Stdin(r) => r.next(),
-            IngestSource::File(r) => r.next(),
+            IngestSource::Ndjson(r) => r.next(),
             IngestSource::Binary(r) => r.next(),
         }
     }
 
     fn units_read(&self) -> u64 {
         match self {
-            IngestSource::Stdin(r) => r.lines_read(),
-            IngestSource::File(r) => r.lines_read(),
+            IngestSource::Ndjson(r) => r.lines_read(),
             IngestSource::Binary(r) => r.frames_read(),
         }
     }
 
     fn fingerprint(&self) -> Option<u64> {
         match self {
-            IngestSource::Stdin(r) => r.fingerprint(),
-            IngestSource::File(r) => r.fingerprint(),
+            IngestSource::Ndjson(r) => r.fingerprint(),
             IngestSource::Binary(r) => r.fingerprint(),
         }
     }
@@ -799,8 +788,7 @@ impl IngestSource<'_> {
     /// Skips up to `n` raw units without decoding them; returns how many.
     fn skip_units(&mut self, n: u64) -> std::io::Result<u64> {
         match self {
-            IngestSource::Stdin(r) => r.skip_raw_lines(n),
-            IngestSource::File(r) => r.skip_raw_lines(n),
+            IngestSource::Ndjson(r) => r.skip_raw_lines(n),
             IngestSource::Binary(r) => r.skip_raw_frames(n),
         }
     }

@@ -79,8 +79,8 @@ pub fn usage() -> &'static str {
      \x20        [--gap-budget <nodes|unbounded>] [--format ndjson|binary]\n\
      \x20        [--checkpoint <file>] [--checkpoint-every <ops>]\n\
      \x20        [--resume <file>] [--progress-every <records>]\n\
-     \x20        <ops.ndjson | ->      (- reads NDJSON from stdin; files are memory-mapped\n\
-     \x20                               and read in the chosen --format)\n\
+     \x20        <ops.ndjson | ->      (- reads stdin; stdin, files and pipes are all\n\
+     \x20                               streamed in the chosen --format)\n\
      \x20        exit codes: 0 = verified, 1 = violation, 2 = unusable input\n\
      \x20        (see docs/OPERATIONS.md for the checkpoint/resume lifecycle)\n\
      \x20 kav serve --workers <N> [same verification flags as stream,\n\

@@ -3,10 +3,11 @@
 //! Run `kav --help` (or any unknown subcommand) for usage. Histories are
 //! exchanged as JSON files in the `kav-history` format.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod audit;
 mod commands;
-mod mmap;
 
 use args::Args;
 use std::process::ExitCode;

@@ -258,10 +258,31 @@ fn stream_never_reports_io_or_usage_trouble_as_a_violation() {
     let out = kav(&["stream", "/nonexistent/ops.ndjson"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("/nonexistent/ops.ndjson: "), "{}", stderr(&out));
+    // A directory opens, but every read of it fails.
+    let dir = std::env::temp_dir();
+    for format in ["ndjson", "binary"] {
+        let out = kav(&["stream", "--format", format, dir.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains(&format!("{}: ", dir.display())), "{}", stderr(&out));
+    }
 
     let out = kav(&["stream", "--window", "many", "-"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("window"), "{}", stderr(&out));
+}
+
+#[test]
+fn an_empty_file_is_an_empty_record_stream_but_not_a_frame_stream() {
+    let path = temp_file("empty_input.ndjson");
+    std::fs::write(&path, "").unwrap();
+    let out = kav(&["stream", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stdout(&out).contains("verified 0 ops"), "{}", stdout(&out));
+    assert!(stdout(&out).contains("YES"), "{}", stdout(&out));
+
+    let out = kav(&["stream", "--format", "binary", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("not a kav binary frame stream"), "{}", stderr(&out));
 }
 
 #[test]
@@ -390,6 +411,116 @@ fn stdin_and_file_checkpoints_are_byte_identical() {
         assert_eq!(file_out, stdin_out);
         assert!(file_ckpt == stdin_ckpt, "{} checkpoints differ by source", driver[0]);
     }
+}
+
+#[test]
+fn binary_stdin_and_file_runs_are_byte_identical() {
+    // The frame twin of the test above: one reader takes frames from a
+    // file or from stdin, so the table, the exit code and the checkpoint
+    // match. One flipped kind byte makes a malformed frame.
+    let input = temp_file("binary_source_ops.bin");
+    let out = kav(&[
+        "gen", "--workload", "stream", "--keys", "3", "--n", "200", "--format", "binary",
+        "--out", input.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let mut frames = std::fs::read(&input).unwrap();
+    frames[8 + 10 * 37 + 36] = 9;
+    std::fs::write(&input, &frames).unwrap();
+    for driver in DRIVERS {
+        let run = |from_stdin: bool| {
+            let ckpt = temp_file(&format!("binary_source_{}_{from_stdin}.ckpt", driver[0]));
+            std::fs::remove_file(&ckpt).ok();
+            let flags = ["--format", "binary", "--window", "32", "--checkpoint-every", "50"];
+            let flags = [&flags[..], &["--checkpoint", ckpt.to_str().unwrap()]].concat();
+            let out = if from_stdin {
+                kav_with_stdin(&argv(driver, &[&flags[..], &["-"]].concat()), &frames)
+            } else {
+                kav(&argv(driver, &[&flags[..], &[input.to_str().unwrap()]].concat()))
+            };
+            assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+            assert!(stderr(&out).contains("line 11: "), "{}", stderr(&out));
+            (stdout(&out), std::fs::read(&ckpt).unwrap())
+        };
+        let (file_out, file_ckpt) = run(false);
+        let (stdin_out, stdin_ckpt) = run(true);
+        assert!(file_out.contains("key | ops"), "{file_out}");
+        assert_eq!(file_out, stdin_out);
+        assert!(file_ckpt == stdin_ckpt, "{} checkpoints differ by source", driver[0]);
+    }
+}
+
+#[test]
+fn a_file_truncated_mid_run_ends_the_stream_with_a_report() {
+    // copytruncate log rotation cuts the input to 0 bytes under a running
+    // audit: the reader meets end of input, the torn buffered line is one
+    // malformed record, and the run still reports.
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let path = temp_file("truncated_mid_run.ndjson");
+    let out = kav(&[
+        "gen", "--workload", "stream", "--keys", "6", "--n", "25000", "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_kav"))
+        .args(["stream", "--progress-every", "1000", path.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("kav binary spawns");
+    let (mut truncated, mut diagnostics) = (false, String::new());
+    for line in BufReader::new(child.stderr.take().unwrap()).lines() {
+        let line = line.unwrap();
+        if !line.contains("\"record\":\"progress\"") {
+            diagnostics.push_str(&line);
+            diagnostics.push('\n');
+        } else if !truncated {
+            std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
+            truncated = true;
+        }
+    }
+    let out = child.wait_with_output().unwrap();
+    assert!(truncated, "no progress record arrived: {diagnostics}");
+    assert!(out.status.code().is_some(), "kav died: {:?}\n{diagnostics}", out.status);
+    assert!(stdout(&out).contains("key | ops"), "{}\n{diagnostics}", stdout(&out));
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_pipe_given_as_the_file_argument_is_audited_as_it_arrives() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+    use std::time::Duration;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_kav"))
+        .args(["stream", "--progress-every", "100", "/dev/stdin"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("kav binary spawns");
+    let (lines, received) = std::sync::mpsc::channel();
+    let stderr_pipe = child.stderr.take().unwrap();
+    let reader = std::thread::spawn(move || {
+        for line in BufReader::new(stderr_pipe).lines().map_while(Result::ok) {
+            let _ = lines.send(line);
+        }
+    });
+    let mut stdin = child.stdin.take().unwrap();
+    for i in 0..200u64 {
+        let (start, finish) = (10 * i, 10 * i + 5);
+        writeln!(stdin, r#"{{"kind":"write","value":{i},"start":{start},"finish":{finish}}}"#)
+            .unwrap();
+    }
+    // The pipe stays open: a progress record must come before the end.
+    let first = received.recv_timeout(Duration::from_secs(20));
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    reader.join().unwrap();
+    let first = first.expect("no progress record before the writer closed the pipe");
+    assert!(first.contains("\"record\":\"progress\""), "{first}");
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    assert!(stdout(&out).contains("YES"), "{}", stdout(&out));
 }
 
 #[test]
@@ -1026,7 +1157,7 @@ fn serve_validates_the_run_before_spawning_workers() {
     // early error leaves no orphan to report a broken fleet transport.
     let out = kav_with_stdin(&["serve", "--workers", "2", "--format", "binary", "-"], "");
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stderr(&out).contains("requires a file argument"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("not a kav binary frame stream"), "{}", stderr(&out));
     assert!(!stderr(&out).contains("worker:"), "{}", stderr(&out));
 
     let input = stream_fixture("orphan_ops.ndjson");

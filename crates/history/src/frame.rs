@@ -15,7 +15,7 @@
 //!     37     8  client  (u64 LE, v2 only; 0 = untagged)
 //! ```
 //!
-//! [`FrameReader`] sniffs the leading magic and decodes either version;
+//! A [`Reader`] reads the leading magic and decodes either version;
 //! writers pick one explicitly ([`FrameWriter::new`] for v1, which rejects
 //! client-tagged records rather than silently dropping the tag, and
 //! [`FrameWriter::new_v2`] for v2).
@@ -26,10 +26,11 @@
 //!   streaming pipeline: one flat allocation per batch instead of a
 //!   `Vec<(u64, Operation)>` per send, and the natural wire format once
 //!   shards live in other processes.
-//! * **On disk / on the wire** — a stream file is the 8-byte magic
+//! * **On disk / on the wire** — a stream is the 8-byte magic
 //!   [`FRAME_MAGIC`] followed by consecutive frames (`kav gen --format
-//!   binary`, `kav stream --format binary`). [`FrameReader`] mirrors the
-//!   NDJSON readers' accounting: frames take the place of lines in
+//!   binary`, `kav stream --format binary`), from a file, a pipe or
+//!   stdin. [`Reader`] streams it through any `BufRead` and mirrors the
+//!   NDJSON reader's accounting: frames take the place of lines in
 //!   checkpoint positions, and the resume [`Fingerprint`] chain digests
 //!   one chunk per frame — so a checkpoint records which format produced
 //!   it, and cross-format resume fails the fingerprint check instead of
@@ -41,6 +42,7 @@ use crate::{OpKind, Operation, Time, Value, Weight, UNTAGGED_CLIENT};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs;
+use std::io::{BufRead, Read};
 use std::path::Path;
 
 /// Leading magic of a v1 binary stream file (37-byte frames, no client).
@@ -509,31 +511,37 @@ pub fn write_frames<'a>(
     Ok(())
 }
 
-/// Reader over an in-memory binary frame stream (an mmap'd file or fully
-/// buffered pipe) — the frame-format peer of `ndjson::Reader`.
+/// Streaming reader over a binary frame stream — the frame-format peer of
+/// [`ndjson::Reader`](crate::ndjson::Reader), over any [`BufRead`]: a
+/// buffered file, a pipe, stdin or bytes already in memory.
 ///
-/// Frames take the place of lines: [`frames_read`](FrameReader::frames_read)
+/// Frames take the place of lines: [`frames_read`](Reader::frames_read)
 /// is the checkpoint position unit, errors carry the 1-based frame number,
 /// and the resume [`Fingerprint`] chain digests one chunk per consumed
-/// frame (malformed ones included, like malformed NDJSON lines).
-pub struct FrameReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// frame (malformed ones included, like malformed NDJSON lines). A frame
+/// cut short by the end of the input is the truncated tail: it is counted,
+/// fingerprinted and reported like any other malformed frame.
+pub struct Reader<R> {
+    input: R,
     frames: u64,
     frame_len: usize,
+    buf: [u8; FRAME_LEN_V2],
     fingerprint: Option<Fingerprint>,
 }
 
-impl<'a> FrameReader<'a> {
-    /// Wraps a frame stream (no fingerprinting), sniffing the leading
-    /// magic to pick the v1 or v2 layout.
+/// A [`Reader`] over frame bytes already in memory.
+pub type FrameReader<'a> = Reader<&'a [u8]>;
+
+impl<R: BufRead> Reader<R> {
+    /// Wraps a frame stream (no fingerprinting), reading the leading magic
+    /// to pick the v1 or v2 layout.
     ///
     /// # Errors
     ///
     /// Rejects input that begins with neither [`FRAME_MAGIC`] nor
-    /// [`FRAME_MAGIC_V2`].
-    pub fn new(bytes: &'a [u8]) -> Result<Self, NdjsonError> {
-        Self::build(bytes, None)
+    /// [`FRAME_MAGIC_V2`], and propagates I/O errors reading it.
+    pub fn new(input: R) -> Result<Self, NdjsonError> {
+        Self::build(input, None)
     }
 
     /// Wraps a frame stream and fingerprints every consumed frame.
@@ -541,23 +549,24 @@ impl<'a> FrameReader<'a> {
     /// # Errors
     ///
     /// Rejects input that begins with neither [`FRAME_MAGIC`] nor
-    /// [`FRAME_MAGIC_V2`].
-    pub fn with_fingerprint(bytes: &'a [u8], fingerprint: Fingerprint) -> Result<Self, NdjsonError> {
-        Self::build(bytes, Some(fingerprint))
+    /// [`FRAME_MAGIC_V2`], and propagates I/O errors reading it.
+    pub fn with_fingerprint(input: R, fingerprint: Fingerprint) -> Result<Self, NdjsonError> {
+        Self::build(input, Some(fingerprint))
     }
 
-    fn build(bytes: &'a [u8], fingerprint: Option<Fingerprint>) -> Result<Self, NdjsonError> {
-        let frame_len = if bytes.len() >= FRAME_MAGIC.len() && bytes[..FRAME_MAGIC.len()] == FRAME_MAGIC {
-            FRAME_LEN
-        } else if bytes.len() >= FRAME_MAGIC_V2.len() && bytes[..FRAME_MAGIC_V2.len()] == FRAME_MAGIC_V2 {
-            FRAME_LEN_V2
-        } else {
-            return Err(NdjsonError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "not a kav binary frame stream (bad magic; expected KAVF0001 or KAVF0002)",
-            )));
+    fn build(mut input: R, fingerprint: Option<Fingerprint>) -> Result<Self, NdjsonError> {
+        let mut magic = [0u8; 8];
+        let frame_len = match (fill(&mut input, &mut magic)?, magic) {
+            (8, FRAME_MAGIC) => FRAME_LEN,
+            (8, FRAME_MAGIC_V2) => FRAME_LEN_V2,
+            _ => {
+                return Err(NdjsonError::Io(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "not a kav binary frame stream (bad magic; expected KAVF0001 or KAVF0002)",
+                )))
+            }
         };
-        Ok(FrameReader { bytes, pos: FRAME_MAGIC.len(), frames: 0, frame_len, fingerprint })
+        Ok(Reader { input, frames: 0, frame_len, buf: [0; FRAME_LEN_V2], fingerprint })
     }
 
     /// Frames consumed so far (malformed ones included) — the position
@@ -572,22 +581,18 @@ impl<'a> FrameReader<'a> {
         self.fingerprint.as_ref().map(Fingerprint::value)
     }
 
-    /// The next raw frame — one layout-width chunk, or a shorter
-    /// truncated tail.
-    fn peek_raw_frame(&self) -> Option<&'a [u8]> {
-        if self.pos >= self.bytes.len() {
-            return None;
+    /// Reads the next raw frame into `buf` and counts and fingerprints it.
+    /// Returns its length: the layout width, less for the truncated tail,
+    /// 0 at end of input.
+    fn read_raw_frame(&mut self) -> std::io::Result<usize> {
+        let len = fill(&mut self.input, &mut self.buf[..self.frame_len])?;
+        if len > 0 {
+            self.frames += 1;
+            if let Some(fp) = &mut self.fingerprint {
+                fp.update(&self.buf[..len]);
+            }
         }
-        let rest = &self.bytes[self.pos..];
-        Some(&rest[..rest.len().min(self.frame_len)])
-    }
-
-    fn consume(&mut self, frame: &[u8]) {
-        self.pos += frame.len();
-        self.frames += 1;
-        if let Some(fp) = &mut self.fingerprint {
-            fp.update(frame);
-        }
+        Ok(len)
     }
 
     fn parse_error(&self, message: String) -> NdjsonError {
@@ -598,38 +603,53 @@ impl<'a> FrameReader<'a> {
     }
 
     /// Consumes up to `n` raw frames without decoding them (they still
-    /// count toward [`frames_read`](FrameReader::frames_read) and the
+    /// count toward [`frames_read`](Reader::frames_read) and the
     /// fingerprint; a truncated tail counts as one frame). Returns how
     /// many frames were actually available.
     ///
     /// # Errors
     ///
-    /// Infallible in practice; `io::Result` for signature parity with the
-    /// NDJSON readers' `skip_raw_lines`.
+    /// Propagates I/O errors from the underlying reader.
     pub fn skip_raw_frames(&mut self, n: u64) -> std::io::Result<u64> {
         let mut skipped = 0;
-        while skipped < n {
-            let Some(raw) = self.peek_raw_frame() else { break };
-            self.consume(raw);
+        while skipped < n && self.read_raw_frame()? > 0 {
             skipped += 1;
         }
         Ok(skipped)
     }
 }
 
-impl Iterator for FrameReader<'_> {
+/// Reads into `buf` until it is full or the input ends; returns how many
+/// bytes arrived.
+fn fill(input: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match input.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
+}
+
+impl<R: BufRead> Iterator for Reader<R> {
     type Item = Result<StreamRecord, NdjsonError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let raw = self.peek_raw_frame()?;
-        self.consume(raw);
-        if raw.len() < self.frame_len {
+        let len = match self.read_raw_frame() {
+            Ok(0) => return None,
+            Ok(len) => len,
+            Err(e) => return Some(Err(e.into())),
+        };
+        if len < self.frame_len {
             return Some(Err(self.parse_error(format!(
-                "truncated frame: {} trailing bytes (frames are {} bytes)",
-                raw.len(),
+                "truncated frame: {len} trailing bytes (frames are {} bytes)",
                 self.frame_len
             ))));
         }
+        let raw = &self.buf[..len];
         let decoded = if self.frame_len == FRAME_LEN_V2 {
             decode_frame_v2(raw)
         } else {

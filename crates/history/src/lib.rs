@@ -46,7 +46,6 @@ pub mod csv;
 pub mod frame;
 pub mod fxhash;
 mod history;
-mod interval_tree;
 pub mod json;
 pub mod ndjson;
 mod normalize;
@@ -65,7 +64,6 @@ pub use builder::HistoryBuilder;
 pub use chunk::{chunk_set, Chunk, ChunkSet};
 pub use cluster::{clusters, Cluster, ClusterId};
 pub use history::History;
-pub use interval_tree::{IntervalTree, TreeInterval};
 pub use op::{OpId, OpKind, Operation, Value, Weight, UNTAGGED_CLIENT};
 pub use raw::RawHistory;
 pub use render::render_timeline;

@@ -29,8 +29,8 @@
 //! Blank lines are ignored.
 //!
 //! Every NDJSON byte is decoded the same way, whether it comes from a
-//! memory-mapped file or from stdin: a [`Reader`] splits the input into
-//! raw lines and decodes each with [`parse_line`], which is
+//! file, a pipe or stdin: a [`Reader`] splits the input into raw lines
+//! and decodes each with [`parse_line`], which is
 //! `serde_json::from_str`. Records are written by [`StreamWriter`].
 
 use crate::fxhash::Fingerprint;
@@ -250,11 +250,12 @@ impl<W: std::io::Write> StreamWriter<W> {
 /// Streaming reader over any [`BufRead`], yielding records with 1-based
 /// line numbers attached to errors. Blank lines are skipped.
 ///
-/// This is the one NDJSON decoder: stdin arrives through a chunked
-/// `BufRead`, and a memory-mapped file is read as a [`SliceReader`]. Each
-/// raw line is copied into one reused buffer and decoded with
-/// [`parse_line`]; a line that is not valid UTF-8 is a malformed record
-/// ([`NdjsonError::Parse`]), like any other line that fails to decode.
+/// This is the one NDJSON decoder: a file, a pipe and stdin all arrive
+/// through a chunked `BufRead`, and bytes already in memory are read as a
+/// [`SliceReader`]. Each raw line is copied into one reused buffer and
+/// decoded with [`parse_line`]; a line that is not valid UTF-8 is a
+/// malformed record ([`NdjsonError::Parse`]), like any other line that
+/// fails to decode.
 ///
 /// For checkpointable audits the reader can also maintain a running
 /// [`Fingerprint`] of every *raw line* it consumes (including blank and
@@ -268,9 +269,8 @@ pub struct Reader<R> {
     fingerprint: Option<Fingerprint>,
 }
 
-/// A [`Reader`] over bytes already in memory, such as a memory-mapped
-/// file. `&[u8]` is a [`BufRead`], so this is the decoder stdin goes
-/// through too.
+/// A [`Reader`] over bytes already in memory. `&[u8]` is a [`BufRead`],
+/// so this is the decoder files and stdin go through too.
 ///
 /// # Examples
 ///
@@ -611,8 +611,8 @@ mod tests {
 
     #[test]
     fn slice_reader_matches_reader_on_records_errors_and_fingerprints() {
-        // The whole slice at once (a memory-mapped file) against the same
-        // bytes in 3-byte chunks (how stdin arrives).
+        // The whole slice at once against the same bytes in 3-byte
+        // chunks (how a pipe or stdin can arrive).
         let text = "\n{\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":2}\n\n{ bad\n{\"kind\":\"read\",\"value\":1,\"start\":3,\"finish\":4}";
         let chunked = || std::io::BufReader::with_capacity(3, text.as_bytes());
         let mut by_io = Reader::with_fingerprint(chunked(), Fingerprint::new());

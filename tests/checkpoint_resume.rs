@@ -491,8 +491,7 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
     // write, so kills at records 12/24/36 land on delta-resolved state
     // (writes 3, 6, 9 — the chain is base + deltas at two of the three).
     let drive = |from: usize, until: usize, version: u64| {
-        // The whole slice at once (a memory-mapped file), or 7-byte reads
-        // (stdin).
+        // The whole slice at once, or 7-byte reads (a pipe or stdin).
         let mut whole = ndjson::SliceReader::with_fingerprint(doc.as_bytes(), Fingerprint::new());
         let mut chunked = ndjson::Reader::with_fingerprint(
             std::io::BufReader::with_capacity(7, doc.as_bytes()),

@@ -6,13 +6,14 @@
 //!   (serde_json's direct reader) returns exactly what parsing a `Value`
 //!   tree and converting it returns: the same record, or an error on both.
 //! * Over a document mixing valid, blank, malformed and non-UTF-8 lines,
-//!   an [`ndjson::Reader`] over the whole slice (a memory-mapped file) and
-//!   one over the same bytes in small chunks (stdin) yield the same
-//!   records, the same 1-based errors, the same line counts and the same
-//!   resume fingerprints, so checkpoints from either source interchange.
-//! * The binary frame format roundtrips the same records.
+//!   an [`ndjson::Reader`] over the whole slice and one over the same
+//!   bytes in small chunks (a pipe or stdin) yield the same records, the
+//!   same 1-based errors, the same line counts and the same resume
+//!   fingerprints, so checkpoints from either source interchange.
+//! * The binary frame format roundtrips the same records, and its
+//!   [`frame::Reader`] agrees with itself over any chunking the same way.
 
-use k_atomicity::history::frame::{FrameReader, FrameWriter, FRAME_LEN, FRAME_LEN_V2};
+use k_atomicity::history::frame::{self, FrameReader, FrameWriter, FRAME_LEN, FRAME_LEN_V2};
 use k_atomicity::history::fxhash::Fingerprint;
 use k_atomicity::history::ndjson::{self, NdjsonError, StreamRecord};
 use k_atomicity::history::{OpKind, Time, Value, Weight};
@@ -192,9 +193,9 @@ proptest! {
     }
 
     /// Document level: over a stream mixing valid, blank, malformed and
-    /// non-UTF-8 lines, the reader over the whole slice (how `kav` reads a
-    /// memory-mapped file) and the reader over the same bytes in `chunk`-
-    /// byte reads (how stdin arrives) yield the same record sequence, the
+    /// non-UTF-8 lines, the reader over the whole slice and the reader over
+    /// the same bytes in `chunk`-byte reads (how a pipe or stdin can
+    /// arrive) yield the same record sequence, the
     /// same 1-based errors, the same line counts and the same resume
     /// fingerprints — which is what lets a checkpoint written from one
     /// source resume under the other. Every well-formed line decodes to
@@ -327,6 +328,93 @@ proptest! {
         // malformed NDJSON line counts as one line.
         let consumed_tail = u64::from(!extra.is_empty());
         prop_assert_eq!(reader.frames_read(), records.len() as u64 + consumed_tail);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The frame twin of `readers_agree_on_records_errors_and_fingerprints`:
+    /// over a v1 or v2 stream with flipped kind bytes and a truncated tail,
+    /// the reader over the whole slice and the reader over the same bytes
+    /// in `chunk`-byte reads, for every `chunk` up to 64, yield the same
+    /// records, the same errors at the same frame numbers, the same frame
+    /// counts and fingerprints, and the same state after skipping the
+    /// first `skip` frames as a resume does.
+    #[test]
+    fn frame_readers_agree_on_records_errors_and_fingerprints(
+        records in prop::collection::vec(record_strategy(), 0..12),
+        v2 in any::<bool>(),
+        flips in prop::collection::vec((any::<usize>(), 2u8..=255), 0..3),
+        cut in 0usize..FRAME_LEN_V2,
+        skip in 0u64..16,
+    ) {
+        let v2 = v2 || records.iter().any(|r| r.client != 0);
+        let frame_len = if v2 { FRAME_LEN_V2 } else { FRAME_LEN };
+        let mut writer =
+            if v2 { FrameWriter::new_v2(Vec::new()) } else { FrameWriter::new(Vec::new()) };
+        for record in &records {
+            writer.write_record(record).unwrap();
+        }
+        let mut bytes = writer.finish().unwrap();
+        // The kind byte sits at offset 36 of a frame in either layout.
+        let mut flipped = std::collections::BTreeSet::new();
+        for &(at, kind) in flips.iter().filter(|_| !records.is_empty()) {
+            let frame = at % records.len();
+            bytes[8 + frame * frame_len + 36] = kind;
+            flipped.insert(frame);
+        }
+        let tail = cut % frame_len;
+        bytes.extend(std::iter::repeat_n(0xAB, tail));
+
+        let whole = || FrameReader::with_fingerprint(&bytes, Fingerprint::new()).unwrap();
+        let chunked = |chunk| {
+            let input = std::io::BufReader::with_capacity(chunk, bytes.as_slice());
+            frame::Reader::with_fingerprint(input, Fingerprint::new()).unwrap()
+        };
+        let (mut decoded, mut errors) = (Vec::new(), 0);
+        for item in whole() {
+            match item {
+                Ok(record) => decoded.push(record),
+                Err(NdjsonError::Parse { .. }) => errors += 1,
+                Err(e) => prop_assert!(false, "i/o error from a slice: {}", e),
+            }
+        }
+        let expected: Vec<StreamRecord> = records
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !flipped.contains(i))
+            .map(|(_, r)| *r)
+            .collect();
+        prop_assert_eq!(decoded, expected);
+        prop_assert_eq!(errors, flipped.len() + usize::from(tail > 0));
+
+        let rest = |reader: &mut dyn Iterator<Item = Result<StreamRecord, NdjsonError>>| {
+            reader.map(|item| item.map_err(|e| e.to_string())).collect::<Vec<_>>()
+        };
+        for chunk in 1..=64 {
+            let (mut a, mut b) = (whole(), chunked(chunk));
+            loop {
+                let (x, y) = (a.next(), b.next());
+                prop_assert_eq!(a.frames_read(), b.frames_read(), "chunk {}", chunk);
+                prop_assert_eq!(a.fingerprint(), b.fingerprint(), "chunk {}", chunk);
+                match (x, y) {
+                    (None, None) => break,
+                    (Some(Ok(x)), Some(Ok(y))) => prop_assert_eq!(x, y),
+                    (
+                        Some(Err(x @ NdjsonError::Parse { .. })),
+                        Some(Err(y @ NdjsonError::Parse { .. })),
+                    ) => prop_assert_eq!(x.to_string(), y.to_string()),
+                    (x, y) => prop_assert!(false, "chunk {}: {:?} vs {:?}", chunk, x, y),
+                }
+            }
+
+            let (mut a, mut b) = (whole(), chunked(chunk));
+            prop_assert_eq!(a.skip_raw_frames(skip).unwrap(), b.skip_raw_frames(skip).unwrap());
+            prop_assert_eq!(a.frames_read(), b.frames_read());
+            prop_assert_eq!(a.fingerprint(), b.fingerprint());
+            prop_assert_eq!(rest(&mut a), rest(&mut b), "chunk {} after skip {}", chunk, skip);
+        }
     }
 }
 
