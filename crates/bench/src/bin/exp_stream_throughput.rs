@@ -502,6 +502,8 @@ fn main() {
     {
         // The straddle row: a bound-gap gadget (true k = 4) padded with 97
         // serial write/read pairs to 201 ops — one segment, no 128-op out.
+        // genk splits it at its free cuts, so the search sees only the
+        // 7-op gadget piece and `search_nodes` counts that piece.
         let mut b = HistoryBuilder::new()
             .write(1, 0, 100)
             .write(2, 2, 102)

@@ -881,6 +881,45 @@ fn verify_genk_is_the_general_k_default() {
     assert!(stderr(&out).contains("decides k = 2 only"), "{}", stderr(&out));
 }
 
+/// A write of weight 5 and its read: smallest k is 5 by the weighted
+/// rule, which GK, FZF and LBT cannot see and hand to genk.
+#[test]
+fn weighted_histories_are_decided_by_the_weighted_rule() {
+    let json = temp_file("weighted2.json");
+    std::fs::write(
+        &json,
+        r#"{"ops":[{"kind":"write","value":1,"start":0,"finish":10,"weight":5},
+                   {"kind":"read","value":1,"start":12,"finish":20}]}"#,
+    )
+    .unwrap();
+    let ndjson = temp_file("weighted2.ndjson");
+    std::fs::write(
+        &ndjson,
+        "{\"key\":0,\"kind\":\"write\",\"value\":1,\"start\":0,\"finish\":10,\"weight\":5}\n\
+         {\"key\":0,\"kind\":\"read\",\"value\":1,\"start\":12,\"finish\":20}\n",
+    )
+    .unwrap();
+    let json = json.to_str().unwrap();
+
+    let out = kav(&["stream", "--k", "2", ndjson.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "a certified YES would be unsound: {}", stdout(&out));
+    assert!(stderr(&out).contains("NO"), "{}", stderr(&out));
+
+    let out = kav(&["smallest-k", json]);
+    assert!(stdout(&out).contains("smallest k = 5"), "{}", stdout(&out));
+
+    let out = kav(&["diagnose", json]);
+    assert!(stdout(&out).contains("staleness: k = 5"), "{}", stdout(&out));
+
+    for (k, algo) in [("1", "gk"), ("2", "fzf"), ("2", "lbt"), ("4", "genk")] {
+        let out = kav(&["verify", "--k", k, "--algo", algo, json]);
+        assert!(out.status.success(), "--k {k} --algo {algo}: {}", stderr(&out));
+        assert!(stdout(&out).starts_with("NO"), "--k {k} --algo {algo}: {}", stdout(&out));
+    }
+    let out = kav(&["verify", "--k", "5", "--algo", "genk", json]);
+    assert!(stdout(&out).starts_with("YES"), "{}", stdout(&out));
+}
+
 #[test]
 fn repair_salvages_a_dirty_trace() {
     let path = temp_file("dirty.json");

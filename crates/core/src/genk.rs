@@ -27,23 +27,31 @@
 //!   Every candidate is a *checkable* witness: if its maximum weighted
 //!   separation is `≤ k`, the verdict is `KAtomic { witness }`.
 //!
-//! When the bounds disagree (`lower ≤ k < upper`), GenK escalates the gap
-//! to a node-budgeted [`ConstrainedSearch`] — the constrained-
-//! linearization engine with no op-count ceiling — and returns its
-//! verdict, or [`Verdict::Inconclusive`] past the budget. GenK therefore
-//! **never** returns an unsound YES or NO: YES always carries a witness,
-//! NO always follows from a forced separation or an exhausted search.
-//! (The [`crate::ExhaustiveSearch`] oracle, with its
-//! [`crate::MAX_SEARCH_OPS`] representation limit, is no longer on this
-//! path — it remains as the ≤128-op ground truth in the test suite.)
+//! When the bounds disagree (`lower ≤ k < upper`), GenK splits the history
+//! at its *free cuts* — points in finish order that no read/dictating-write
+//! pair straddles. The history is k-atomic iff every piece is, so a piece
+//! whose reads all stay within `k` in its slice of the best candidate
+//! order keeps that slice. Only the other (*hot*) pieces get candidate
+//! orders of their own and, if those still miss `k`, a node-budgeted
+//! [`ConstrainedSearch`] — the constrained-linearization engine with no
+//! op-count ceiling — all under the one budget of the history. Any piece
+//! NO is a NO; otherwise any piece past the budget makes the verdict
+//! [`Verdict::Inconclusive`], and YES carries the piece orders
+//! concatenated. GenK therefore **never** returns an unsound YES or NO:
+//! YES always carries a witness, NO always follows from a forced
+//! separation or an exhausted search. (The [`crate::ExhaustiveSearch`]
+//! oracle, with its [`crate::MAX_SEARCH_OPS`] representation limit, is not
+//! on this path — it remains as the ≤128-op ground truth in the test
+//! suite.)
 
 use crate::{ConstrainedSearch, TotalOrder, Verdict, Verifier};
-use kav_history::{History, OpId};
+use kav_history::{History, OpId, RawHistory, Weight};
 
-/// Default node budget for the escalation search on a bound gap. Chosen so
-/// a single gap escalation stays in the low milliseconds on commodity
-/// hardware; raise it (or pass `None` to [`GenK::with_gap_budget`]) to
-/// trade latency for fewer `UNKNOWN`s.
+/// Default node budget for the escalation search on a bound gap: one cap
+/// per history (per window when streaming), shared by the pieces it
+/// searches. Chosen so a single gap escalation stays in the low
+/// milliseconds on commodity hardware; raise it (or pass `None` to
+/// [`GenK::with_gap_budget`]) to trade latency for fewer `UNKNOWN`s.
 pub const DEFAULT_GAP_BUDGET: u64 = 250_000;
 
 /// Swap budget of the local-improvement pass, as a multiple of history
@@ -58,11 +66,14 @@ pub struct GenKReport {
     /// The forced-separation lower bound on the smallest k.
     pub lower_bound: u64,
     /// The best constructive upper bound (max separation of the best
-    /// candidate witness order).
+    /// candidate witness order of the whole history); 0 when the lower
+    /// bound alone refutes `k` and no candidate order is built.
     pub upper_bound: u64,
-    /// True when the bounds straddled `k` and the search was consulted.
+    /// True when the bounds straddled `k`, so the history was split at
+    /// its free cuts; its hot pieces may still have needed no search.
     pub escalated: bool,
-    /// Nodes expanded by the escalation search (0 when not escalated).
+    /// Nodes expanded by the escalation search, summed over the searched
+    /// pieces (0 when not escalated or when no piece needed a search).
     pub search_nodes: u64,
 }
 
@@ -98,7 +109,8 @@ pub struct GenK {
 
 impl GenK {
     /// A general-k verifier with the default escalation budget
-    /// ([`DEFAULT_GAP_BUDGET`] search nodes per gap).
+    /// ([`DEFAULT_GAP_BUDGET`] search nodes per history, shared by the
+    /// pieces it searches).
     pub fn new(k: u64) -> Self {
         GenK { k, gap_budget: Some(DEFAULT_GAP_BUDGET) }
     }
@@ -137,10 +149,11 @@ impl GenK {
             return (Verdict::KAtomic { witness: TotalOrder::new(order) }, report);
         }
 
-        // The gap: lower ≤ k < upper. Escalate to the exact oracle under a
-        // budget; an exhausted budget is UNKNOWN, never a guess.
+        // The gap: lower ≤ k < upper. Split at the free cuts and search
+        // the pieces `order` misses under a budget; an exhausted budget is
+        // UNKNOWN, never a guess.
         report.escalated = true;
-        let (verdict, nodes) = escalate_gap(history, self.k, self.gap_budget);
+        let (verdict, nodes) = escalate_gap(history, &order, self.k, self.gap_budget);
         report.search_nodes = nodes;
         (verdict, report)
     }
@@ -158,6 +171,12 @@ impl Verifier for GenK {
     fn verify(&self, history: &History) -> Verdict {
         self.verify_detailed(history).0
     }
+}
+
+/// True when every write has weight 1. GK, FZF and LBT decide only such
+/// histories; their `verify` hands any other to [`GenK`].
+pub(crate) fn unit_weights(history: &History) -> bool {
+    history.writes_by_finish().iter().all(|w| history.op(*w).weight == Weight::UNIT)
 }
 
 /// A combinatorial lower bound on the smallest k: the maximum, over all
@@ -324,21 +343,128 @@ pub(crate) fn refined_witness(
     }
 }
 
-/// The gap escalation: a node-budgeted [`ConstrainedSearch`] over the
-/// whole gap segment. The node budget is the *only* limiter — there is no
-/// op-count cliff, so any segment resolves to a certified YES/NO given
-/// enough budget. Returns the verdict and the nodes expanded.
+/// The gap escalation: splits `history` at its free cuts
+/// ([`free_cut_pieces`]) and decides the pieces one by one. `best` is the
+/// history's best candidate order, which missed `k`.
+///
+/// A piece whose reads all stay within `k` in its slice of `best` keeps
+/// that slice. Every other (*hot*) piece becomes a `History` of its own
+/// and gets its own candidate orders, then a node-budgeted
+/// [`ConstrainedSearch`] if those still miss `k`. `gap_budget` is one cap
+/// for the whole history: each search spends its nodes from it. The node
+/// budget is the *only* limiter — there is no op-count cliff, so any
+/// history resolves to a certified YES/NO given enough budget.
+///
+/// A piece NO is the history's NO (every piece is a dictation-closed
+/// sub-history); otherwise any piece UNKNOWN makes it UNKNOWN, and the YES
+/// witness is the piece orders concatenated in finish order. Returns the
+/// verdict and the nodes expanded.
 pub(crate) fn escalate_gap(
     history: &History,
+    best: &[OpId],
     k: u64,
     gap_budget: Option<u64>,
 ) -> (Verdict, u64) {
-    let search = match gap_budget {
-        Some(budget) => ConstrainedSearch::with_node_budget(k, budget),
-        None => ConstrainedSearch::new(k),
-    };
-    let (verdict, report) = search.verify_detailed(history);
-    (verdict, report.nodes)
+    let piece = free_cut_pieces(history);
+    // `best` grouped by piece: each piece is one contiguous run holding
+    // its slice of `best`, and the pieces follow their finish order.
+    let mut witness = best.to_vec();
+    witness.sort_by_key(|id| piece[id.index()]);
+
+    // Each write's running slice weight just before it: a read's
+    // separation in its slice is the running weight it sees minus that.
+    let mut weight_before = vec![0u64; history.len()];
+    let mut budget = gap_budget;
+    let mut nodes = 0u64;
+    let mut unknown = false;
+    for slot in witness.chunk_by_mut(|a, b| piece[a.index()] == piece[b.index()]) {
+        let (mut total, mut hot) = (0u64, false);
+        for &id in slot.iter() {
+            let op = history.op(id);
+            if op.is_write() {
+                weight_before[id.index()] = total;
+                total += u64::from(op.weight.as_u32());
+            } else {
+                let w = history.dictating_write(id).expect("validated read");
+                hot |= total - weight_before[w.index()] > k;
+            }
+        }
+        if !hot {
+            continue;
+        }
+        // A hot piece: a dictation-closed subset of a valid history, so it
+        // validates as a history of its own, with op `i` = `slot[i]`.
+        let members = slot.to_vec();
+        let raw: RawHistory = members.iter().map(|id| *history.op(*id)).collect();
+        let sub = raw.into_history().expect("a free-cut piece of a valid history is valid");
+        let (order, sep) = refined_witness(&sub, &base_candidates(&sub), k);
+        let order = if sep <= k {
+            order
+        } else {
+            let search = match budget {
+                Some(left) => ConstrainedSearch::with_node_budget(k, left),
+                None => ConstrainedSearch::new(k),
+            };
+            let (verdict, report) = search.verify_detailed(&sub);
+            nodes += report.nodes;
+            budget = budget.map(|left| left.saturating_sub(report.nodes));
+            match verdict {
+                Verdict::KAtomic { witness: found } => found.into_inner(),
+                Verdict::NotKAtomic => return (Verdict::NotKAtomic, nodes),
+                // Keep going: a NO in a later piece outranks this UNKNOWN.
+                _ => {
+                    unknown = true;
+                    continue;
+                }
+            }
+        };
+        for (dst, local) in slot.iter_mut().zip(order) {
+            *dst = members[local.index()];
+        }
+    }
+    if unknown {
+        return (Verdict::Inconclusive, nodes);
+    }
+    let witness = TotalOrder::new(witness);
+    debug_assert!(
+        crate::check_witness(history, &witness, k).is_ok(),
+        "concatenated piece orders must certify"
+    );
+    (Verdict::KAtomic { witness }, nodes)
+}
+
+/// The piece of every op (indexed by op) when `history` is cut at each
+/// *free cut*: a point in finish order that no read/dictating-write pair
+/// straddles. Pieces are numbered in finish order.
+///
+/// Normalisation puts every write before its reads in finish order, so a
+/// pair at positions `pos(w) < pos(r)` blocks the cuts just before the
+/// positions `pos(w) + 1 ..= pos(r)`; a difference array marks them in
+/// `O(n)`. Every piece is dictation-closed, and nothing in a later piece
+/// precedes anything in an earlier one, so the history is k-atomic iff
+/// every piece is, and piece witnesses concatenate into a witness.
+fn free_cut_pieces(history: &History) -> Vec<u32> {
+    let by_finish = history.sorted_by_finish();
+    let mut pos = vec![0usize; history.len()];
+    for (i, id) in by_finish.iter().enumerate() {
+        pos[id.index()] = i;
+    }
+    let mut open = vec![0i32; history.len() + 1];
+    for &r in history.reads() {
+        let w = history.dictating_write(r).expect("validated read");
+        open[pos[w.index()] + 1] += 1;
+        open[pos[r.index()] + 1] -= 1;
+    }
+    let mut piece = vec![0u32; history.len()];
+    let (mut current, mut straddling) = (0u32, 0i32);
+    for (i, id) in by_finish.iter().enumerate() {
+        straddling += open[i];
+        if i > 0 && straddling == 0 {
+            current += 1;
+        }
+        piece[id.index()] = current;
+    }
+    piece
 }
 
 /// Greedy witness construction: place reads as early as validity allows
@@ -671,6 +797,50 @@ mod tests {
     }
 
     #[test]
+    fn free_cut_pieces_split_exactly_at_unstraddled_cuts() {
+        let mut boundaries = 0;
+        for seed in 0..30u64 {
+            let h = kav_workloads::random_k_atomic(kav_workloads::RandomHistoryConfig {
+                ops: 60,
+                k: 1 + seed % 4,
+                seed,
+                read_fraction: 0.6,
+                ..Default::default()
+            });
+            let piece = free_cut_pieces(&h);
+            let by_finish = h.sorted_by_finish();
+            let mut pos = vec![0; h.len()];
+            for (i, id) in by_finish.iter().enumerate() {
+                pos[id.index()] = i;
+            }
+            // The cut just before finish position `i` is free when no
+            // read/dictating-write pair has one op on each side of it.
+            let free = |i: usize| {
+                h.reads().iter().all(|&r| {
+                    let w = h.dictating_write(r).unwrap();
+                    !(pos[w.index()] < i && i <= pos[r.index()])
+                })
+            };
+            for &r in h.reads() {
+                let w = h.dictating_write(r).unwrap();
+                assert_eq!(piece[r.index()], piece[w.index()], "seed {seed}: dictation-closed");
+            }
+            assert_eq!(piece[by_finish[0].index()], 0);
+            for i in 1..h.len() {
+                let (before, at) = (piece[by_finish[i - 1].index()], piece[by_finish[i].index()]);
+                if at == before {
+                    assert!(!free(i), "seed {seed}: free cut inside a piece at {i}");
+                } else {
+                    assert_eq!(at, before + 1, "seed {seed}: pieces follow finish order");
+                    assert!(free(i), "seed {seed}: boundary at {i} is not a free cut");
+                    boundaries += 1;
+                }
+            }
+        }
+        assert!(boundaries > 0, "the histories must have free cuts to test");
+    }
+
+    #[test]
     fn improved_orders_stay_valid() {
         for seed in 0..20u64 {
             let h = kav_workloads::random_k_atomic(kav_workloads::RandomHistoryConfig {
@@ -764,8 +934,13 @@ mod tests {
     fn two_hundred_op_gap_segment_resolves_under_generous_budget() {
         // A straddling gadget (lower bound 2, true k 4) padded with 97
         // serial write/read pairs to 201 ops: the old escalator returned
-        // Inconclusive at any budget; the constrained tier must certify
-        // NO at k = 3 and YES (checked witness) at k = 4.
+        // Inconclusive at any budget. The escalation now splits the 201
+        // ops at their free cuts, so the search sees only the 7-op gadget
+        // piece; it must certify NO at k = 3 and YES (checked witness,
+        // the piece orders concatenated) at k = 4. The >128-op engine case
+        // is pinned by `constrained::tests::no_op_count_ceiling` and
+        // `decides_above_the_oracle_ceiling`, which call
+        // `ConstrainedSearch` directly.
         let mut b = HistoryBuilder::new()
             .write(1, 0, 100)
             .write(2, 2, 102)

@@ -127,6 +127,10 @@ impl Verifier for GkOneAv {
     }
 
     fn verify(&self, history: &History) -> Verdict {
+        // The zone test ignores write weights.
+        if !crate::genk::unit_weights(history) {
+            return crate::GenK::new(1).verify(history);
+        }
         match self.analyze(history) {
             GkAnalysis::Atomic { witness } => Verdict::KAtomic { witness },
             _ => Verdict::NotKAtomic,

@@ -10,10 +10,13 @@
 //! zone test for `k = 1`, FZF for `k = 2` — and from `k = 3` up runs the
 //! [`GenK`](crate::GenK) bound sandwich (forced-separation lower bound,
 //! constructive witness upper bound) before any exhaustive-search call,
-//! so the exponential oracle is only consulted on the bound gap.
+//! so the exponential search only sees the pieces of a bound gap that the
+//! best witness order misses. Weighted histories skip the two zone tests,
+//! which ignore weights, and run the sandwich from level 1.
 
 use crate::genk::{
     base_candidates, escalate_gap, max_separation, refined_witness, staleness_lower_bound,
+    unit_weights,
 };
 use crate::{Fzf, GkOneAv, Verdict, Verifier};
 use kav_history::{History, OpId};
@@ -98,16 +101,18 @@ pub(crate) fn finish_order_writes_first(history: &History) -> Vec<OpId> {
 
 /// Computes the smallest `k` for which `history` is k-atomic.
 ///
-/// From `k = 3` up the search is sandwiched by the
-/// [`GenK`](crate::GenK) bounds: the forced-separation lower bound and
-/// the best constructive witness order pin an interval `[lower, upper]`
-/// of candidate levels, every level below `lower` is already refuted, and
-/// `upper` is certified by an explicit witness — so the exact
-/// [`ConstrainedSearch`](crate::ConstrainedSearch) only runs on levels
-/// inside the bound gap.
+/// From `k = 3` up (from `k = 1` on a weighted history) the search is
+/// sandwiched by the [`GenK`](crate::GenK) bounds: the forced-separation
+/// lower bound and the best constructive witness order pin an interval
+/// `[lower, upper]` of candidate levels, every level below `lower` is
+/// already refuted, and `upper` is certified by an explicit witness — so
+/// the exact [`ConstrainedSearch`](crate::ConstrainedSearch) only runs on
+/// levels inside the bound gap, and there only on the free-cut pieces the
+/// level's best witness order misses.
 ///
-/// `node_budget` bounds each gap-escalation search; pass `None` for
-/// unbounded (potentially exponential) searches. When a budgeted search
+/// `node_budget` caps the search nodes of each level, shared by the pieces
+/// it searches; pass `None` for unbounded (potentially exponential)
+/// searches. When a budgeted search
 /// gives up at level `k`, the result is [`Staleness::AtLeast`]`(k)` —
 /// exactly the last *proven* non-atomic level plus one, never an
 /// over-claim. There is no op-count ceiling: given enough budget, any
@@ -128,27 +133,35 @@ pub(crate) fn finish_order_writes_first(history: &History) -> Vec<OpId> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn smallest_k(history: &History, node_budget: Option<u64>) -> Staleness {
-    if GkOneAv.verify(history).is_k_atomic() {
-        return Staleness::Exact(1);
-    }
-    if Fzf.verify(history).is_k_atomic() {
-        return Staleness::Exact(2);
-    }
-    // Not 2-atomic: every level below max(3, lower bound) is refuted —
-    // by FZF below 3, and by the forced separation up to the lower bound.
-    let lower = staleness_lower_bound(history).max(3);
+    // GK and FZF decide unit-weight histories only; a weighted history
+    // starts the sandwich at level 1.
+    let floor = if unit_weights(history) {
+        if GkOneAv.verify(history).is_k_atomic() {
+            return Staleness::Exact(1);
+        }
+        if Fzf.verify(history).is_k_atomic() {
+            return Staleness::Exact(2);
+        }
+        // Not 2-atomic: FZF refutes every level below 3.
+        3
+    } else {
+        1
+    };
+    // Every level below `lower` is refuted, by FZF or by the forced
+    // separation.
+    let lower = staleness_lower_bound(history).max(floor);
     // The k-independent half of the sandwich is computed once and shared
     // across levels; the base witness certifies `upper`-atomicity.
     let base = base_candidates(history);
     let upper = base.sep.max(lower);
     for k in lower..upper {
-        let (_, sep) = refined_witness(history, &base, k);
+        let (order, sep) = refined_witness(history, &base, k);
         if sep <= k {
             // The refined witness certifies k; every level below was
             // already refuted.
             return Staleness::Exact(k);
         }
-        match escalate_gap(history, k, node_budget).0 {
+        match escalate_gap(history, &order, k, node_budget).0 {
             Verdict::KAtomic { .. } | Verdict::Consistent => return Staleness::Exact(k),
             Verdict::NotKAtomic => {}
             // Give up at the first undecided level: everything below k is

@@ -4,11 +4,14 @@
 //! k ∈ 1..=5, its YES verdicts must carry independently checked
 //! witnesses, and its node budget must degrade to `Inconclusive` only —
 //! never flip a verdict. Past the oracle's ceiling, a regression case
-//! pins the removed 128-op cliff.
+//! pins the removed 128-op cliff. On histories built from several blocks,
+//! so that genk's escalation splits them at free cuts, genk and
+//! `smallest_k` must agree with the oracle too.
 
 use k_atomicity::history::{History, HistoryBuilder, Operation, RawHistory, Time, Value};
 use k_atomicity::verify::{
-    check_witness, ConstrainedSearch, ExhaustiveSearch, Verdict, Verifier, MAX_SEARCH_OPS,
+    check_witness, smallest_k, ConstrainedSearch, ExhaustiveSearch, GenK, Staleness, Verdict,
+    Verifier, MAX_SEARCH_OPS,
 };
 use k_atomicity::workloads::{deep_stale, DeepStaleConfig};
 use proptest::prelude::*;
@@ -41,6 +44,46 @@ fn arb_history() -> impl Strategy<Value = History> {
         }
         raw.make_endpoints_distinct();
         raw.into_history().expect("constructed histories are anomaly-free")
+    })
+}
+
+/// The straddling gadget: forced lower bound 2, witness upper bound 4,
+/// true k 4, so genk escalates it at k = 3.
+fn straddle_gadget() -> History {
+    HistoryBuilder::new()
+        .write(1, 0, 100)
+        .write(2, 2, 102)
+        .write(3, 4, 104)
+        .write(4, 110, 120)
+        .read(1, 122, 130)
+        .read(3, 132, 140)
+        .read(2, 142, 150)
+        .build()
+        .unwrap()
+}
+
+/// 2–6 blocks (`arb_history` draws, or the straddle gadget one time in
+/// four), each shifted in time to start a few ticks before the previous
+/// block ends and given values of its own: at most 78 ops, which the
+/// oracle decides, with free cuts between and inside the blocks.
+fn arb_blocks() -> impl Strategy<Value = History> {
+    prop::collection::vec((arb_history(), 0u8..4, 0u64..4), 2..7).prop_map(|blocks| {
+        let mut raw = RawHistory::new();
+        let mut shift = 0u64;
+        for (b, (block, kind, overlap)) in blocks.into_iter().enumerate() {
+            let block = if kind == 0 { straddle_gadget() } else { block };
+            let start = shift.saturating_sub(overlap);
+            for op in block.ops() {
+                let mut op = *op;
+                op.start = Time(op.start.as_u64() + start);
+                op.finish = Time(op.finish.as_u64() + start);
+                op.value = Value(op.value.0 + 1000 * b as u64);
+                shift = shift.max(op.finish.as_u64() + 1);
+                raw.push(op);
+            }
+        }
+        raw.make_endpoints_distinct();
+        raw.into_history().expect("shifted blocks stay anomaly-free")
     })
 }
 
@@ -112,6 +155,39 @@ proptest! {
                 panic!("budgeted run must carry a witness, not a bare Consistent")
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// GenK splits a bound-gap history at its free cuts and searches only
+    /// the pieces its best order misses: unbounded, it must equal the
+    /// oracle with checked witnesses; budgeted, it may only degrade to
+    /// `Inconclusive`; and `smallest_k` must land on the oracle's least k.
+    #[test]
+    fn genk_split_matches_oracle_on_block_histories(h in arb_blocks(), budget in 0u64..200) {
+        prop_assert!(h.len() <= MAX_SEARCH_OPS, "oracle must stay exact");
+        let oracle = |k: u64| checked(&h, &ExhaustiveSearch::new(k).verify(&h), k, "oracle");
+        for k in 2..=4u64 {
+            let want = oracle(k);
+            let got = checked(&h, &GenK::with_gap_budget(k, None).verify(&h), k, "genk");
+            prop_assert_eq!(got, want, "unbounded genk disagrees at k = {}", k);
+            match GenK::with_gap_budget(k, Some(budget)).verify(&h) {
+                Verdict::KAtomic { witness } => {
+                    check_witness(&h, &witness, k)
+                        .unwrap_or_else(|e| panic!("budgeted genk produced a bad witness: {e}"));
+                    prop_assert!(want, "budgeted genk YES contradicts the oracle at k = {}", k);
+                }
+                Verdict::NotKAtomic => {
+                    prop_assert!(!want, "budgeted genk NO contradicts the oracle at k = {}", k)
+                }
+                Verdict::Inconclusive => {}
+                Verdict::Consistent => panic!("genk YES must carry a witness"),
+            }
+        }
+        let least = (1..=h.total_write_weight().max(1)).find(|&k| oracle(k));
+        prop_assert_eq!(Some(smallest_k(&h, None)), least.map(Staleness::Exact));
     }
 }
 

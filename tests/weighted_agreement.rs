@@ -1,8 +1,11 @@
 //! Properties tying §V to the rest of the paper: unit-weight k-WAV is
-//! exactly k-AV, and the Figure-5 reduction decides bin packing.
+//! exactly k-AV, the Figure-5 reduction decides bin packing, and every
+//! verifier decides weighted histories by the weighted rule.
 
 use k_atomicity::history::{History, Operation, RawHistory, Time, Value, Weight};
-use k_atomicity::verify::{ExhaustiveSearch, Fzf, Verifier};
+use k_atomicity::verify::{
+    check_witness, smallest_k, ExhaustiveSearch, Fzf, GkOneAv, Lbt, Staleness, Verdict, Verifier,
+};
 use k_atomicity::weighted::{extract_packing, reduce_bin_packing, BinPacking, WkavInstance};
 use proptest::prelude::*;
 
@@ -86,6 +89,24 @@ proptest! {
         let heavy = WkavInstance::new(bumped, k).decide(None).is_k_atomic();
         let light = WkavInstance::new(h.clone(), k).decide(None).is_k_atomic();
         prop_assert!(!heavy || light);
+    }
+
+    /// GK, FZF and LBT hand weighted histories to genk, so at their one
+    /// `k` they agree with the oracle; `smallest_k` is the least `k` the
+    /// oracle accepts.
+    #[test]
+    fn unit_k_verifiers_and_smallest_k_follow_the_weighted_rule(h in arb_weighted_history()) {
+        let oracle = |k: u64| ExhaustiveSearch::new(k).verify(&h).is_k_atomic();
+        for (verdict, k) in
+            [(GkOneAv.verify(&h), 1), (Fzf.verify(&h), 2), (Lbt::new().verify(&h), 2)]
+        {
+            if let Verdict::KAtomic { witness } = &verdict {
+                prop_assert!(check_witness(&h, witness, k).is_ok(), "bad witness at k = {}", k);
+            }
+            prop_assert_eq!(verdict.is_k_atomic(), oracle(k), "k = {}", k);
+        }
+        let least = (1..=h.total_write_weight().max(1)).find(|&k| oracle(k));
+        prop_assert_eq!(Some(smallest_k(&h, None)), least.map(Staleness::Exact));
     }
 
     #[test]
