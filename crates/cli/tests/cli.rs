@@ -910,6 +910,12 @@ fn weighted_histories_are_decided_by_the_weighted_rule() {
 
     let out = kav(&["diagnose", json]);
     assert!(stdout(&out).contains("staleness: k = 5"), "{}", stdout(&out));
+    let atomicity = stdout(&out).lines().find(|l| l.starts_with("atomicity:")).map(str::to_owned);
+    assert!(
+        atomicity.as_deref().is_some_and(|l| l != "atomicity: ok"),
+        "a read of a weight-5 write is not 1-atomic: {}",
+        stdout(&out)
+    );
 
     for (k, algo) in [("1", "gk"), ("2", "fzf"), ("2", "lbt"), ("4", "genk")] {
         let out = kav(&["verify", "--k", k, "--algo", algo, json]);

@@ -3,12 +3,12 @@
 //! Verifiers answer yes/no; an operator debugging a storage deployment
 //! wants the culprit. [`diagnose`] combines the workbench's evidence into
 //! one report: the measured staleness bound, the Gibbons–Korach zone
-//! violation (for atomicity failures), and the FZF chunk that refused a
-//! 2-atomic order (naming the involved writes), which localises the
-//! violation to a window of the history.
+//! violation or the heavy observed write (for atomicity failures), and the
+//! FZF chunk that refused a 2-atomic order (naming the involved writes),
+//! which localises the violation to a window of the history.
 
 use crate::{smallest_k, Fzf, GkAnalysis, GkOneAv, Staleness, Verifier};
-use kav_history::{chunk_set, clusters, zones, History, Value};
+use kav_history::{chunk_set, clusters, zones, History, Value, Weight};
 use std::fmt;
 
 /// Evidence for a consistency violation (or a clean bill of health).
@@ -18,14 +18,16 @@ pub struct Diagnosis {
     /// bound if the search budget ran out).
     pub staleness: Staleness,
     /// For non-linearizable histories: which zone condition failed, in
-    /// terms of the values written by the clusters involved.
+    /// terms of the values written by the clusters involved, or else which
+    /// heavy write a read observes.
     pub atomicity_violation: Option<AtomicityViolation>,
     /// For non-2-atomic histories: the writes of the first chunk FZF could
     /// not order.
     pub failing_chunk_writes: Option<Vec<Value>>,
 }
 
-/// A human-meaningful rendering of the GK zone-condition failure.
+/// Why a history is not 1-atomic under the weighted rule: the GK
+/// zone-condition failure, or a read of a write whose weight exceeds 1.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AtomicityViolation {
     /// Two forward zones overlap: the two clusters' reads cannot both be
@@ -44,6 +46,15 @@ pub enum AtomicityViolation {
         /// Value written by the surrounding forward cluster.
         forward: Value,
     },
+    /// The zone test passes, but a read observes a write of weight above 1.
+    /// A read's separation starts at its dictating write's weight (§V), so
+    /// no total order keeps it within 1.
+    HeavyWrite {
+        /// Value written by the heavy write.
+        value: Value,
+        /// Its weight.
+        weight: Weight,
+    },
 }
 
 impl fmt::Display for Diagnosis {
@@ -59,6 +70,9 @@ impl fmt::Display for Diagnosis {
                 f,
                 "atomicity: write {backward} is wedged inside the zone of write {forward}"
             )?,
+            Some(AtomicityViolation::HeavyWrite { value, weight }) => {
+                writeln!(f, "atomicity: write {value} has weight {weight} and is read")?
+            }
         }
         match &self.failing_chunk_writes {
             None => write!(f, "2-atomicity: ok"),
@@ -94,7 +108,7 @@ pub fn diagnose(history: &History, node_budget: Option<u64>) -> Diagnosis {
     let staleness = smallest_k(history, node_budget);
 
     let atomicity_violation = match GkOneAv.analyze(history) {
-        GkAnalysis::Atomic { .. } => None,
+        GkAnalysis::Atomic { .. } => heavy_write(history),
         GkAnalysis::ForwardZonesOverlap { first, second } => {
             let cs = clusters(history);
             Some(AtomicityViolation::ForwardZonesOverlap {
@@ -147,6 +161,17 @@ pub fn diagnose(history: &History, node_budget: Option<u64>) -> Diagnosis {
     Diagnosis { staleness, atomicity_violation, failing_chunk_writes }
 }
 
+/// The dictating write of the first read, in finish order, that observes a
+/// write of weight above 1. With the zone test passing, such a read is the
+/// only thing that keeps a weighted history from 1-atomicity.
+fn heavy_write(history: &History) -> Option<AtomicityViolation> {
+    history.sorted_by_finish().iter().find_map(|&read| {
+        let write = history.op(history.dictating_write(read)?);
+        (write.weight > Weight::UNIT)
+            .then_some(AtomicityViolation::HeavyWrite { value: write.value, weight: write.weight })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,6 +221,22 @@ mod tests {
                 forward: Value(1),
             })
         ));
+    }
+
+    #[test]
+    fn heavy_observed_write_fails_atomicity() {
+        let h = HistoryBuilder::new()
+            .weighted_write(1, 0, 10, 5)
+            .read(1, 12, 20)
+            .build()
+            .unwrap();
+        let d = diagnose(&h, None);
+        assert_eq!(d.staleness, Staleness::Exact(5));
+        assert_eq!(
+            d.atomicity_violation,
+            Some(AtomicityViolation::HeavyWrite { value: Value(1), weight: Weight(5) })
+        );
+        assert!(d.to_string().contains("atomicity: write v1 has weight 5 and is read"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Validated, indexed histories — the input type of every verifier.
 
-use crate::normalize::normalize;
-use crate::{OpId, OpKind, Operation, RawHistory, Time, ValidationError};
-use std::collections::HashMap;
+use crate::normalize::{normalize, Normalized};
+use crate::raw::Checked;
+use crate::{OpId, Operation, RawHistory, ValidationError};
 
 /// A validated history of operations on one register.
 ///
@@ -19,6 +19,9 @@ use std::collections::HashMap;
 /// Timestamps are re-ranked onto the dense grid `0..2n`; only their order is
 /// meaningful. All indexes the verifiers need (dictating-write maps,
 /// start/finish orders, concurrency statistics) are precomputed here.
+/// Validation and indexing share one pass: the orders and the value lookups
+/// that [`RawHistory::validate`]'s checks make are the ones the indexes are
+/// built from, and construction fails exactly when that report is not clean.
 ///
 /// # Examples
 ///
@@ -45,8 +48,11 @@ pub struct History {
     reads: Vec<OpId>,
     /// For each read, its dictating write; `None` for writes.
     dictating: Vec<Option<OpId>>,
-    /// For each write, its dictated reads sorted by start; empty for reads.
-    dictated: Vec<Vec<OpId>>,
+    /// Every write's dictated reads sorted by start, one list after another:
+    /// op `i`'s list is `dictated[dictated_from[i]..dictated_from[i + 1]]`,
+    /// empty for reads.
+    dictated: Vec<OpId>,
+    dictated_from: Vec<usize>,
     max_concurrent_writes: usize,
 }
 
@@ -58,30 +64,14 @@ impl History {
     /// Returns a [`ValidationError`] listing every detected anomaly when the
     /// raw history violates the model assumptions.
     pub fn from_raw(raw: RawHistory) -> Result<Self, ValidationError> {
-        raw.validate().into_result()?;
+        let Checked { report, by_start, by_finish, dictating } = raw.check();
+        report.into_result()?;
 
-        // Dictating map on raw indices (write values are unique once valid).
-        // Untrusted-keyed and unbounded, like validate()'s map: standard
-        // hasher (see `crate::fxhash`'s usage rule).
-        let mut write_of_value: HashMap<crate::Value, usize> = HashMap::new();
-        for (i, op) in raw.ops.iter().enumerate() {
-            if op.is_write() {
-                write_of_value.insert(op.value, i);
-            }
-        }
-        let dictating_raw: Vec<Option<usize>> = raw
-            .ops
-            .iter()
-            .map(|op| if op.is_read() { write_of_value.get(&op.value).copied() } else { None })
-            .collect();
-
-        let ops = normalize(&raw, &dictating_raw);
+        let Normalized { ops, sorted_by_finish, max_concurrent_writes } =
+            normalize(raw.ops, &dictating, &by_start, &by_finish);
+        // Shortening moves only finishes, so the start order stands.
+        let sorted_by_start = by_start;
         let n = ops.len();
-
-        let mut sorted_by_start: Vec<OpId> = (0..n).map(OpId).collect();
-        sorted_by_start.sort_unstable_by_key(|id| ops[id.index()].start);
-        let mut sorted_by_finish: Vec<OpId> = (0..n).map(OpId).collect();
-        sorted_by_finish.sort_unstable_by_key(|id| ops[id.index()].finish);
 
         let writes_by_finish: Vec<OpId> = sorted_by_finish
             .iter()
@@ -90,19 +80,23 @@ impl History {
             .collect();
         let reads: Vec<OpId> = (0..n).map(OpId).filter(|id| ops[id.index()].is_read()).collect();
 
-        let dictating: Vec<Option<OpId>> =
-            dictating_raw.iter().map(|d| d.map(OpId)).collect();
-        let mut dictated: Vec<Vec<OpId>> = vec![Vec::new(); n];
-        for (i, d) in dictating.iter().enumerate() {
-            if let Some(w) = d {
-                dictated[w.index()].push(OpId(i));
+        // Count each write's reads, then hand every read the next slot of
+        // its write's list in start order, so each list comes out sorted.
+        let mut dictated_from = vec![0; n + 1];
+        for w in dictating.iter().flatten() {
+            dictated_from[w.index() + 1] += 1;
+        }
+        for i in 1..=n {
+            dictated_from[i] += dictated_from[i - 1];
+        }
+        let mut next = dictated_from.clone();
+        let mut dictated = vec![OpId(0); reads.len()];
+        for &id in &sorted_by_start {
+            if let Some(w) = dictating[id.index()] {
+                dictated[next[w.index()]] = id;
+                next[w.index()] += 1;
             }
         }
-        for list in &mut dictated {
-            list.sort_unstable_by_key(|id| ops[id.index()].start);
-        }
-
-        let max_concurrent_writes = max_concurrent(&ops, OpKind::Write);
 
         Ok(History {
             ops,
@@ -112,6 +106,7 @@ impl History {
             reads,
             dictating,
             dictated,
+            dictated_from,
             max_concurrent_writes,
         })
     }
@@ -187,7 +182,7 @@ impl History {
     /// The dictated reads of `write`, sorted by start time. Empty for reads.
     #[inline]
     pub fn dictated_reads(&self, write: OpId) -> &[OpId] {
-        &self.dictated[write.index()]
+        &self.dictated[self.dictated_from[write.index()]..self.dictated_from[write.index() + 1]]
     }
 
     /// The paper's "precedes" relation on operations of this history.
@@ -231,30 +226,10 @@ impl TryFrom<RawHistory> for History {
     }
 }
 
-/// Maximum number of simultaneously active operations of the given kind,
-/// by sweeping endpoints in time order.
-fn max_concurrent(ops: &[Operation], kind: OpKind) -> usize {
-    let mut events: Vec<(Time, i32)> = Vec::new();
-    for op in ops {
-        if op.kind == kind {
-            events.push((op.start, 1));
-            events.push((op.finish, -1));
-        }
-    }
-    events.sort_unstable();
-    let mut active = 0i32;
-    let mut max = 0i32;
-    for (_, delta) in events {
-        active += delta;
-        max = max.max(active);
-    }
-    max as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Value, Weight};
+    use crate::{Time, Value, Weight};
 
     fn sample() -> History {
         let mut raw = RawHistory::new();

@@ -3,81 +3,89 @@
 //! The paper assumes WLOG that a write finishes before any of its dictated
 //! reads *finishes*: a write's commit point cannot lie after a dictated read
 //! has already returned its value, so the tail of the write interval past
-//! that point is inert. [`normalize`] enforces the assumption by moving each
-//! offending write's finish to just below the minimum finish time of its
-//! dictated reads, then re-ranks all `2n` endpoints onto the dense grid
-//! `0..2n`.
+//! that point is inert. [`normalize`] enforces the assumption and re-ranks
+//! all `2n` endpoints onto the dense grid `0..2n` in one sweep. It merges
+//! the start order and the finish order that validation already sorted, and
+//! hands each endpoint the next rank. When a read's finish comes up while its
+//! dictating write is still open, the write's finish is *parked*: it takes
+//! the rank just below that read's finish, and its own place in the finish
+//! order is skipped later. The same sweep emits the new finish order and
+//! counts the writes open at once.
 //!
 //! Correctness of the repair relies on two facts:
 //!
-//! * the new finish stays above the write's start, because an anomaly-free
+//! * the parked finish stays above the write's start, because an anomaly-free
 //!   read never finishes before its dictating write starts; and
-//! * no two shortened finishes collide, because the minimum-finish read of a
-//!   write is dictated by that write alone, so distinct writes shorten below
+//! * no two parked finishes collide, because the minimum-finish read of a
+//!   write is dictated by that write alone, so distinct writes park below
 //!   distinct read finishes.
 
-use crate::{Operation, RawHistory, Time};
+use crate::{OpId, Operation, Time};
 
-/// Sort key for one endpoint during re-ranking. `phase == 0` places a
-/// shortened write finish immediately *below* the read finish it attaches
-/// to; original endpoints use `phase == 1`.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct EndpointKey {
-    time: Time,
-    phase: u8,
-    op: usize,
-    is_finish: bool,
+/// The normalised operations and the indexes [`normalize`]'s sweep yields.
+pub(crate) struct Normalized {
+    /// The operations, shortened and re-ranked onto `0..2n`.
+    pub(crate) ops: Vec<Operation>,
+    /// The op ids in order of their new finishes.
+    pub(crate) sorted_by_finish: Vec<OpId>,
+    /// The most writes open at any instant.
+    pub(crate) max_concurrent_writes: usize,
 }
 
 /// Applies write shortening and re-ranks all endpoints onto `0..2n`.
 ///
-/// `dictating[i]` must give, for each read `i`, the index of its dictating
-/// write (`None` for writes). The input must already be anomaly-free with
-/// pairwise distinct endpoints; both are guaranteed by
-/// [`crate::RawHistory::validate`] before [`crate::History`] calls this.
-pub(crate) fn normalize(raw: &RawHistory, dictating: &[Option<usize>]) -> Vec<Operation> {
-    let n = raw.ops.len();
+/// `dictating[i]` must give, for each read `i`, its dictating write (`None`
+/// for writes), and `by_start` and `by_finish` the op ids in start and in
+/// finish order. The input must already be anomaly-free with pairwise
+/// distinct endpoints; [`crate::RawHistory::check`] guarantees all of this
+/// before [`crate::History`] calls this. Shortening moves only finishes, so
+/// `by_start` stays the start order of the result.
+pub(crate) fn normalize(
+    mut ops: Vec<Operation>,
+    dictating: &[Option<OpId>],
+    by_start: &[OpId],
+    by_finish: &[OpId],
+) -> Normalized {
+    let n = ops.len();
+    let mut finished = vec![false; n];
+    let mut sorted_by_finish = Vec::with_capacity(n);
+    let mut rank = 0u64;
+    let mut next_rank = || {
+        rank += 1;
+        Time(rank - 1)
+    };
+    let (mut open_writes, mut max_concurrent_writes) = (0usize, 0usize);
+    let mut starts = by_start.iter().copied().peekable();
 
-    // Minimum finish among each write's dictated reads.
-    let mut min_read_finish: Vec<Option<Time>> = vec![None; n];
-    for (i, op) in raw.ops.iter().enumerate() {
-        if let Some(w) = dictating[i] {
-            let slot = &mut min_read_finish[w];
-            *slot = Some(match *slot {
-                Some(t) => t.min(op.finish),
-                None => op.finish,
-            });
+    // A rank overwrites an endpoint only once the sweep has passed it, so
+    // every time compared below is still the original one.
+    for &f in by_finish {
+        if finished[f.index()] {
+            continue; // parked below an earlier read's finish
         }
-    }
-
-    let mut keys: Vec<EndpointKey> = Vec::with_capacity(2 * n);
-    for (i, op) in raw.ops.iter().enumerate() {
-        keys.push(EndpointKey { time: op.start, phase: 1, op: i, is_finish: false });
-        let finish_key = match min_read_finish[i] {
-            // Shorten: park the finish just below the earliest dictated-read
-            // finish. (Equality is impossible: endpoints are distinct.)
-            Some(min_rf) if op.finish > min_rf => {
-                EndpointKey { time: min_rf, phase: 0, op: i, is_finish: true }
+        let finish = ops[f.index()].finish;
+        while let Some(s) = starts.next_if(|s| ops[s.index()].start < finish) {
+            let op = &mut ops[s.index()];
+            op.start = next_rank();
+            if op.is_write() {
+                open_writes += 1;
+                max_concurrent_writes = max_concurrent_writes.max(open_writes);
             }
-            _ => EndpointKey { time: op.finish, phase: 1, op: i, is_finish: true },
-        };
-        keys.push(finish_key);
-    }
-
-    keys.sort_unstable();
-
-    let mut ops = raw.ops.clone();
-    for (rank, key) in keys.iter().enumerate() {
-        let op = &mut ops[key.op];
-        if key.is_finish {
-            op.finish = Time(rank as u64);
-        } else {
-            op.start = Time(rank as u64);
+        }
+        // Park a write still open at its earliest dictated read's finish.
+        let parked = dictating[f.index()].filter(|w| !finished[w.index()]);
+        for id in parked.into_iter().chain([f]) {
+            let op = &mut ops[id.index()];
+            op.finish = next_rank();
+            open_writes -= usize::from(op.is_write());
+            finished[id.index()] = true;
+            sorted_by_finish.push(id);
         }
     }
 
+    debug_assert!(starts.next().is_none());
     debug_assert!(ops.iter().all(|op| op.start < op.finish));
-    ops
+    Normalized { ops, sorted_by_finish, max_concurrent_writes }
 }
 
 #[cfg(test)]
@@ -85,25 +93,19 @@ mod tests {
     use super::*;
     use crate::{RawHistory, Time, Value};
 
-    fn dictating_map(raw: &RawHistory) -> Vec<Option<usize>> {
-        raw.ops
-            .iter()
-            .map(|op| {
-                if op.is_read() {
-                    raw.ops.iter().position(|w| w.is_write() && w.value == op.value)
-                } else {
-                    None
-                }
-            })
-            .collect()
+    /// The normalised ops of a clean `raw`, from the orders and dictating
+    /// writes its check keeps.
+    fn normalized(raw: &RawHistory) -> Vec<Operation> {
+        let checked = raw.check();
+        assert!(checked.report.is_clean(), "{:?}", checked.report);
+        normalize(raw.ops.clone(), &checked.dictating, &checked.by_start, &checked.by_finish).ops
     }
 
     #[test]
     fn already_normalized_history_keeps_order() {
         let mut raw = RawHistory::new();
         raw.write(Value(1), Time(0), Time(10)).read(Value(1), Time(20), Time(30));
-        let d = dictating_map(&raw);
-        let ops = normalize(&raw, &d);
+        let ops = normalized(&raw);
         assert!(ops[0].start < ops[0].finish);
         assert!(ops[0].finish < ops[1].start);
         assert!(ops[1].start < ops[1].finish);
@@ -121,8 +123,7 @@ mod tests {
         let mut raw = RawHistory::new();
         // Write spans the whole history; its dictated read finishes at 15.
         raw.write(Value(1), Time(0), Time(100)).read(Value(1), Time(5), Time(15));
-        let d = dictating_map(&raw);
-        let ops = normalize(&raw, &d);
+        let ops = normalized(&raw);
         let (w, r) = (ops[0], ops[1]);
         assert!(w.finish < r.finish, "write must finish before its dictated read finishes");
         assert!(w.start < w.finish, "interval must stay proper");
@@ -135,8 +136,7 @@ mod tests {
         raw.write(Value(1), Time(0), Time(100)) // shortened below t=15
             .read(Value(1), Time(5), Time(15))
             .write(Value(2), Time(11), Time(13)); // unrelated write inside
-        let d = dictating_map(&raw);
-        let ops = normalize(&raw, &d);
+        let ops = normalized(&raw);
         // Order of endpoints: w1.s=0, r.s=5, w2.s=11, w2.f=13, [w1.f], r.f=15
         assert_eq!(ops[0].start, Time(0));
         assert_eq!(ops[1].start, Time(1));
@@ -153,8 +153,7 @@ mod tests {
             .read(Value(1), Time(2), Time(10))
             .write(Value(2), Time(1), Time(60))
             .read(Value(2), Time(3), Time(12));
-        let d = dictating_map(&raw);
-        let ops = normalize(&raw, &d);
+        let ops = normalized(&raw);
         let mut all: Vec<u64> = ops
             .iter()
             .flat_map(|o| [o.start.as_u64(), o.finish.as_u64()])

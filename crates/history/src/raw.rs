@@ -5,9 +5,9 @@
 //! validates the §II model assumptions and freezes the indexes the
 //! verification algorithms need.
 
-use crate::{Anomaly, History, Operation, Time, ValidationError, ValidationReport, Value};
+use crate::{Anomaly, History, OpId, Operation, Time, ValidationError, ValidationReport, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// An unvalidated collection of operations on a single register.
 ///
@@ -75,77 +75,91 @@ impl RawHistory {
     ///
     /// The checks, in order: proper intervals, positive weights, pairwise
     /// distinct endpoints, distinct write values, a dictating write for every
-    /// read, and no read preceding its dictating write.
+    /// read, and no read preceding its dictating write. These are exactly the
+    /// checks [`RawHistory::into_history`] runs, in the same pass that builds
+    /// its indexes: it refuses a history iff this report is not clean, and
+    /// its error lists these anomalies.
     pub fn validate(&self) -> ValidationReport {
-        use crate::OpId;
+        self.check().report
+    }
+
+    /// Runs [`RawHistory::validate`]'s checks and keeps what they sorted and
+    /// looked up on the way, for [`History::from_raw`] to index from.
+    pub(crate) fn check(&self) -> Checked {
+        let ops = &self.ops;
         let mut anomalies = Vec::new();
 
-        for (i, op) in self.ops.iter().enumerate() {
+        let mut writes = 0;
+        for (i, op) in ops.iter().enumerate() {
             if op.finish <= op.start {
                 anomalies.push(Anomaly::EmptyInterval { op: OpId(i) });
             }
             if op.weight.as_u32() == 0 {
                 anomalies.push(Anomaly::ZeroWeight { op: OpId(i) });
             }
+            writes += usize::from(op.is_write());
         }
 
-        // Distinct endpoints across all 2n endpoints.
-        let mut endpoints: Vec<(Time, OpId)> = Vec::with_capacity(2 * self.ops.len());
-        for (i, op) in self.ops.iter().enumerate() {
-            endpoints.push((op.start, OpId(i)));
-            endpoints.push((op.finish, OpId(i)));
-        }
-        endpoints.sort_unstable();
-        for pair in endpoints.windows(2) {
-            if pair[0].0 == pair[1].0 {
-                anomalies.push(Anomaly::DuplicateEndpoint {
-                    time: pair[0].0,
-                    first: pair[0].1,
-                    second: pair[1].1,
-                });
+        // Distinct endpoints across all 2n endpoints. The starts and the
+        // finishes are sorted apart and merged in `(time, id)` order, the
+        // order one sort of all 2n endpoints gives, so equal timestamps land
+        // side by side.
+        let mut by_start: Vec<OpId> = (0..ops.len()).map(OpId).collect();
+        by_start.sort_unstable_by_key(|&id| (ops[id.index()].start, id));
+        let mut by_finish: Vec<OpId> = (0..ops.len()).map(OpId).collect();
+        by_finish.sort_unstable_by_key(|&id| (ops[id.index()].finish, id));
+        let mut starts = by_start.iter().map(|&id| (ops[id.index()].start, id)).peekable();
+        let mut finishes = by_finish.iter().map(|&id| (ops[id.index()].finish, id)).peekable();
+        let mut previous: Option<(Time, OpId)> = None;
+        while let Some(endpoint) = match (starts.peek(), finishes.peek()) {
+            (Some(start), Some(finish)) if finish < start => finishes.next(),
+            (Some(_), _) => starts.next(),
+            (None, _) => finishes.next(),
+        } {
+            if let Some((time, first)) = previous.filter(|&(time, _)| time == endpoint.0) {
+                anomalies.push(Anomaly::DuplicateEndpoint { time, first, second: endpoint.1 });
             }
+            previous = Some(endpoint);
         }
 
         // Distinct write values; remember the first write of each value.
         // Keyed by untrusted input values and unbounded (one entry per
         // write in an arbitrary capture), so this stays on the standard
         // DoS-resistant hasher — see `crate::fxhash`'s usage rule.
-        let mut dictating: HashMap<Value, OpId> = HashMap::new();
-        for (i, op) in self.ops.iter().enumerate() {
+        let mut write_of: HashMap<Value, OpId> = HashMap::with_capacity(writes);
+        for (i, op) in ops.iter().enumerate() {
             if op.is_write() {
-                if let Some(&first) = dictating.get(&op.value) {
-                    anomalies.push(Anomaly::DuplicateWriteValue {
+                match write_of.entry(op.value) {
+                    Entry::Occupied(first) => anomalies.push(Anomaly::DuplicateWriteValue {
                         value: op.value,
-                        first,
+                        first: *first.get(),
                         second: OpId(i),
-                    });
-                } else {
-                    dictating.insert(op.value, OpId(i));
-                }
-            }
-        }
-
-        // Every read has a dictating write it does not precede.
-        for (i, op) in self.ops.iter().enumerate() {
-            if op.is_read() {
-                match dictating.get(&op.value) {
-                    None => anomalies.push(Anomaly::MissingDictatingWrite {
-                        read: OpId(i),
-                        value: op.value,
                     }),
-                    Some(&w) => {
-                        if op.precedes(&self.ops[w.index()]) {
-                            anomalies.push(Anomaly::ReadPrecedesDictatingWrite {
-                                read: OpId(i),
-                                write: w,
-                            });
-                        }
+                    Entry::Vacant(slot) => {
+                        slot.insert(OpId(i));
                     }
                 }
             }
         }
 
-        ValidationReport::new(anomalies)
+        // Every read has a dictating write it does not precede.
+        let mut dictating = Vec::with_capacity(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            let write = if op.is_read() { write_of.get(&op.value).copied() } else { None };
+            match write {
+                None if op.is_read() => anomalies.push(Anomaly::MissingDictatingWrite {
+                    read: OpId(i),
+                    value: op.value,
+                }),
+                Some(w) if op.precedes(&ops[w.index()]) => {
+                    anomalies.push(Anomaly::ReadPrecedesDictatingWrite { read: OpId(i), write: w });
+                }
+                _ => {}
+            }
+            dictating.push(write);
+        }
+
+        Checked { report: ValidationReport::new(anomalies), by_start, by_finish, dictating }
     }
 
     /// Re-ranks all endpoints so that every one of the `2n` timestamps is
@@ -196,6 +210,18 @@ impl RawHistory {
     pub fn into_history(self) -> Result<History, ValidationError> {
         History::from_raw(self)
     }
+}
+
+/// What [`RawHistory::check`] found and kept.
+pub(crate) struct Checked {
+    /// Every anomaly, in [`RawHistory::validate`]'s order.
+    pub(crate) report: ValidationReport,
+    /// The op ids in `(start, id)` order.
+    pub(crate) by_start: Vec<OpId>,
+    /// The op ids in `(finish, id)` order.
+    pub(crate) by_finish: Vec<OpId>,
+    /// For each read, the first write of its value; `None` for writes.
+    pub(crate) dictating: Vec<Option<OpId>>,
 }
 
 impl FromIterator<Operation> for RawHistory {

@@ -1,12 +1,15 @@
 //! Property tests for the history substrate: validation, repair,
 //! normalisation, zones/chunks and transforms maintain their documented
-//! invariants on arbitrary inputs.
+//! invariants on arbitrary inputs, and `History` construction matches a
+//! straightforward reference construction exactly.
 
+use kav_history::stream::{completion_order, StreamBuilder};
 use kav_history::{
-    chunk_set, clusters, repair, transform, zones, HistoryStats, OpKind, Operation, RawHistory,
-    Time, Value, Weight, ZoneKind,
+    chunk_set, clusters, repair, transform, zones, Anomaly, History, HistoryStats, OpId, OpKind,
+    Operation, RawHistory, Time, Value, Weight, ZoneKind,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Completely arbitrary operation soup — may contain every anomaly.
 fn arb_soup() -> impl Strategy<Value = RawHistory> {
@@ -45,6 +48,218 @@ fn arb_clean() -> impl Strategy<Value = RawHistory> {
         raw.make_endpoints_distinct();
         raw
     })
+}
+
+/// `arb_clean` with its ops in a random order.
+fn arb_shuffled_clean() -> impl Strategy<Value = RawHistory> {
+    let picks = prop::collection::vec(any::<prop::sample::Index>(), 32..33);
+    (arb_clean(), picks).prop_map(|(mut raw, picks)| {
+        for i in (1..raw.ops.len()).rev() {
+            raw.ops.swap(i, picks[i].index(i + 1));
+        }
+        raw
+    })
+}
+
+/// The segments a `StreamBuilder` seals from `raw` fed in finish order,
+/// sealing down to `window` resident ops after every push.
+fn sealed_segments(raw: &RawHistory, window: usize) -> Vec<RawHistory> {
+    let mut builder = StreamBuilder::new();
+    let mut segments = Vec::new();
+    for op in completion_order(raw) {
+        builder.push(op).expect("a clean history streams in finish order");
+        segments.extend(builder.try_seal(window));
+    }
+    segments.push(builder.flush());
+    segments
+}
+
+/// Every index a `History` exposes.
+#[derive(Debug, PartialEq)]
+struct Indexes {
+    ops: Vec<Operation>,
+    sorted_by_start: Vec<OpId>,
+    sorted_by_finish: Vec<OpId>,
+    writes_by_finish: Vec<OpId>,
+    reads: Vec<OpId>,
+    dictating: Vec<Option<OpId>>,
+    dictated: Vec<Vec<OpId>>,
+    max_concurrent_writes: usize,
+}
+
+impl Indexes {
+    fn of(h: &History) -> Self {
+        Indexes {
+            ops: h.ops().to_vec(),
+            sorted_by_start: h.sorted_by_start().to_vec(),
+            sorted_by_finish: h.sorted_by_finish().to_vec(),
+            writes_by_finish: h.writes_by_finish().to_vec(),
+            reads: h.reads().to_vec(),
+            dictating: h.ids().map(|id| h.dictating_write(id)).collect(),
+            dictated: h.ids().map(|id| h.dictated_reads(id).to_vec()).collect(),
+            max_concurrent_writes: h.max_concurrent_writes(),
+        }
+    }
+}
+
+/// The reference checks: one sort of all 2n endpoints finds duplicates, and
+/// one value map serves the write-value and read checks.
+fn reference_anomalies(raw: &RawHistory) -> Vec<Anomaly> {
+    let ops = &raw.ops;
+    let mut anomalies = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        if op.finish <= op.start {
+            anomalies.push(Anomaly::EmptyInterval { op: OpId(i) });
+        }
+        if op.weight.as_u32() == 0 {
+            anomalies.push(Anomaly::ZeroWeight { op: OpId(i) });
+        }
+    }
+    let mut endpoints: Vec<(Time, OpId)> = ops
+        .iter()
+        .enumerate()
+        .flat_map(|(i, op)| [(op.start, OpId(i)), (op.finish, OpId(i))])
+        .collect();
+    endpoints.sort_unstable();
+    for pair in endpoints.windows(2) {
+        if pair[0].0 == pair[1].0 {
+            anomalies.push(Anomaly::DuplicateEndpoint {
+                time: pair[0].0,
+                first: pair[0].1,
+                second: pair[1].1,
+            });
+        }
+    }
+    let mut first_write: HashMap<Value, OpId> = HashMap::new();
+    for (i, op) in ops.iter().enumerate().filter(|(_, op)| op.is_write()) {
+        if let Some(&first) = first_write.get(&op.value) {
+            let second = OpId(i);
+            anomalies.push(Anomaly::DuplicateWriteValue { value: op.value, first, second });
+        } else {
+            first_write.insert(op.value, OpId(i));
+        }
+    }
+    for (i, op) in ops.iter().enumerate().filter(|(_, op)| op.is_read()) {
+        match first_write.get(&op.value) {
+            None => {
+                anomalies.push(Anomaly::MissingDictatingWrite { read: OpId(i), value: op.value })
+            }
+            Some(&w) if op.precedes(&ops[w.index()]) => {
+                anomalies.push(Anomaly::ReadPrecedesDictatingWrite { read: OpId(i), write: w })
+            }
+            Some(_) => {}
+        }
+    }
+    anomalies
+}
+
+/// The reference indexes of a clean history: shortening and re-ranking by
+/// one sort of `(time, phase, op)` keys, separate start and finish sorts,
+/// per-write dictated lists each sorted by start, and an event sort for
+/// concurrency.
+fn reference_indexes(raw: &RawHistory) -> Indexes {
+    let n = raw.len();
+    let write_of: HashMap<Value, OpId> = raw
+        .iter()
+        .enumerate()
+        .filter(|(_, op)| op.is_write())
+        .map(|(i, op)| (op.value, OpId(i)))
+        .collect();
+    let dictating: Vec<Option<OpId>> = raw
+        .iter()
+        .map(|op| if op.is_read() { write_of.get(&op.value).copied() } else { None })
+        .collect();
+
+    // A write that outlives its earliest dictated read parks its finish just
+    // below that read's finish (phase 0 sorts before the original phase 1).
+    let mut min_read_finish: Vec<Option<Time>> = vec![None; n];
+    for (op, w) in raw.iter().zip(&dictating) {
+        if let Some(w) = w {
+            let slot = &mut min_read_finish[w.index()];
+            *slot = Some(slot.map_or(op.finish, |t| t.min(op.finish)));
+        }
+    }
+    let mut keys: Vec<(Time, u8, usize, bool)> = Vec::new();
+    for (i, op) in raw.iter().enumerate() {
+        keys.push((op.start, 1, i, false));
+        keys.push(match min_read_finish[i] {
+            Some(t) if op.finish > t => (t, 0, i, true),
+            _ => (op.finish, 1, i, true),
+        });
+    }
+    keys.sort_unstable();
+    let mut ops = raw.ops.clone();
+    for (rank, &(_, _, i, is_finish)) in keys.iter().enumerate() {
+        if is_finish {
+            ops[i].finish = Time(rank as u64);
+        } else {
+            ops[i].start = Time(rank as u64);
+        }
+    }
+
+    let mut sorted_by_start: Vec<OpId> = (0..n).map(OpId).collect();
+    sorted_by_start.sort_by_key(|id| ops[id.index()].start);
+    let mut sorted_by_finish: Vec<OpId> = (0..n).map(OpId).collect();
+    sorted_by_finish.sort_by_key(|id| ops[id.index()].finish);
+    let writes_by_finish =
+        sorted_by_finish.iter().copied().filter(|id| ops[id.index()].is_write()).collect();
+    let reads = (0..n).map(OpId).filter(|id| ops[id.index()].is_read()).collect();
+    let mut dictated: Vec<Vec<OpId>> = vec![Vec::new(); n];
+    for (i, w) in dictating.iter().enumerate() {
+        if let Some(w) = w {
+            dictated[w.index()].push(OpId(i));
+        }
+    }
+    for list in &mut dictated {
+        list.sort_by_key(|id| ops[id.index()].start);
+    }
+    let mut events: Vec<(Time, i64)> = ops
+        .iter()
+        .filter(|op| op.is_write())
+        .flat_map(|op| [(op.start, 1), (op.finish, -1)])
+        .collect();
+    events.sort_unstable();
+    let mut open = 0;
+    let mut max_concurrent_writes = 0;
+    for (_, delta) in events {
+        open += delta;
+        max_concurrent_writes = max_concurrent_writes.max(open as usize);
+    }
+
+    Indexes {
+        ops,
+        sorted_by_start,
+        sorted_by_finish,
+        writes_by_finish,
+        reads,
+        dictating,
+        dictated,
+        max_concurrent_writes,
+    }
+}
+
+/// `raw`'s report, its `into_history` outcome and, when it is clean, every
+/// index equal the reference's.
+fn matches_reference(raw: &RawHistory) -> Result<(), TestCaseError> {
+    let expected = reference_anomalies(raw);
+    let report = raw.validate();
+    prop_assert_eq!(report.anomalies(), &expected[..]);
+    match raw.clone().into_history() {
+        Ok(h) => {
+            prop_assert!(expected.is_empty(), "accepted despite {:?}", expected);
+            prop_assert_eq!(Indexes::of(&h), reference_indexes(raw));
+        }
+        Err(err) => {
+            let listed: String = expected.iter().map(|a| format!(" [{a}]")).collect();
+            let text = format!(
+                "history violates model assumptions ({} anomalies:{listed})",
+                expected.len()
+            );
+            prop_assert_eq!(err.anomalies(), &expected[..]);
+            prop_assert_eq!(err.to_string(), text);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -181,5 +396,25 @@ proptest! {
             .iter()
             .any(|a| matches!(a, kav_history::Anomaly::MissingDictatingWrite { .. }));
         prop_assert!(caught, "orphan read not detected: {:?}", report);
+    }
+
+    /// Validation and `into_history` agree with the reference on arbitrary
+    /// input: the same anomalies in the same order, the same error text.
+    #[test]
+    fn construction_matches_reference_on_soup(raw in arb_soup()) {
+        matches_reference(&raw)?;
+    }
+
+    /// On valid input in any op order, and on the segments a stream builder
+    /// seals from it, every index equals the reference's.
+    #[test]
+    fn construction_matches_reference_on_clean_histories(
+        raw in arb_shuffled_clean(),
+        window in 1usize..6,
+    ) {
+        matches_reference(&raw)?;
+        for segment in sealed_segments(&raw, window) {
+            matches_reference(&segment)?;
+        }
     }
 }

@@ -4,7 +4,8 @@
 
 use k_atomicity::history::{History, Operation, RawHistory, Time, Value, Weight};
 use k_atomicity::verify::{
-    check_witness, smallest_k, ExhaustiveSearch, Fzf, GkOneAv, Lbt, Staleness, Verdict, Verifier,
+    check_witness, diagnose, smallest_k, ExhaustiveSearch, Fzf, GkOneAv, Lbt, Staleness, Verdict,
+    Verifier,
 };
 use k_atomicity::weighted::{extract_packing, reduce_bin_packing, BinPacking, WkavInstance};
 use proptest::prelude::*;
@@ -107,6 +108,14 @@ proptest! {
         }
         let least = (1..=h.total_write_weight().max(1)).find(|&k| oracle(k));
         prop_assert_eq!(Some(smallest_k(&h, None)), least.map(Staleness::Exact));
+    }
+
+    /// `diagnose` finds no atomicity violation iff the weighted rule
+    /// accepts the history at k = 1.
+    #[test]
+    fn diagnose_judges_atomicity_by_the_weighted_rule(h in arb_weighted_history()) {
+        let clean = diagnose(&h, None).atomicity_violation.is_none();
+        prop_assert_eq!(clean, ExhaustiveSearch::new(1).verify(&h).is_k_atomic());
     }
 
     #[test]
