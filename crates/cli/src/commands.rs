@@ -257,19 +257,7 @@ pub(crate) fn reject_model_flags(args: &Args, model: ModelId) -> CmdResult {
 fn emit_records_to_stdout(records: &[ndjson::StreamRecord], binary: bool) -> CmdResult {
     let stdout = std::io::stdout().lock();
     if binary {
-        // Pick the frame layout by content, like `frame::write_frames`:
-        // v1 stays byte-identical for untagged streams, v2 carries the
-        // client tags session-aware workloads depend on.
-        let tagged = records.iter().any(|r| r.client != kav_history::UNTAGGED_CLIENT);
-        let mut writer = if tagged {
-            frame::FrameWriter::new_v2(stdout)
-        } else {
-            frame::FrameWriter::new(stdout)
-        };
-        for record in records {
-            writer.write_record(record)?;
-        }
-        let _ = writer.finish()?;
+        let _ = frame::write_frames_to(stdout, records)?;
     } else {
         let mut writer = ndjson::StreamWriter::new(stdout);
         for record in records {

@@ -451,6 +451,24 @@ fn binary_stdin_and_file_runs_are_byte_identical() {
 }
 
 #[test]
+fn gen_binary_writes_the_same_frames_to_stdout_and_to_a_file() {
+    // One rule picks the layout for both sinks: v1 for untagged streams,
+    // v2 as soon as a record carries a client tag.
+    for (workload, magic) in [("stream", b"KAVF0001"), ("causal-stream", b"KAVF0002")] {
+        let path = temp_file(&format!("gen_binary_{workload}.bin"));
+        let gen = ["gen", "--workload", workload, "--keys", "3", "--n", "40", "--seed", "9"];
+        let gen = [&gen[..], &["--format", "binary"]].concat();
+        let out = kav(&[&gen[..], &["--out", path.to_str().unwrap()]].concat());
+        assert!(out.status.success(), "{}", stderr(&out));
+        let file = std::fs::read(&path).unwrap();
+        assert_eq!(&file[..8], magic, "{workload}");
+        let out = kav(&gen);
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert!(out.stdout == file, "{workload}: stdout and --out frames differ");
+    }
+}
+
+#[test]
 fn a_file_truncated_mid_run_ends_the_stream_with_a_report() {
     // copytruncate log rotation cuts the input to 0 bytes under a running
     // audit: the reader meets end of input, the torn buffered line is one

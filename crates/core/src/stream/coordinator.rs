@@ -9,26 +9,31 @@
 //! per-range [`PipelineSnapshot`]s flow back at checkpoint cadence to be
 //! [merged](super::merge) into one ordinary checkpoint.
 //!
+//! Each range keeps one buffer of the `(key, Operation)` pairs routed to
+//! it since its last acknowledged snapshot. Its unsent tail is the next
+//! batch; frames are built only when that batch goes on the wire.
+//!
 //! # Hand-off: death is a resume
 //!
 //! The rebalancing mechanism *is* the checkpoint mechanism. For every
-//! range the coordinator keeps the last snapshot a worker acknowledged
-//! plus a replay buffer of every frame routed since. When a worker dies
-//! (any transport error), each of its ranges is re-assigned to the
-//! survivor owning the fewest ranges: the survivor resumes the acked
-//! snapshot and the coordinator re-feeds the replay — an exactly-once
-//! hand-off, so the fleet report is the one an undisturbed run produces.
-//! Work the dead worker did past the snapshot is deliberately lost and
-//! redone; work is never double-counted.
+//! range the coordinator keeps the last snapshot a worker acknowledged,
+//! and the range's buffer is the replay of everything routed since. When
+//! a worker dies (any transport error), each of its ranges is re-assigned
+//! to the survivor owning the fewest ranges: the survivor resumes the
+//! acked snapshot and the coordinator re-sends the replay — an
+//! exactly-once hand-off, so the fleet report is the one an undisturbed
+//! run produces. Work the dead worker did past the snapshot is
+//! deliberately lost and redone; work is never double-counted.
 //!
-//! If the replay buffer overflowed ([`FleetConfig::replay_cap`]) the
-//! chain between snapshot and present cannot be re-fed, and per-key
-//! streams now have a **gap** — feeding later frames across it could
-//! prove violations that never happened. So an unverifiable hand-off
-//! *stops the range's audit*: the survivor resumes the acked snapshot
-//! unverified (proven violations survive; its keys are tainted, YES
-//! degrades to UNKNOWN, sticky), every later frame for the range is
-//! dropped and counted in [`FleetSummary::frames_dropped`], and
+//! If the replay overflowed ([`FleetConfig::replay_cap`]) the buffer
+//! keeps only its unsent tail, the chain between snapshot and present
+//! cannot be re-fed, and per-key streams now have a **gap** — feeding
+//! later operations across it could prove violations that never
+//! happened. So an unverifiable hand-off *stops the range's audit*: the
+//! survivor resumes the acked snapshot unverified (proven violations
+//! survive; its keys are tainted, YES degrades to UNKNOWN, sticky), the
+//! buffer is dropped, every later operation for the range is dropped and
+//! counted in [`FleetSummary::frames_dropped`], and
 //! [`fleet_verdict`](super::merge::fleet_verdict) refuses to certify the
 //! fleet. Soundness is never traded for liveness. Size `replay_cap` at or
 //! above the checkpoint cadence and the buffer never overflows between
@@ -47,17 +52,16 @@ use super::merge::{
 use super::pipeline::{PipelineOutput, PipelineSnapshot};
 use crate::models::ModelId;
 use super::protocol::{
-    encode_payload, expect_preamble, parse_reply, read_message, tag, write_message,
-    Assignment, FinishReply, ProtocolError, RangeSnapshot, SnapshotReply,
-    COORDINATOR_MAGIC, WORKER_MAGIC,
+    expect_preamble, parse_json, read_message, tag, to_json, write_message, Assignment,
+    FinishReply, ProtocolError, RangeSnapshot, SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
 };
-use kav_history::frame::{encode_routed_batch, FrameBatch, KeyRange};
+use kav_history::frame::{encode_routed_batch, KeyRange};
 use kav_history::Operation;
 use std::io::{Read, Write};
 
-/// Default bound on the per-range replay buffer, in frames. At 37 bytes a
-/// frame this caps hand-off memory near 37 MB per range while covering
-/// many checkpoint cadences' worth of traffic.
+/// Default bound on the per-range replay, in operations. At 48 bytes a
+/// buffered operation this caps hand-off memory near 50 MB per range
+/// while covering many checkpoint cadences' worth of traffic.
 pub const DEFAULT_REPLAY_CAP: usize = 1 << 20;
 
 /// One worker's transport, as the coordinator sees it. `kav serve` wraps
@@ -87,13 +91,13 @@ pub struct FleetConfig {
     pub horizon: Option<usize>,
     /// Thread shards inside each worker's per-range pipeline.
     pub worker_shards: usize,
-    /// Frames per routed batch on the wire (and per worker-internal
+    /// Operations per routed batch on the wire (and per worker-internal
     /// channel batch).
     pub batch: usize,
     /// Checkpoint cadence in routed operations (0 = never due).
     pub checkpoint_every: u64,
-    /// Replay-buffer bound per range, in frames; past it a hand-off of
-    /// that range degrades to an unverified resume.
+    /// Replay bound per range, in operations; past it a hand-off of that
+    /// range degrades to an unverified resume.
     pub replay_cap: usize,
 }
 
@@ -139,25 +143,48 @@ struct RangeState {
     range: KeyRange,
     /// Index into the worker table.
     worker: usize,
-    /// Frames buffered toward the next outgoing batch.
-    pending: FrameBatch,
-    /// Every frame routed since `snapshot` was acknowledged (pending ones
-    /// included) — the hand-off replay.
-    replay: FrameBatch,
+    /// Operations routed since `snapshot` was acknowledged, oldest first:
+    /// while `replay_intact` the whole hand-off replay, afterwards only
+    /// what is still to be sent.
+    ops: Vec<(u64, Operation)>,
+    /// How many of `ops` are already on the wire; the rest is the next
+    /// batch.
+    sent: usize,
     /// False once the replay overflowed [`FleetConfig::replay_cap`]: the
     /// chain from `snapshot` to the present is no longer re-feedable.
     replay_intact: bool,
     /// True once an unverifiable hand-off stopped this range's audit:
-    /// its per-key streams have a gap, so feeding later frames could
+    /// its per-key streams have a gap, so feeding later operations could
     /// prove violations that never happened. The range keeps its (tainted)
     /// acked snapshot; everything after the break is dropped and counted.
     broken: bool,
     /// Last snapshot the owner acknowledged (`None` until the first
     /// checkpoint probe).
     snapshot: Option<PipelineSnapshot>,
-    /// Frames routed to this range since it was created (split-heat
+    /// Operations routed to this range since it was created (split-heat
     /// signal, and the `ops_routed` share for fresh assignments).
     routed: u64,
+}
+
+impl RangeState {
+    /// A range with an empty buffer, owned by `worker`.
+    fn new(
+        range: KeyRange,
+        worker: usize,
+        snapshot: Option<PipelineSnapshot>,
+        routed: u64,
+    ) -> Self {
+        RangeState {
+            range,
+            worker,
+            ops: Vec::new(),
+            sent: 0,
+            replay_intact: true,
+            broken: false,
+            snapshot,
+            routed,
+        }
+    }
 }
 
 /// The coordinator end of an audit fleet (see the module docs).
@@ -227,9 +254,7 @@ impl FleetCoordinator {
                     base.algo, base.k, config.algo, config.k
                 )));
             }
-            let horizon = config.horizon.unwrap_or_else(|| {
-                config.window.max(1).saturating_mul(super::DEFAULT_HORIZON_WINDOWS)
-            });
+            let horizon = super::resolve_horizon(config.window, config.horizon);
             if base.window != config.window.max(1) || base.horizon != horizon {
                 return Err(ProtocolError::VerifierMismatch(format!(
                     "checkpoint used window {}/horizon {}, fleet config resolves to \
@@ -276,19 +301,9 @@ impl FleetCoordinator {
                 remaining -= share;
                 partition_snapshot(b, range, share)
             });
-            let worker = i % fleet.workers.len();
-            let state = RangeState {
-                range,
-                worker,
-                pending: FrameBatch::new(),
-                replay: FrameBatch::new(),
-                replay_intact: true,
-                broken: false,
-                routed: snapshot.as_ref().map_or(0, |s| s.ops_routed),
-                snapshot,
-            };
-            fleet.assign(worker, &state, prefix_verified)?;
-            fleet.ranges.push(state);
+            let routed = snapshot.as_ref().map_or(0, |s| s.ops_routed);
+            fleet.ranges.push(RangeState::new(range, i % fleet.workers.len(), snapshot, routed));
+            fleet.assign(i, prefix_verified)?;
         }
         Ok(fleet)
     }
@@ -329,50 +344,46 @@ impl FleetCoordinator {
         if state.broken {
             // The range's audit stopped at an unverifiable hand-off:
             // feeding across the gap could prove violations that never
-            // happened, so later frames are dropped — loudly counted, and
+            // happened, so later operations are dropped — loudly counted, and
             // the fleet verdict never certifies (see `fleet_verdict`).
             self.summary.frames_dropped += 1;
             return Ok(());
         }
-        state.pending.push(key, &op);
-        if state.replay_intact {
-            if state.replay.len() < self.config.replay_cap {
-                state.replay.push(key, &op);
-            } else {
-                state.replay_intact = false;
-                state.replay.clear();
-            }
+        if state.replay_intact && state.ops.len() >= self.config.replay_cap {
+            // The replay outgrew its cap: keep only what is still unsent.
+            state.replay_intact = false;
+            state.ops.drain(..state.sent);
+            state.sent = 0;
         }
-        if state.pending.len() >= self.config.batch {
+        state.ops.push((key, op));
+        if state.ops.len() - state.sent >= self.config.batch {
             self.flush_range(idx)?;
         }
         Ok(())
     }
 
-    /// Sends range `idx`'s pending batch, handing the range off (and
-    /// retrying on the new owner) if its worker died.
+    /// Sends range `idx`'s unsent operations as one batch, then keeps them
+    /// as replay (intact) or drops them (overflowed). If the owner died,
+    /// the range is handed off instead, and the hand-off re-sends what the
+    /// replay holds.
     fn flush_range(&mut self, idx: usize) -> Result<(), ProtocolError> {
-        if self.ranges[idx].pending.is_empty() {
+        let state = &self.ranges[idx];
+        if state.sent == state.ops.len() {
             return Ok(());
         }
-        loop {
-            let state = &mut self.ranges[idx];
-            let worker = state.worker;
-            let payload = encode_routed_batch(state.range, &state.pending);
-            match self.write_to(worker, tag::BATCH, &payload) {
-                Ok(()) => {
-                    self.ranges[idx].pending.clear();
-                    return Ok(());
-                }
-                Err(_) => {
-                    // The owner died mid-stream. Hand its ranges off; the
-                    // replay re-feeds everything since the last ack —
-                    // including this pending batch — so clear it rather
-                    // than re-sending it on top of the replay.
-                    self.handle_worker_death(worker)?;
-                }
-            }
+        let worker = state.worker;
+        let payload = encode_routed_batch(state.range, &state.ops[state.sent..]);
+        if self.write_to(worker, tag::BATCH, &payload).is_err() {
+            return self.handle_worker_death(worker);
         }
+        let state = &mut self.ranges[idx];
+        if state.replay_intact {
+            state.sent = state.ops.len();
+        } else {
+            state.ops.clear();
+            state.sent = 0;
+        }
+        Ok(())
     }
 
     /// Writes one message to a worker, flushing.
@@ -397,13 +408,32 @@ impl FleetCoordinator {
         Ok(payload)
     }
 
-    /// Sends a range assignment to a worker.
-    fn assign(
+    /// Sends one request to a worker and reads its `reply_tag` answer. A
+    /// transport failure hands the dead worker's ranges off and returns
+    /// `Ok(None)`.
+    fn request(
         &mut self,
         worker: usize,
-        state: &RangeState,
-        prefix_verified: bool,
-    ) -> Result<(), ProtocolError> {
+        tag: u8,
+        payload: &[u8],
+        reply_tag: u8,
+    ) -> Result<Option<Vec<u8>>, ProtocolError> {
+        let reply =
+            self.write_to(worker, tag, payload).and_then(|()| self.read_reply(worker, reply_tag));
+        match reply {
+            Ok(payload) => Ok(Some(payload)),
+            Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => {
+                self.handle_worker_death(worker)?;
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Sends range `idx`'s assignment to its owner, resuming the range's
+    /// last acked snapshot.
+    fn assign(&mut self, idx: usize, prefix_verified: bool) -> Result<(), ProtocolError> {
+        let state = &self.ranges[idx];
         let assignment = Assignment {
             range: state.range,
             algo: self.config.algo.clone(),
@@ -416,82 +446,91 @@ impl FleetCoordinator {
             snapshot: state.snapshot.clone(),
             prefix_verified,
         };
-        let payload = encode_payload(&assignment)?;
-        self.write_to(worker, tag::ASSIGN, &payload)
+        self.write_to(state.worker, tag::ASSIGN, &to_json(&assignment)?)
+    }
+
+    /// The adoptable worker owning the fewest ranges (the lowest index on
+    /// a tie).
+    fn least_loaded(&self) -> Option<usize> {
+        (0..self.workers.len())
+            .filter(|w| self.workers[*w].adoptable())
+            .min_by_key(|w| self.ranges.iter().filter(|r| r.worker == *w).count())
+    }
+
+    /// Checks that a reply from `worker` covers exactly the ranges it owns.
+    fn check_owned(
+        &self,
+        worker: usize,
+        got: impl Iterator<Item = KeyRange>,
+    ) -> Result<(), ProtocolError> {
+        let mut owned: Vec<KeyRange> = self
+            .ranges
+            .iter()
+            .filter(|state| state.worker == worker)
+            .map(|state| state.range)
+            .collect();
+        owned.sort();
+        let mut got: Vec<KeyRange> = got.collect();
+        got.sort();
+        if owned != got {
+            return Err(ProtocolError::UnassignedRange(
+                got.into_iter().find(|r| !owned.contains(r)).unwrap_or(KeyRange::ALL),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Marks a worker dead.
+    fn bury(&mut self, worker: usize) {
+        self.workers[worker].link = None;
+        self.summary.workers_alive = self.workers.iter().filter(|w| w.alive()).count();
     }
 
     /// Buries a dead worker and re-homes each of its ranges on the
     /// survivor owning the fewest, resuming from the last acked snapshot
-    /// and re-feeding the replay (see the module docs). Survivors dying
+    /// and re-sending the replay (see the module docs). Survivors dying
     /// during the hand-off are buried the same way, recursively.
     ///
     /// # Errors
     ///
     /// Only when no worker is left alive.
     fn handle_worker_death(&mut self, dead: usize) -> Result<(), ProtocolError> {
-        self.workers[dead].link = None;
-        self.summary.workers_alive = self.workers.iter().filter(|w| w.alive()).count();
-        loop {
-            let Some(idx) = self.ranges.iter().position(|state| {
-                !self.workers[state.worker].alive()
-            }) else {
-                return Ok(());
-            };
-            let Some(survivor) = (0..self.workers.len())
-                .filter(|w| self.workers[*w].adoptable())
-                .min_by_key(|w| self.ranges.iter().filter(|r| r.worker == *w).count())
-            else {
-                // Nobody left: the audit cannot continue. This is a
-                // transport failure (exit 2), never a verdict.
-                return Err(ProtocolError::Disconnected);
-            };
-            let verified = self.ranges[idx].replay_intact;
+        self.bury(dead);
+        while let Some(idx) =
+            self.ranges.iter().position(|state| !self.workers[state.worker].alive())
+        {
+            // Nobody left: the audit cannot continue. This is a transport
+            // failure (exit 2), never a verdict.
+            let survivor = self.least_loaded().ok_or(ProtocolError::Disconnected)?;
             self.summary.hand_offs += 1;
-            if !verified {
+            let state = &mut self.ranges[idx];
+            state.worker = survivor;
+            let verified = state.replay_intact;
+            if verified {
+                // The whole buffer goes out below; nothing is left unsent.
+                state.sent = state.ops.len();
+            } else {
                 self.summary.uncertified_hand_offs += 1;
-                self.ranges[idx].broken = true;
+                state.broken = true;
+                state.ops.clear();
+                state.sent = 0;
             }
-            self.ranges[idx].worker = survivor;
-            // The pending batch's frames are part of the replay (or were
-            // dropped with it); either way they must not be re-sent on
-            // top of the hand-off.
-            self.ranges[idx].pending.clear();
-            let outcome: Result<(), ProtocolError> = (|| {
-                let state = &self.ranges[idx];
-                let assignment = Assignment {
-                    range: state.range,
-                    algo: self.config.algo.clone(),
-                    model: self.config.model,
-                    k: self.config.k,
-                    window: self.config.window,
-                    horizon: self.config.horizon,
-                    shards: self.config.worker_shards,
-                    batch: self.config.batch,
-                    snapshot: state.snapshot.clone(),
-                    prefix_verified: verified,
-                };
-                let payload = encode_payload(&assignment)?;
-                self.write_to(survivor, tag::ASSIGN, &payload)?;
-                if verified && !self.ranges[idx].replay.is_empty() {
-                    let payload =
-                        encode_routed_batch(self.ranges[idx].range, &self.ranges[idx].replay);
-                    self.write_to(survivor, tag::BATCH, &payload)?;
-                }
-                Ok(())
-            })();
+            let mut outcome = self.assign(idx, verified);
+            let state = &self.ranges[idx];
+            if outcome.is_ok() && !state.ops.is_empty() {
+                let payload = encode_routed_batch(state.range, &state.ops);
+                outcome = self.write_to(survivor, tag::BATCH, &payload);
+            }
             match outcome {
                 Ok(()) => {}
-                Err(ProtocolError::Io(_)) | Err(ProtocolError::Disconnected) => {
-                    // The survivor died too; bury it and loop — the range
-                    // is still homed on a dead worker, so it is picked up
-                    // again with its replay intact.
-                    self.workers[survivor].link = None;
-                    self.summary.workers_alive =
-                        self.workers.iter().filter(|w| w.alive()).count();
-                }
+                // The survivor died too; bury it and loop — the range is
+                // still homed on a dead worker, so it is picked up again
+                // with its replay intact.
+                Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => self.bury(survivor),
                 Err(e) => return Err(e),
             }
         }
+        Ok(())
     }
 
     /// Flushes every range and collects one consistent fleet-wide cut,
@@ -524,18 +563,12 @@ impl FleetCoordinator {
                 .collect();
             let mut replies: Vec<(usize, SnapshotReply)> = Vec::with_capacity(probed.len());
             for worker in probed {
-                if self.write_to(worker, tag::SNAPSHOT, &[]).is_err() {
-                    self.handle_worker_death(worker)?;
+                let Some(payload) =
+                    self.request(worker, tag::SNAPSHOT, &[], tag::SNAPSHOT_REPLY)?
+                else {
                     continue 'retry;
-                }
-                match self.read_reply(worker, tag::SNAPSHOT_REPLY) {
-                    Ok(payload) => replies.push((worker, parse_reply(&payload)?)),
-                    Err(ProtocolError::Io(_)) | Err(ProtocolError::Disconnected) => {
-                        self.handle_worker_death(worker)?;
-                        continue 'retry;
-                    }
-                    Err(e) => return Err(e),
-                }
+                };
+                replies.push((worker, parse_json(&payload)?));
             }
             let mut parts: Vec<PipelineSnapshot> = Vec::with_capacity(self.ranges.len());
             for (worker, reply) in replies {
@@ -546,20 +579,7 @@ impl FleetCoordinator {
                     });
                 }
                 self.workers[worker].last_snapshot_version = reply.version;
-                let mut owned: Vec<KeyRange> = self
-                    .ranges
-                    .iter()
-                    .filter(|state| state.worker == worker)
-                    .map(|state| state.range)
-                    .collect();
-                owned.sort();
-                let mut got: Vec<KeyRange> = reply.ranges.iter().map(|r| r.range).collect();
-                got.sort();
-                if owned != got {
-                    return Err(ProtocolError::UnassignedRange(
-                        got.into_iter().find(|r| !owned.contains(r)).unwrap_or(KeyRange::ALL),
-                    ));
-                }
+                self.check_owned(worker, reply.ranges.iter().map(|r| r.range))?;
                 for RangeSnapshot { range, snapshot } in reply.ranges {
                     if snapshot.partition != Some(range) {
                         return Err(ProtocolError::PartitionMismatch {
@@ -576,7 +596,8 @@ impl FleetCoordinator {
                     // from this snapshot. A broken range stays broken —
                     // its gap does not heal, it only gets re-acked.
                     state.snapshot = Some(snapshot.clone());
-                    state.replay.clear();
+                    state.ops.clear();
+                    state.sent = 0;
                     state.replay_intact = !state.broken;
                     parts.push(snapshot);
                 }
@@ -588,7 +609,7 @@ impl FleetCoordinator {
         }
     }
 
-    /// Splits the hottest range (most routed frames since creation) in
+    /// Splits the hottest range (most routed operations since creation) in
     /// two: the owner retires it at a consistent cut, the snapshot is
     /// partitioned between the two children, and the busier half stays
     /// put while the other re-homes on the least-loaded worker — all with
@@ -608,18 +629,13 @@ impl FleetCoordinator {
         self.flush_range(idx)?;
         let owner = self.ranges[idx].worker;
         let range = self.ranges[idx].range;
-        let payload = encode_payload(&range)?;
-        if self.write_to(owner, tag::RETIRE, &payload).is_err() {
-            // The owner died before retiring: plain hand-off instead.
-            return self.handle_worker_death(owner);
-        }
-        let retired: RangeSnapshot = match self.read_reply(owner, tag::RETIRE_REPLY) {
-            Ok(payload) => parse_reply(&payload)?,
-            Err(ProtocolError::Io(_)) | Err(ProtocolError::Disconnected) => {
-                return self.handle_worker_death(owner);
-            }
-            Err(e) => return Err(e),
+        let Some(payload) =
+            self.request(owner, tag::RETIRE, &to_json(&range)?, tag::RETIRE_REPLY)?
+        else {
+            // The owner died before retiring: its hand-off replaces the split.
+            return Ok(());
         };
+        let retired: RangeSnapshot = parse_json(&payload)?;
         if retired.range != range || retired.snapshot.partition != Some(range) {
             return Err(ProtocolError::PartitionMismatch {
                 range,
@@ -630,31 +646,22 @@ impl FleetCoordinator {
         let low_share = split_ops_share(&retired.snapshot, low);
         let parent_routed = self.ranges[idx].routed;
         let parent_ops = retired.snapshot.ops_routed;
-        let make_state = |child: KeyRange, ops: u64, worker: usize| RangeState {
-            range: child,
-            worker,
-            pending: FrameBatch::new(),
-            replay: FrameBatch::new(),
-            replay_intact: true,
-            broken: false,
-            snapshot: Some(partition_snapshot(&retired.snapshot, child, ops)),
-            // Heat resets proportionally so the split halves do not
-            // immediately win the next split election.
-            routed: parent_routed / 2,
+        // Heat resets proportionally so the split halves do not
+        // immediately win the next split election.
+        let make_state = |child: KeyRange, ops: u64, worker: usize| {
+            let snapshot = partition_snapshot(&retired.snapshot, child, ops);
+            RangeState::new(child, worker, Some(snapshot), parent_routed / 2)
         };
-        let other = (0..self.workers.len())
-            .filter(|w| self.workers[*w].adoptable())
-            .min_by_key(|w| self.ranges.iter().filter(|r| r.worker == *w).count())
-            .ok_or(ProtocolError::Disconnected)?;
+        let other = self.least_loaded().ok_or(ProtocolError::Disconnected)?;
         let low_state = make_state(low, low_share.min(parent_ops), owner);
         let high_state = make_state(high, parent_ops - low_share.min(parent_ops), other);
         self.ranges.swap_remove(idx);
         for state in [low_state, high_state] {
-            match self.assign(state.worker, &state, true) {
-                Ok(()) => self.ranges.push(state),
-                Err(ProtocolError::Io(_)) | Err(ProtocolError::Disconnected) => {
-                    let worker = state.worker;
-                    self.ranges.push(state);
+            let worker = state.worker;
+            self.ranges.push(state);
+            match self.assign(self.ranges.len() - 1, true) {
+                Ok(()) => {}
+                Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => {
                     self.handle_worker_death(worker)?;
                 }
                 Err(e) => return Err(e),
@@ -691,35 +698,14 @@ impl FleetCoordinator {
                 self.workers[worker].retired = true;
                 continue;
             }
-            if self.write_to(worker, tag::FINISH, &[]).is_err() {
-                // A retired survivor's reports are final, so the dead
-                // worker's ranges may only move to unfinished workers —
-                // which is exactly what the adoptable() election enforces.
-                self.handle_worker_death(worker)?;
+            // A dead worker's ranges may only move to unfinished workers
+            // (a retired survivor's reports are final), which is exactly
+            // what the adoptable() election enforces.
+            let Some(payload) = self.request(worker, tag::FINISH, &[], tag::FINISH_REPLY)? else {
                 continue 'drain;
-            }
-            let reply: FinishReply = match self.read_reply(worker, tag::FINISH_REPLY) {
-                Ok(payload) => parse_reply(&payload)?,
-                Err(ProtocolError::Io(_)) | Err(ProtocolError::Disconnected) => {
-                    self.handle_worker_death(worker)?;
-                    continue 'drain;
-                }
-                Err(e) => return Err(e),
             };
-            let mut owned: Vec<KeyRange> = self
-                .ranges
-                .iter()
-                .filter(|state| state.worker == worker)
-                .map(|state| state.range)
-                .collect();
-            owned.sort();
-            let mut got: Vec<KeyRange> = reply.ranges.iter().map(|r| r.range).collect();
-            got.sort();
-            if owned != got {
-                return Err(ProtocolError::UnassignedRange(
-                    got.into_iter().find(|r| !owned.contains(r)).unwrap_or(KeyRange::ALL),
-                ));
-            }
+            let reply: FinishReply = parse_json(&payload)?;
+            self.check_owned(worker, reply.ranges.iter().map(|r| r.range))?;
             for range_output in reply.ranges {
                 outputs.push(PipelineOutput {
                     keys: range_output

@@ -128,6 +128,41 @@ pub use kav_history::stream::SnapshotError;
 /// `UNKNOWN` rather than growing — raise the horizon to certify deeper.
 pub const DEFAULT_HORIZON_WINDOWS: usize = 16;
 
+/// The retirement horizon a window and an optional explicit horizon
+/// resolve to: the explicit one, else [`DEFAULT_HORIZON_WINDOWS`] windows.
+fn resolve_horizon(window: usize, horizon: Option<usize>) -> usize {
+    horizon.unwrap_or_else(|| window.max(1).saturating_mul(DEFAULT_HORIZON_WINDOWS))
+}
+
+/// Refuses to resume a snapshot of `algo`, `model` and `k` with a verifier
+/// of another identity: the accumulated counters would change meaning.
+fn check_identity(
+    verifier: &impl Verifier,
+    algo: &str,
+    model: ModelId,
+    k: u64,
+) -> Result<(), SnapshotError> {
+    if verifier.name() != algo {
+        return Err(SnapshotError::new(format!(
+            "snapshot was taken with algorithm {algo:?}, resuming with {:?}",
+            verifier.name()
+        )));
+    }
+    if verifier.model() != model {
+        return Err(SnapshotError::new(format!(
+            "snapshot audits the {model} consistency model, resuming verifier decides {}",
+            verifier.model()
+        )));
+    }
+    if verifier.k() != k {
+        return Err(SnapshotError::new(format!(
+            "snapshot decides k = {k}, resuming verifier decides k = {}",
+            verifier.k()
+        )));
+    }
+    Ok(())
+}
+
 /// Why the online verifier rejected an operation or a segment.
 #[derive(Debug)]
 pub enum OnlineError {
@@ -356,8 +391,7 @@ impl<V: Verifier> OnlineVerifier<V> {
     /// (clamped to at least 1) and the default retirement horizon of
     /// [`DEFAULT_HORIZON_WINDOWS`] windows.
     pub fn new(verifier: V, window: usize) -> Self {
-        let window = window.max(1);
-        Self::with_horizon(verifier, window, window.saturating_mul(DEFAULT_HORIZON_WINDOWS))
+        Self::with_horizon(verifier, window, resolve_horizon(window, None))
     }
 
     /// Wraps `verifier` with an explicit retirement horizon: value ids of
@@ -414,27 +448,7 @@ impl<V: Verifier> OnlineVerifier<V> {
     /// Returns a [`SnapshotError`] on verifier identity mismatch, counter
     /// inconsistency, or a corrupt builder snapshot.
     pub fn resume(verifier: V, snapshot: &OnlineSnapshot) -> Result<Self, SnapshotError> {
-        if verifier.name() != snapshot.algo {
-            return Err(SnapshotError::new(format!(
-                "snapshot was taken with algorithm {:?}, resuming with {:?}",
-                snapshot.algo,
-                verifier.name()
-            )));
-        }
-        if verifier.model() != snapshot.model {
-            return Err(SnapshotError::new(format!(
-                "snapshot audits the {} consistency model, resuming verifier decides {}",
-                snapshot.model,
-                verifier.model()
-            )));
-        }
-        if verifier.k() != snapshot.k {
-            return Err(SnapshotError::new(format!(
-                "snapshot decides k = {}, resuming verifier decides k = {}",
-                snapshot.k,
-                verifier.k()
-            )));
-        }
+        check_identity(&verifier, &snapshot.algo, snapshot.model, snapshot.k)?;
         if snapshot.window == 0 {
             return Err(SnapshotError::new("window of zero operations".to_string()));
         }

@@ -5,16 +5,14 @@
 //! spawns one worker thread per shard, each owning the
 //! [`OnlineVerifier`]s of the keys hashed to it.
 //!
-//! The ingest side only hashes and buffers: operations accumulate in a
-//! per-shard [`FrameBatch`] ([`PipelineConfig::batch`]) — the compact
-//! binary frame encoding of [`kav_history::frame`], one flat byte buffer
-//! instead of a `Vec` of structs — and cross the channel as one batch per
-//! flush, so the per-operation cost of ingest is a hash and a 37-byte
-//! append; channel synchronisation (the ~1.5M ops/s ceiling of
-//! per-operation sends) is amortised over the whole batch. Workers
-//! likewise receive a batch per `recv` and decode frames as they verify.
-//! Throughput then scales with shard count until the work itself (not the
-//! channel) saturates the cores.
+//! The ingest side only hashes and buffers: `(key, Operation)` pairs
+//! accumulate in a per-shard `Vec` of [`PipelineConfig::batch`] pairs and
+//! cross the channel as one batch per flush, so the per-operation cost of
+//! ingest is a hash and a push; channel synchronisation (the ~1.5M ops/s
+//! ceiling of per-operation sends) is amortised over the whole batch.
+//! Workers likewise receive a batch per `recv` and verify its pairs in
+//! order. Throughput then scales with shard count until the work itself
+//! (not the channel) saturates the cores.
 //!
 //! # Probes: snapshots and progress
 //!
@@ -31,10 +29,12 @@
 //! round-trip per shard; verification itself keeps running until a worker
 //! drains its queue and answers.
 
-use super::{OnlineSnapshot, OnlineVerifier, SnapshotError, StreamReport};
+use super::{
+    check_identity, resolve_horizon, OnlineSnapshot, OnlineVerifier, SnapshotError, StreamReport,
+};
 use crate::models::ModelId;
 use crate::Verifier;
-use kav_history::frame::{FrameBatch, KeyRange};
+use kav_history::frame::KeyRange;
 use kav_history::stream::DEPTH_BUCKETS;
 use kav_history::Operation;
 use serde::{Deserialize, Serialize};
@@ -258,9 +258,8 @@ pub struct PipelineProgress {
 type KeyReports = Vec<(u64, StreamReport)>;
 /// Keys a worker gave up on, with the error message.
 type KeyErrors = Vec<(u64, String)>;
-/// What crosses the channel in the common case: a batch of keyed ops,
-/// frame-encoded into one flat buffer.
-type Batch = FrameBatch;
+/// What crosses the channel in the common case: a batch of keyed ops.
+type Batch = Vec<(u64, Operation)>;
 
 /// A worker's answer to a probe.
 struct ShardProbe {
@@ -448,29 +447,9 @@ impl StreamPipeline {
         snapshot: &PipelineSnapshot,
         prefix_verified: bool,
     ) -> Result<Self, SnapshotError> {
-        if verifier.name() != snapshot.algo {
-            return Err(SnapshotError::new(format!(
-                "snapshot was taken with algorithm {:?}, resuming with {:?}",
-                snapshot.algo,
-                verifier.name()
-            )));
-        }
-        if verifier.model() != snapshot.model {
-            return Err(SnapshotError::new(format!(
-                "snapshot audits the {} consistency model, resuming verifier decides {}",
-                snapshot.model,
-                verifier.model()
-            )));
-        }
-        if verifier.k() != snapshot.k {
-            return Err(SnapshotError::new(format!(
-                "snapshot decides k = {}, resuming verifier decides k = {}",
-                snapshot.k,
-                verifier.k()
-            )));
-        }
+        check_identity(&verifier, &snapshot.algo, snapshot.model, snapshot.k)?;
         let window = config.window.max(1);
-        let horizon = resolve_horizon(&config);
+        let horizon = resolve_horizon(config.window, config.horizon);
         if window != snapshot.window || horizon != snapshot.horizon {
             return Err(SnapshotError::new(format!(
                 "snapshot used window {} / horizon {}, resuming config resolves to \
@@ -554,7 +533,7 @@ impl StreamPipeline {
     ) -> Self {
         let shards = seeds.len();
         let window = config.window.max(1);
-        let horizon = resolve_horizon(&config);
+        let horizon = resolve_horizon(config.window, config.horizon);
         let batch = config.batch.max(1);
         // Bounded channels apply backpressure: if ingest outpaces
         // verification, `push` blocks instead of queueing the stream in
@@ -623,7 +602,7 @@ impl StreamPipeline {
                                 continue;
                             }
                         };
-                        for (key, op) in batch.iter() {
+                        for (key, op) in batch {
                             if failed.contains(&key) {
                                 continue;
                             }
@@ -681,7 +660,7 @@ impl StreamPipeline {
             .collect();
         StreamPipeline {
             workers,
-            buffers: (0..shards).map(|_| FrameBatch::with_capacity(batch)).collect(),
+            buffers: (0..shards).map(|_| Vec::with_capacity(batch)).collect(),
             batch,
             window,
             horizon,
@@ -734,7 +713,7 @@ impl StreamPipeline {
     pub fn push(&mut self, key: u64, op: Operation) {
         self.ops_routed += 1;
         let shard = shard_of(key, self.workers.len());
-        self.buffers[shard].push(key, &op);
+        self.buffers[shard].push((key, op));
         if self.buffers[shard].len() >= self.batch {
             self.flush_shard(shard);
         }
@@ -746,8 +725,7 @@ impl StreamPipeline {
         if self.buffers[shard].is_empty() {
             return;
         }
-        let batch =
-            std::mem::replace(&mut self.buffers[shard], FrameBatch::with_capacity(self.batch));
+        let batch = std::mem::replace(&mut self.buffers[shard], Vec::with_capacity(self.batch));
         if self.workers[shard].sender.send(Msg::Batch(batch)).is_err() {
             self.propagate_worker_death(shard);
         }
@@ -881,13 +859,6 @@ impl StreamPipeline {
         output.errors.sort_by_key(|(key, _)| *key);
         output
     }
-}
-
-/// The per-key retirement horizon a config resolves to.
-fn resolve_horizon(config: &PipelineConfig) -> usize {
-    config
-        .horizon
-        .unwrap_or_else(|| config.window.max(1).saturating_mul(super::DEFAULT_HORIZON_WINDOWS))
 }
 
 /// Maps a key to a shard with a multiplicative hash, so clustered key

@@ -347,13 +347,15 @@ pub fn expect_preamble(input: &mut impl Read, expected: [u8; 8]) -> Result<(), P
     Ok(())
 }
 
-fn parse_json<T: Deserialize>(payload: &[u8]) -> Result<T, ProtocolError> {
+/// Parses a JSON message payload.
+pub(super) fn parse_json<T: Deserialize>(payload: &[u8]) -> Result<T, ProtocolError> {
     let text =
         std::str::from_utf8(payload).map_err(|e| ProtocolError::Json(e.to_string()))?;
     serde_json::from_str(text).map_err(|e| ProtocolError::Json(e.to_string()))
 }
 
-fn to_json<T: Serialize>(value: &T) -> Result<Vec<u8>, ProtocolError> {
+/// Serializes a JSON message payload.
+pub(super) fn to_json<T: Serialize>(value: &T) -> Result<Vec<u8>, ProtocolError> {
     serde_json::to_string(value)
         .map(String::into_bytes)
         .map_err(|e| ProtocolError::Json(e.to_string()))
@@ -474,12 +476,12 @@ fn worker_loop_inner<V: Verifier + Clone + Send + 'static>(
                 owned.sort_by_key(|o| o.range);
             }
             tag::BATCH => {
-                let (range, batch) = decode_routed_batch(&payload)?;
+                let (range, ops) = decode_routed_batch(&payload)?;
                 let slot = owned
                     .iter_mut()
                     .find(|o| o.range == range)
                     .ok_or(ProtocolError::UnassignedRange(range))?;
-                for (key, op) in batch.iter() {
+                for (key, op) in ops {
                     slot.pipeline.push(key, op);
                 }
             }
@@ -536,18 +538,4 @@ fn worker_loop_inner<V: Verifier + Clone + Send + 'static>(
             other => return Err(ProtocolError::UnknownTag(other)),
         }
     }
-}
-
-/// Parses a JSON reply payload (shared by the coordinator's reply
-/// readers and protocol tests).
-pub(super) fn parse_reply<T: Deserialize>(
-    payload: &[u8],
-) -> Result<T, ProtocolError> {
-    parse_json(payload)
-}
-
-/// Serializes a JSON message payload (shared by the coordinator's
-/// request writers and protocol tests).
-pub(super) fn encode_payload<T: Serialize>(value: &T) -> Result<Vec<u8>, ProtocolError> {
-    to_json(value)
 }

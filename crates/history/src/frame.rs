@@ -20,21 +20,21 @@
 //! client-tagged records rather than silently dropping the tag, and
 //! [`FrameWriter::new_v2`] for v2).
 //!
-//! The format serves two roles:
+//! Frames exist only where operations leave the process as bytes. In
+//! memory, routed operations stay `(key, Operation)` pairs; this module
+//! turns them into frames at two boundaries:
 //!
-//! * **In process** — [`FrameBatch`] is the shard-channel payload of the
-//!   streaming pipeline: one flat allocation per batch instead of a
-//!   `Vec<(u64, Operation)>` per send, and the natural wire format once
-//!   shards live in other processes.
-//! * **On disk / on the wire** — a stream is the 8-byte magic
+//! * **Files, pipes and stdin** — a stream is the 8-byte magic
 //!   [`FRAME_MAGIC`] followed by consecutive frames (`kav gen --format
-//!   binary`, `kav stream --format binary`), from a file, a pipe or
-//!   stdin. [`Reader`] streams it through any `BufRead` and mirrors the
-//!   NDJSON reader's accounting: frames take the place of lines in
-//!   checkpoint positions, and the resume [`Fingerprint`] chain digests
-//!   one chunk per frame — so a checkpoint records which format produced
-//!   it, and cross-format resume fails the fingerprint check instead of
-//!   silently mixing formats.
+//!   binary`, `kav stream --format binary`). [`Reader`] streams it through
+//!   any `BufRead` and mirrors the NDJSON reader's accounting: frames take
+//!   the place of lines in checkpoint positions, and the resume
+//!   [`Fingerprint`] chain digests one chunk per frame — so a checkpoint
+//!   records which format produced it, and cross-format resume fails the
+//!   fingerprint check instead of silently mixing formats.
+//! * **The fleet wire** — [`encode_routed_batch`] writes a routing header
+//!   and one v2 frame per pair, and [`decode_routed_batch`] validates and
+//!   decodes them back into pairs on the worker.
 
 use crate::fxhash::Fingerprint;
 use crate::ndjson::{NdjsonError, StreamRecord};
@@ -69,9 +69,8 @@ const KIND_READ: u8 = 0;
 const KIND_WRITE: u8 = 1;
 
 /// Appends one operation as a 37-byte v1 frame. The client tag, if any,
-/// is not representable in v1; callers that may carry one go through
-/// [`encode_frame_v2`] or a v1 [`FrameWriter`] (which rejects tags).
-pub fn encode_frame(key: u64, op: &Operation, out: &mut Vec<u8>) {
+/// is not representable in v1; a v1 [`FrameWriter`] rejects tagged records.
+fn encode_frame(key: u64, op: &Operation, out: &mut Vec<u8>) {
     out.extend_from_slice(&key.to_le_bytes());
     out.extend_from_slice(&op.value.0.to_le_bytes());
     out.extend_from_slice(&op.start.0.to_le_bytes());
@@ -84,7 +83,7 @@ pub fn encode_frame(key: u64, op: &Operation, out: &mut Vec<u8>) {
 }
 
 /// Appends one operation as a 45-byte v2 frame (v1 plus the client id).
-pub fn encode_frame_v2(key: u64, op: &Operation, out: &mut Vec<u8>) {
+fn encode_frame_v2(key: u64, op: &Operation, out: &mut Vec<u8>) {
     encode_frame(key, op, out);
     out.extend_from_slice(&op.client.to_le_bytes());
 }
@@ -117,80 +116,6 @@ fn decode_frame_v2(frame: &[u8]) -> Result<(u64, Operation), u8> {
     let (key, mut op) = decode_frame(&frame[..FRAME_LEN])?;
     op.client = u64::from_le_bytes(frame[37..45].try_into().expect("8-byte slice"));
     Ok((key, op))
-}
-
-/// A batch of operations in one flat frame buffer — the streaming
-/// pipeline's shard-channel payload.
-///
-/// Frames in a batch are trusted (only [`push`](FrameBatch::push) writes
-/// them), so iteration does not re-validate.
-#[derive(Clone, Debug, Default)]
-pub struct FrameBatch {
-    bytes: Vec<u8>,
-}
-
-impl FrameBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        FrameBatch::default()
-    }
-
-    /// An empty batch with room for `frames` operations.
-    pub fn with_capacity(frames: usize) -> Self {
-        FrameBatch { bytes: Vec::with_capacity(frames * FRAME_LEN_V2) }
-    }
-
-    /// Appends one keyed operation.
-    pub fn push(&mut self, key: u64, op: &Operation) {
-        encode_frame_v2(key, op, &mut self.bytes);
-    }
-
-    /// Number of frames in the batch.
-    pub fn len(&self) -> usize {
-        self.bytes.len() / FRAME_LEN_V2
-    }
-
-    /// Whether the batch holds no frames.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Empties the batch, keeping its allocation.
-    pub fn clear(&mut self) {
-        self.bytes.clear();
-    }
-
-    /// Decodes the batch in push order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, Operation)> + '_ {
-        self.bytes.chunks_exact(FRAME_LEN_V2).map(|frame| {
-            decode_frame_v2(frame).expect("FrameBatch frames are written by FrameBatch::push")
-        })
-    }
-
-    /// The raw frame bytes (no magic, no header) — `len() * FRAME_LEN_V2`
-    /// bytes of consecutive v2 frames.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Rebuilds a batch from raw frame bytes, validating what the trusted
-    /// iterator assumes: whole frames only, every kind byte legal.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a byte length that is not a multiple of [`FRAME_LEN_V2`]
-    /// and any frame whose kind byte is neither read nor write.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, BatchError> {
-        if !bytes.len().is_multiple_of(FRAME_LEN_V2) {
-            return Err(BatchError::TruncatedFrames { bytes: bytes.len() });
-        }
-        for (i, frame) in bytes.chunks_exact(FRAME_LEN_V2).enumerate() {
-            if let Err(kind) = decode_frame_v2(frame) {
-                return Err(BatchError::BadKind { frame: i + 1, kind });
-            }
-        }
-        Ok(FrameBatch { bytes })
-    }
 }
 
 /// A bit-prefix slice of the hashed key space — the unit the fleet
@@ -351,46 +276,43 @@ impl fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// Encodes a batch with its routing header for the coordinator↔worker
-/// wire: [`BATCH_MAGIC`], the owning [`KeyRange`] (`bits` u32 LE, `prefix`
-/// u64 LE), the payload length (u32 LE), then the raw frames.
+/// Encodes routed operations for the coordinator↔worker wire:
+/// [`BATCH_MAGIC`], the owning [`KeyRange`] (`bits` u32 LE, `prefix` u64
+/// LE), the payload length (u32 LE), then one v2 frame per pair.
 ///
 /// The explicit length prefix is what lets the reader distinguish a short
 /// read (connection died mid-batch) from a complete batch, and the range
 /// header is what lets the receiving worker reject misrouted keys instead
 /// of silently auditing someone else's shard.
-pub fn encode_routed_batch(range: KeyRange, batch: &FrameBatch) -> Vec<u8> {
-    let payload = batch.as_bytes();
-    let mut out = Vec::with_capacity(BATCH_HEADER_LEN + payload.len());
+pub fn encode_routed_batch(range: KeyRange, ops: &[(u64, Operation)]) -> Vec<u8> {
+    let payload_len = ops.len() * FRAME_LEN_V2;
+    let mut out = Vec::with_capacity(BATCH_HEADER_LEN + payload_len);
     out.extend_from_slice(&BATCH_MAGIC);
     out.extend_from_slice(&range.bits.to_le_bytes());
     out.extend_from_slice(&range.prefix.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    for (key, op) in ops {
+        encode_frame_v2(*key, op, &mut out);
+    }
     out
 }
 
-/// Decodes and fully validates routed-batch bytes: magic, header
-/// completeness, declared vs actual payload length, whole frames, legal
-/// kind bytes, and **every key inside the declared range**.
+/// Decodes and fully validates routed-batch bytes, in this order: magic,
+/// header completeness, declared vs actual payload length, whole frames,
+/// every kind byte, and **every key inside the declared range**.
 ///
 /// # Errors
 ///
 /// One [`BatchError`] per fault class; a valid batch round-trips
 /// [`encode_routed_batch`] exactly.
-pub fn decode_routed_batch(bytes: &[u8]) -> Result<(KeyRange, FrameBatch), BatchError> {
-    if bytes.len() < BATCH_HEADER_LEN {
-        if bytes.len() >= BATCH_MAGIC.len() && bytes[..BATCH_MAGIC.len()] != BATCH_MAGIC {
-            let mut got = [0u8; 4];
-            got.copy_from_slice(&bytes[..4]);
-            return Err(BatchError::BadMagic(got));
-        }
-        return Err(BatchError::TruncatedHeader { bytes: bytes.len() });
-    }
-    if bytes[..BATCH_MAGIC.len()] != BATCH_MAGIC {
+pub fn decode_routed_batch(bytes: &[u8]) -> Result<(KeyRange, Vec<(u64, Operation)>), BatchError> {
+    if bytes.len() >= BATCH_MAGIC.len() && bytes[..BATCH_MAGIC.len()] != BATCH_MAGIC {
         let mut got = [0u8; 4];
         got.copy_from_slice(&bytes[..4]);
         return Err(BatchError::BadMagic(got));
+    }
+    if bytes.len() < BATCH_HEADER_LEN {
+        return Err(BatchError::TruncatedHeader { bytes: bytes.len() });
     }
     let range = KeyRange {
         bits: u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice")),
@@ -404,13 +326,24 @@ pub fn decode_routed_batch(bytes: &[u8]) -> Result<(KeyRange, FrameBatch), Batch
     if payload.len() != declared {
         return Err(BatchError::TruncatedPayload { declared, actual: payload.len() });
     }
-    let batch = FrameBatch::from_bytes(payload.to_vec())?;
-    for (i, (key, _)) in batch.iter().enumerate() {
-        if !range.contains(key) {
-            return Err(BatchError::ForeignKey { frame: i + 1, key, range });
-        }
+    if !payload.len().is_multiple_of(FRAME_LEN_V2) {
+        return Err(BatchError::TruncatedFrames { bytes: payload.len() });
     }
-    Ok((range, batch))
+    let mut ops = Vec::with_capacity(payload.len() / FRAME_LEN_V2);
+    // A bad kind byte anywhere outranks a foreign key in an earlier frame.
+    let mut foreign = None;
+    for (i, frame) in payload.chunks_exact(FRAME_LEN_V2).enumerate() {
+        let (key, op) =
+            decode_frame_v2(frame).map_err(|kind| BatchError::BadKind { frame: i + 1, kind })?;
+        if foreign.is_none() && !range.contains(key) {
+            foreign = Some(BatchError::ForeignKey { frame: i + 1, key, range });
+        }
+        ops.push((key, op));
+    }
+    match foreign {
+        Some(e) => Err(e),
+        None => Ok((range, ops)),
+    }
 }
 
 /// Streaming writer for the on-disk frame format: magic first, then one
@@ -490,9 +423,27 @@ impl<W: std::io::Write> FrameWriter<W> {
     }
 }
 
-/// Writes records as a binary frame stream file, picking the layout by
+/// Writes records as a binary frame stream, picking the layout by
 /// content: v1 when no record carries a client tag (byte-identical to
 /// pre-session streams), v2 as soon as any record does.
+///
+/// # Errors
+///
+/// Propagates I/O errors from `out`.
+pub fn write_frames_to<'a, W: std::io::Write>(
+    out: W,
+    records: impl IntoIterator<Item = &'a StreamRecord> + Clone,
+) -> std::io::Result<W> {
+    let tagged = records.clone().into_iter().any(|r| r.client != UNTAGGED_CLIENT);
+    let mut writer = if tagged { FrameWriter::new_v2(out) } else { FrameWriter::new(out) };
+    for record in records {
+        writer.write_record(record)?;
+    }
+    writer.finish()
+}
+
+/// Writes records as a binary frame stream file through
+/// [`write_frames_to`].
 ///
 /// # Errors
 ///
@@ -501,13 +452,7 @@ pub fn write_frames<'a>(
     path: impl AsRef<Path>,
     records: impl IntoIterator<Item = &'a StreamRecord> + Clone,
 ) -> Result<(), NdjsonError> {
-    let tagged = records.clone().into_iter().any(|r| r.client != UNTAGGED_CLIENT);
-    let out = std::io::BufWriter::new(fs::File::create(path)?);
-    let mut writer = if tagged { FrameWriter::new_v2(out) } else { FrameWriter::new(out) };
-    for record in records {
-        writer.write_record(record)?;
-    }
-    writer.finish()?;
+    write_frames_to(std::io::BufWriter::new(fs::File::create(path)?), records)?;
     Ok(())
 }
 
@@ -693,21 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrip_preserves_push_order() {
-        let mut batch = FrameBatch::with_capacity(3);
-        assert!(batch.is_empty());
-        for record in sample() {
-            batch.push(record.key, &record.op());
-        }
-        assert_eq!(batch.len(), 3);
-        let decoded: Vec<_> = batch.iter().map(|(k, op)| StreamRecord::new(k, op)).collect();
-        assert_eq!(decoded, sample());
-        batch.clear();
-        assert!(batch.is_empty());
-        assert_eq!(batch.iter().count(), 0);
-    }
-
-    #[test]
     fn bad_magic_truncation_and_bad_kind_are_rejected() {
         assert!(matches!(FrameReader::new(b"NOPE"), Err(NdjsonError::Io(_))));
         assert!(matches!(FrameReader::new(b"KAVF9999AAAA"), Err(NdjsonError::Io(_))));
@@ -781,13 +711,11 @@ mod tests {
         v1.write_record(&records[1]).unwrap();
         assert_eq!(v1.finish().unwrap().len(), FRAME_MAGIC.len() + FRAME_LEN);
 
-        // Batches (always v2) preserve the tag too.
-        let mut batch = FrameBatch::new();
-        for record in &records {
-            batch.push(record.key, &record.op());
-        }
-        let decoded: Vec<_> = batch.iter().map(|(k, op)| StreamRecord::new(k, op)).collect();
-        assert_eq!(decoded, records);
+        // Routed batches (always v2) preserve the tag and the push order.
+        let pairs: Vec<_> = records.iter().map(|r| (r.key, r.op())).collect();
+        let (_, decoded) =
+            decode_routed_batch(&encode_routed_batch(KeyRange::ALL, &pairs)).unwrap();
+        assert_eq!(decoded, pairs);
     }
 
     #[test]
@@ -849,20 +777,15 @@ mod tests {
     #[test]
     fn routed_batch_roundtrip_and_rejections() {
         let (left, right) = KeyRange::ALL.split();
-        let mut batch = FrameBatch::new();
-        let mut in_left = Vec::new();
-        for record in sample() {
-            if left.contains(record.key) {
-                batch.push(record.key, &record.op());
-                in_left.push(record);
-            }
-        }
+        let batch: Vec<_> = sample()
+            .iter()
+            .filter(|record| left.contains(record.key))
+            .map(|record| (record.key, record.op()))
+            .collect();
         let bytes = encode_routed_batch(left, &batch);
         let (range, decoded) = decode_routed_batch(&bytes).unwrap();
         assert_eq!(range, left);
-        let decoded: Vec<_> =
-            decoded.iter().map(|(k, op)| StreamRecord::new(k, op)).collect();
-        assert_eq!(decoded, in_left);
+        assert_eq!(decoded, batch);
 
         // Bad magic.
         let mut bad = bytes.clone();
@@ -901,6 +824,19 @@ mod tests {
             bad[kind_at] = 9;
             assert!(matches!(decode_routed_batch(&bad), Err(BatchError::BadKind { .. })));
         }
+        // A payload that is not whole frames, with a matching declared length.
+        let mut torn = bytes[..BATCH_HEADER_LEN].to_vec();
+        torn[16..20].copy_from_slice(&44u32.to_le_bytes());
+        torn.extend_from_slice(&[0; 44]);
+        assert_eq!(decode_routed_batch(&torn), Err(BatchError::TruncatedFrames { bytes: 44 }));
+        // Every kind byte is checked before any key: a bad kind in frame 2
+        // outranks a foreign key in frame 1.
+        let foreign = (0u64..).find(|k| right.contains(*k)).unwrap();
+        let write = Operation::write(Value(1), Time(0), Time(5));
+        let mut bad = encode_routed_batch(left, &[(foreign, write), (0, write)]);
+        let kind_at = bad.len() - 9;
+        bad[kind_at] = 9;
+        assert_eq!(decode_routed_batch(&bad), Err(BatchError::BadKind { frame: 2, kind: 9 }));
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //!
 //! [`ProtocolError`]: k_atomicity::verify::ProtocolError
 
-use k_atomicity::history::frame::{encode_routed_batch, FrameBatch, KeyRange};
+use k_atomicity::history::frame::{decode_routed_batch, encode_routed_batch, KeyRange};
 use k_atomicity::history::{Operation, Time, Value};
 use k_atomicity::verify::protocol::{
-    expect_preamble, read_message, tag, write_message, Assignment, RangeSnapshot,
-    SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
+    expect_preamble, read_message, tag, write_message, Assignment, FinishReply, RangeOutput,
+    RangeSnapshot, SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
 };
 use k_atomicity::verify::{
-    worker_loop, FleetConfig, FleetCoordinator, Fzf, ModelId, PipelineConfig, ProtocolError,
-    StreamPipeline, WorkerLink,
+    worker_loop, FleetConfig, FleetCoordinator, FleetSummary, Fzf, ModelId, PipelineConfig,
+    ProtocolError, StreamPipeline, WorkerLink,
 };
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -73,10 +73,8 @@ fn expect_error_reply(driver: &mut UnixStream, needle: &str) {
     );
 }
 
-fn one_frame_batch(key: u64) -> FrameBatch {
-    let mut batch = FrameBatch::new();
-    batch.push(key, &Operation::write(Value(1), Time(0), Time(5)));
-    batch
+fn one_frame_batch(key: u64) -> [(u64, Operation); 1] {
+    [(key, Operation::write(Value(1), Time(0), Time(5)))]
 }
 
 #[test]
@@ -144,9 +142,7 @@ fn worker_rejects_batches_for_unassigned_ranges() {
     handshake(&mut driver);
     assign(&mut driver, low);
     // Correctly self-consistent batch, but for a range nobody gave us.
-    let mut batch = FrameBatch::new();
-    batch.push(high_key, &Operation::write(Value(1), Time(0), Time(5)));
-    let payload = encode_routed_batch(high, &batch);
+    let payload = encode_routed_batch(high, &one_frame_batch(high_key));
     write_message(&mut driver, tag::BATCH, &payload).unwrap();
     driver.flush().unwrap();
     expect_error_reply(&mut driver, "does not own");
@@ -272,6 +268,51 @@ fn scripted_worker(
     (link, handle)
 }
 
+/// The decoded BATCH messages a [`recording_worker`] received, in order.
+type Batches = Vec<(KeyRange, Vec<(u64, Operation)>)>;
+
+/// A recording fake worker: answers the preamble, decodes every BATCH
+/// through `decode_routed_batch` and records it, and answers FINISH with
+/// its owned ranges and no reports. With `die_after: Some(n)` it closes
+/// its socket once it has received `n` batches.
+fn recording_worker(die_after: Option<usize>) -> (WorkerLink, JoinHandle<Batches>) {
+    let (coordinator_side, mut worker_side) = UnixStream::pair().expect("socketpair");
+    let handle = std::thread::spawn(move || {
+        let mut batches = Batches::new();
+        let mut owned = Vec::new();
+        expect_preamble(&mut worker_side, COORDINATOR_MAGIC).unwrap();
+        worker_side.write_all(&WORKER_MAGIC).unwrap();
+        worker_side.flush().unwrap();
+        while die_after != Some(batches.len()) {
+            let (got, payload) = read_message(&mut worker_side).unwrap();
+            match got {
+                tag::ASSIGN => {
+                    let text = std::str::from_utf8(&payload).unwrap();
+                    owned.push(serde_json::from_str::<Assignment>(text).unwrap().range);
+                }
+                tag::BATCH => batches.push(decode_routed_batch(&payload).unwrap()),
+                tag::FINISH => {
+                    let ranges = owned
+                        .iter()
+                        .map(|&range| RangeOutput { range, keys: vec![], errors: vec![] })
+                        .collect();
+                    let payload = serde_json::to_string(&FinishReply { ranges }).unwrap();
+                    write_message(&mut worker_side, tag::FINISH_REPLY, payload.as_bytes()).unwrap();
+                    worker_side.flush().unwrap();
+                    break;
+                }
+                other => panic!("unexpected message tag {other}"),
+            }
+        }
+        batches
+    });
+    let link = WorkerLink {
+        writer: Box::new(coordinator_side.try_clone().expect("clone")),
+        reader: Box::new(coordinator_side),
+    };
+    (link, handle)
+}
+
 fn fleet_config() -> FleetConfig {
     FleetConfig {
         algo: "fzf".to_owned(),
@@ -374,4 +415,64 @@ fn coordinator_refuses_a_bad_worker_preamble() {
         .expect("a fleet must not start over a bad preamble");
     assert!(matches!(err, ProtocolError::BadPreamble { .. }), "got {err:?}");
     handle.join().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Hand-off delivery: what a survivor receives after its peer dies.
+// ---------------------------------------------------------------------------
+
+/// Runs a two-worker fleet at batch 4 whose worker 0 closes its socket
+/// after `die_after` batches, routing `writes` writes to one key of worker
+/// 0's range. The dying worker is joined right before the push whose flush
+/// first meets its closed socket, so the failure is deterministic.
+/// Returns the writes, the survivor's batches for that range, and the
+/// fleet summary.
+fn hand_off_run(
+    replay_cap: usize,
+    die_after: usize,
+    writes: u64,
+) -> (Vec<(u64, Operation)>, Batches, FleetSummary) {
+    let range = KeyRange::partition(2)[0];
+    let key = (0u64..).find(|k| range.contains(*k)).unwrap();
+    let (dying, dying_handle) = recording_worker(Some(die_after));
+    let (survivor, survivor_handle) = recording_worker(None);
+    let config = FleetConfig { replay_cap, ..fleet_config() };
+    let mut fleet = FleetCoordinator::new(config, vec![dying, survivor]).expect("fleet start");
+    let ops: Vec<_> = (1..=writes)
+        .map(|v| (key, Operation::write(Value(v), Time(10 * v), Time(10 * v + 5))))
+        .collect();
+    let mut dying_handle = Some(dying_handle);
+    for (i, (key, op)) in ops.iter().enumerate() {
+        // At batch 4 the range flushes on every fourth push, so push
+        // 4n + 3 (0-based) sends the batch after the dying worker's n-th.
+        if i == 4 * die_after + 3 {
+            let received = dying_handle.take().unwrap().join().unwrap();
+            assert_eq!(received.len(), die_after);
+        }
+        fleet.push(*key, *op).unwrap();
+    }
+    let (_, summary) = fleet.finish().expect("the survivor finishes the audit");
+    let batches =
+        survivor_handle.join().unwrap().into_iter().filter(|(r, _)| *r == range).collect();
+    (ops, batches, summary)
+}
+
+#[test]
+fn an_intact_replay_is_re_sent_once() {
+    let (ops, batches, summary) = hand_off_run(1 << 16, 1, 14);
+    assert!(batches.iter().all(|(_, b)| !b.is_empty()), "an empty batch: {batches:?}");
+    let received: Vec<_> = batches.into_iter().flat_map(|(_, b)| b).collect();
+    assert_eq!(received, ops, "the replay and the rest, each once, in routing order");
+    assert_eq!((summary.hand_offs, summary.uncertified_hand_offs), (1, 0));
+}
+
+#[test]
+fn an_overflowed_replay_drops_the_rest() {
+    let (_, batches, summary) = hand_off_run(6, 2, 20);
+    assert!(
+        batches.iter().all(|(_, b)| b.is_empty()),
+        "no write may reach the survivor across the gap: {batches:?}"
+    );
+    assert_eq!(summary.frames_dropped, 8);
+    assert_eq!((summary.hand_offs, summary.uncertified_hand_offs), (1, 1));
 }
