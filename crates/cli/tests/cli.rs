@@ -681,6 +681,45 @@ fn stream_resume_rejects_a_diverged_prefix_and_conflicting_flags() {
 }
 
 #[test]
+fn extreme_window_and_batch_values_end_in_a_verdict() {
+    // Windows and batches far beyond any stream (2^40, u64::MAX) must not
+    // size channels or buffers from the flag: every run ends like the
+    // default one, with a verdict, never an allocation abort or overflow.
+    let input = temp_file("extreme_flags_ops.ndjson");
+    let out = kav(&[
+        "gen", "--workload", "stream", "--keys", "4", "--n", "25", "--out",
+        input.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let input = input.to_str().unwrap();
+    let ckpt = temp_file("extreme_flags.ckpt");
+    std::fs::remove_file(&ckpt).ok();
+    let ckpt = ckpt.to_str().unwrap();
+    let default = kav(&["stream", "--checkpoint", ckpt, "--checkpoint-every", "50", input]);
+    assert_eq!(default.status.code(), Some(0), "{}", stderr(&default));
+    // A checkpoint is untrusted input: rewrite its window fields.
+    let text = std::fs::read_to_string(ckpt).unwrap();
+    assert!(text.contains("\"window\":1024"), "{text}");
+    let rewritten = temp_file("extreme_flags_window.ckpt");
+    std::fs::write(&rewritten, text.replace("\"window\":1024", "\"window\":1099511627776"))
+        .unwrap();
+
+    let runs: [&[&str]; 6] = [
+        &["stream", "--window", "1099511627776", input],
+        &["stream", "--window", "18446744073709551615", input],
+        &["stream", "--batch", "1099511627776", input],
+        &["stream", "--batch", "18446744073709551615", input],
+        &["stream", "--resume", rewritten.to_str().unwrap(), input],
+        &["serve", "--workers", "1", "--window", "1099511627776", input],
+    ];
+    for args in runs {
+        let out = kav(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).contains("YES: every key is 2-atomic"), "{args:?}: {}", stdout(&out));
+    }
+}
+
+#[test]
 fn stream_resume_from_stdin_degrades_yes_to_unknown() {
     for driver in DRIVERS {
         let input = stream_fixture("stdin_resume_ops.ndjson");

@@ -587,7 +587,7 @@ impl<V: Verifier> OnlineVerifier<V> {
         }
         self.ops += 1;
         let resident = self.builder.resident();
-        if resident > 2 * self.window && resident >= self.next_attempt {
+        if resident > self.window.saturating_mul(2) && resident >= self.next_attempt {
             match self.builder.try_seal(self.window) {
                 Some(segment) => {
                     self.next_attempt = 0;

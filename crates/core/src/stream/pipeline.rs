@@ -261,6 +261,17 @@ type KeyErrors = Vec<(u64, String)>;
 /// What crosses the channel in the common case: a batch of keyed ops.
 type Batch = Vec<(u64, Operation)>;
 
+/// Cap on a shard channel's bound, in batches, and on the operations an
+/// ingest buffer reserves up front. Defaults never reach it (window 1024
+/// needs 16 batches at batch 256, 4 096 at batch 1); it keeps an extreme
+/// `window` or `batch` from asking for memory the stream never fills.
+const MAX_PREALLOCATED: usize = 1 << 16;
+
+/// An empty ingest buffer for batches of `batch` operations.
+fn empty_batch(batch: usize) -> Batch {
+    Vec::with_capacity(batch.min(MAX_PREALLOCATED))
+}
+
 /// A worker's answer to a probe.
 struct ShardProbe {
     progress: ShardProgress,
@@ -540,7 +551,7 @@ impl StreamPipeline {
         // memory. The bound is measured in batches but sized so the
         // in-flight backlog stays at roughly four windows of operations —
         // windowed verification must keep windowed memory.
-        let backlog = (4 * window).div_ceil(batch).max(2);
+        let backlog = window.saturating_mul(4).div_ceil(batch).clamp(2, MAX_PREALLOCATED);
         let algo = verifier.name();
         let model = verifier.model();
         let k = verifier.k();
@@ -660,7 +671,7 @@ impl StreamPipeline {
             .collect();
         StreamPipeline {
             workers,
-            buffers: (0..shards).map(|_| Vec::with_capacity(batch)).collect(),
+            buffers: (0..shards).map(|_| empty_batch(batch)).collect(),
             batch,
             window,
             horizon,
@@ -725,7 +736,7 @@ impl StreamPipeline {
         if self.buffers[shard].is_empty() {
             return;
         }
-        let batch = std::mem::replace(&mut self.buffers[shard], Vec::with_capacity(self.batch));
+        let batch = std::mem::replace(&mut self.buffers[shard], empty_batch(self.batch));
         if self.workers[shard].sender.send(Msg::Batch(batch)).is_err() {
             self.propagate_worker_death(shard);
         }
