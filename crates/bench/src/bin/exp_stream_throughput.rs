@@ -237,7 +237,6 @@ fn measure_fleet(records: &[StreamRecord], workers: usize) -> Measurement {
         k: 2,
         window: 256,
         horizon: None,
-        worker_shards: 1,
         batch: 256,
         checkpoint_every: 0,
         replay_cap: 1 << 16,
@@ -548,7 +547,7 @@ fn main() {
     // workers as in-process threads so the row measures the architecture,
     // not fork/exec. The vs-single column is the distribution overhead
     // against the plain single-process pipeline on the same input.
-    println!("\n## fleet throughput (fzf, window {window}, batch 256, worker_shards 1)\n");
+    println!("\n## fleet throughput (fzf, window {window}, batch 256, one thread per range)\n");
     header(&["workers", "ops/s", "vs single-process"]);
     let single = measure(
         Fzf,

@@ -31,6 +31,10 @@ use std::process::{Child, Command, Stdio};
 /// Read buffer of a file input; stdin reads through its own lock's buffer.
 const INPUT_BUFFER_BYTES: usize = 64 * 1024;
 
+/// Upper bound on `--workers` and `--shards`: each worker is a process and
+/// each shard a thread, all started before the first record is read.
+const MAX_PARALLELISM: usize = 1024;
+
 /// A verifier, resolved once from `(model, algo, k, budget)`: flags on a
 /// fresh run, the checkpoint on a resumed one.
 #[derive(Clone, Copy, Debug)]
@@ -203,7 +207,7 @@ struct AuditSession<'a> {
     algo: String,
     window: usize,
     horizon: Option<usize>,
-    /// Pipeline shards (per worker under `kav serve`).
+    /// Pipeline shards of `kav stream`.
     shards: usize,
     batch: usize,
     checkpoint_every: u64,
@@ -231,9 +235,19 @@ struct FleetPlan {
 impl<'a> AuditSession<'a> {
     /// Step 1: resolve the run. Verification parameters come from the
     /// flags on a fresh audit, and from the checkpoint on a resumed one,
-    /// where contradicting flags are rejected (shards and batch stay free:
-    /// keys re-shard safely).
+    /// where contradicting flags are rejected (shards, workers and batch
+    /// stay free: keys re-shard safely).
     fn resolve(args: &'a Args, fleet: bool) -> CmdResult<Self> {
+        // Parallelism is bounded before anything is read or started.
+        if fleet && args.get("shards").is_some() {
+            return Err(bad_input("--shards is `kav stream`-only: size a fleet with --workers"));
+        }
+        let (flag, default) = if fleet { ("workers", 2) } else { ("shards", 4) };
+        let parallelism: usize = args.get_parsed(flag, default)?;
+        if parallelism > MAX_PARALLELISM {
+            let n = parallelism;
+            return Err(bad_input(format!("--{flag} {n} is above the bound of {MAX_PARALLELISM}")));
+        }
         let resume = match args.get("resume") {
             Some(path) => Some(
                 read_checkpoint(path).map_err(|e| bad_input(format!("--resume {path}: {e}")))?,
@@ -291,8 +305,7 @@ impl<'a> AuditSession<'a> {
                 ));
             }
             true => {
-                let workers: usize = args.get_parsed("workers", 2)?;
-                if workers == 0 {
+                if parallelism == 0 {
                     return Err(bad_input("--workers 0: a fleet needs at least one worker"));
                 }
                 let kill = args.get("kill-worker").map(|v| {
@@ -303,13 +316,13 @@ impl<'a> AuditSession<'a> {
                         })
                 });
                 let kill: Option<(usize, u64)> = kill.transpose()?;
-                if let Some((idx, _)) = kill.filter(|&(idx, _)| idx >= workers) {
+                if let Some((idx, _)) = kill.filter(|&(idx, _)| idx >= parallelism) {
                     return Err(bad_input(format!(
-                        "--kill-worker {idx}: the fleet has workers 0..{workers}"
+                        "--kill-worker {idx}: the fleet has workers 0..{parallelism}"
                     )));
                 }
                 Some(FleetPlan {
-                    workers,
+                    workers: parallelism,
                     replay_cap: args.get_parsed("replay-cap", DEFAULT_REPLAY_CAP)?,
                     kill,
                     split_at: args.get_parsed("split-hottest", 0)?,
@@ -323,9 +336,7 @@ impl<'a> AuditSession<'a> {
             algo,
             window,
             horizon,
-            // One pipeline thread per worker by default: the fleet's
-            // parallelism is the processes themselves.
-            shards: args.get_parsed("shards", if fleet.is_some() { 1 } else { 4 })?,
+            shards: if fleet.is_some() { 1 } else { parallelism },
             batch: args.get_parsed("batch", PipelineConfig::default().batch)?,
             checkpoint_every: args.get_parsed("checkpoint-every", DEFAULT_CHECKPOINT_EVERY)?,
             strict: args.flag("strict"),
@@ -499,7 +510,6 @@ impl<'a> AuditSession<'a> {
             k,
             window: self.window,
             horizon: self.horizon,
-            worker_shards: self.shards,
             batch: self.batch,
             checkpoint_every: self.checkpoint_every,
             replay_cap: plan.replay_cap,

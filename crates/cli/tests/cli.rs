@@ -1314,6 +1314,102 @@ fn serve_rejects_bad_fleet_flags_with_exit_2() {
     assert!(stderr(&out).contains("idx:records"), "{}", stderr(&out));
 }
 
+#[test]
+fn a_checkpoint_with_delta_hops_is_refused_and_serve_takes_no_shards() {
+    // Older builds could append delta hops to a checkpoint; this build
+    // cannot resolve them, so a file carrying any is unusable input.
+    let input = stream_fixture("legacy_ops.ndjson");
+    let ckpt = temp_file("legacy_ops.ckpt");
+    std::fs::remove_file(&ckpt).ok();
+    let out = kav(&[
+        "stream", "--window", "32", "--checkpoint", ckpt.to_str().unwrap(),
+        "--checkpoint-every", "50", input.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    assert!(text.ends_with("\"deltas\":[]}\n"), "full snapshots keep the empty key");
+    let legacy = temp_file("legacy_ops_spliced.ckpt");
+    std::fs::write(&legacy, text.replacen("\"deltas\":[]", "\"deltas\":[{}]", 1)).unwrap();
+    for command in DRIVERS {
+        let out =
+            kav(&argv(command, &["--resume", legacy.to_str().unwrap(), input.to_str().unwrap()]));
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains("1 delta hop(s)"), "{}", stderr(&out));
+        assert!(!stdout(&out).contains(" | "), "no key table: {}", stdout(&out));
+        assert!(!stderr(&out).contains("worker:"), "{}", stderr(&out));
+    }
+
+    // A fleet runs one thread per key range: its size is --workers.
+    let out = kav(&["serve", "--shards", "2", input.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("--workers"), "{}", stderr(&out));
+    assert!(!stdout(&out).contains(" | "), "{}", stdout(&out));
+}
+
+#[test]
+fn out_of_range_workers_and_shards_are_refused_before_anything_starts() {
+    // Each worker is a process and each shard a thread: a value above the
+    // bound is refused at flag resolution, never allocated or spawned.
+    let input = stream_fixture("parallelism_ops.ndjson");
+    let input = input.to_str().unwrap();
+    for (command, flag) in [("serve", "--workers"), ("stream", "--shards")] {
+        for value in ["1099511627776", "1025"] {
+            let out = kav(&[command, flag, value, input]);
+            assert_eq!(out.status.code(), Some(2), "{command} {flag} {value}: {}", stderr(&out));
+            let message = stderr(&out);
+            assert!(message.contains(flag) && message.contains("1024"), "{message}");
+            assert!(!stdout(&out).contains(" | "), "{}", stdout(&out));
+        }
+    }
+}
+
+/// Rewrites the first `"field":<count>` of a checkpoint to u64::MAX.
+fn max_out_count(text: &str, field: &str) -> String {
+    let key = format!("\"{field}\":");
+    let at = text.find(&key).unwrap_or_else(|| panic!("checkpoint has {key}")) + key.len();
+    let digits = text[at..].chars().take_while(char::is_ascii_digit).count();
+    format!("{}{}{}", &text[..at], u64::MAX, &text[at + digits..])
+}
+
+#[test]
+fn checkpoint_counts_no_audit_reaches_are_refused() {
+    // A count at or above 2^63 would overflow on the next record; resume
+    // refuses it as unusable input, naming the field, and a fleet refuses
+    // it before it spawns a worker.
+    let input = temp_file("huge_counts_ops.ndjson");
+    let out = kav(&[
+        "gen", "--workload", "stream", "--keys", "2", "--n", "200", "--seed", "3", "--out",
+        input.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&input).unwrap();
+    let prefix = temp_file("huge_counts_prefix.ndjson");
+    std::fs::write(&prefix, text.lines().take(200).map(|l| format!("{l}\n")).collect::<String>())
+        .unwrap();
+    let ckpt = temp_file("huge_counts.ckpt");
+    std::fs::remove_file(&ckpt).ok();
+    let out = kav(&[
+        "stream", "--window", "16", "--checkpoint", ckpt.to_str().unwrap(),
+        "--checkpoint-every", "200", prefix.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let checkpoint = std::fs::read_to_string(&ckpt).unwrap();
+    for field in ["ops_routed", "ops", "segments_sealed"] {
+        let rewritten = temp_file(&format!("huge_counts_{field}.ckpt"));
+        std::fs::write(&rewritten, max_out_count(&checkpoint, field)).unwrap();
+        for command in DRIVERS {
+            let out = kav(&argv(
+                command,
+                &["--resume", rewritten.to_str().unwrap(), input.to_str().unwrap()],
+            ));
+            assert_eq!(out.status.code(), Some(2), "{field}: {}", stderr(&out));
+            let named = format!("{field} = {}", u64::MAX);
+            assert!(stderr(&out).contains(&named), "{field}: {}", stderr(&out));
+            assert!(!stderr(&out).contains("worker:"), "{}", stderr(&out));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The pluggable consistency-model layer: `--model`.
 // ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ pub use stream::protocol;
 pub use stream::{
     fleet_verdict, merge_reports, merge_snapshots, partition_snapshot, read_checkpoint,
     split_ops_share,
-    worker_loop, Checkpoint, CheckpointDelta, CheckpointError, CheckpointWriter, DepthStats,
+    worker_loop, Checkpoint, CheckpointError, CheckpointWriter, DepthStats,
     DepthWindow, FleetConfig,
     FleetCoordinator, FleetSummary, KeyError, KeyReport, KeySnapshot, MergeError, OnlineError,
     OnlineSnapshot, OnlineVerifier, PipelineConfig, PipelineOutput, PipelineProgress,

@@ -19,18 +19,13 @@
 //! last version back to [`CheckpointWriter::starting_at`] so the chain
 //! keeps counting across processes.
 //!
-//! # Full snapshots, and delta files from older builds
+//! # Full snapshots only
 //!
-//! Every write is one full snapshot: the file is exactly the serialized
-//! [`Checkpoint`] with empty [`deltas`](Checkpoint::deltas), plus a
-//! newline. Older builds could instead append [`CheckpointDelta`] hops to
-//! the last full snapshot. Each hop carried the complete state of every
-//! key that changed since the previous version, so on a stream that
-//! touches every key between checkpoints a hop was as large as a full
-//! snapshot, and since the whole file was rewritten on every write, the
-//! hops only made each write larger. Files written with delta hops still
-//! resume: [`read_checkpoint`] resolves the hops into one merged
-//! [`PipelineSnapshot`], so resume paths never see them.
+//! Every write is one full snapshot: the serialized [`Checkpoint`] with an
+//! empty [`deltas`](Checkpoint::deltas) list, plus a newline. A file with
+//! older builds' delta hops is refused ([`CheckpointError::DeltaHops`]):
+//! the reader skips unknown keys, so the always-empty key is what keeps an
+//! old delta file from silently resuming its stale base.
 //!
 //! # Examples
 //!
@@ -58,11 +53,9 @@
 //! # std::fs::remove_file(&path).ok();
 //! ```
 
-use super::pipeline::{KeyError, KeyReport, KeySnapshot, PipelineSnapshot};
-use super::OnlineSnapshot;
-use kav_history::frame::KeyRange;
+use super::pipeline::{check_counts, PipelineSnapshot};
+use super::{check_count, SnapshotError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -96,36 +89,6 @@ pub struct SourcePosition {
     pub malformed_samples: Vec<String>,
 }
 
-/// One incremental checkpoint hop, as older builds wrote them: what
-/// changed since the previous version (see the module docs). This build
-/// reads such hops but never writes them.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointDelta {
-    /// The chain version this delta advanced the checkpoint to.
-    pub version: u64,
-    /// [`PipelineSnapshot::ops_routed`] as of this hop.
-    pub ops_routed: u64,
-    /// [`PipelineSnapshot::uncertified`] as of this hop.
-    pub uncertified: bool,
-    /// [`PipelineSnapshot::partition`] as of this hop — the shard map the
-    /// delta was produced under. Resolution rejects a delta whose
-    /// partition disagrees with its base: per-key state diffed under one
-    /// key-range assignment must not be replayed onto a snapshot taken
-    /// under another (the old writer re-based instead of writing such a
-    /// delta, so only a corrupted or hand-spliced file trips this).
-    #[serde(default)]
-    pub partition: Option<KeyRange>,
-    /// Keys whose live adapter state changed (or first appeared), with
-    /// their full new state; sorted by key.
-    pub changed: Vec<KeySnapshot>,
-    /// Keys whose live state disappeared (they finalised), sorted.
-    pub removed: Vec<u64>,
-    /// Finalised reports that appeared this hop, sorted by key.
-    pub new_reports: Vec<KeyReport>,
-    /// Stream errors that appeared this hop, sorted by key.
-    pub new_errors: Vec<KeyError>,
-}
-
 /// One complete, self-describing checkpoint file.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
@@ -134,17 +97,14 @@ pub struct Checkpoint {
     /// Monotonically increasing version of this audit's checkpoint chain,
     /// starting at 1.
     pub version: u64,
-    /// Input position the *latest* state (base plus deltas) corresponds to.
+    /// Input position `pipeline` corresponds to.
     pub source: SourcePosition,
-    /// The full snapshot (in files from older builds, the delta base).
+    /// The full snapshot.
     pub pipeline: PipelineSnapshot,
-    /// Incremental hops since `pipeline` was written, oldest first. This
-    /// build always writes none; files from older builds may carry some.
-    /// [`read_checkpoint`] resolves them into `pipeline` and clears this,
-    /// so consumers always see the merged state. Absent (empty) in files
-    /// written before deltas existed.
+    /// Delta hops older builds appended: written empty, refused when not
+    /// (see the module docs). Absent in files from before deltas existed.
     #[serde(default)]
-    pub deltas: Vec<CheckpointDelta>,
+    pub deltas: Vec<serde_json::Value>,
 }
 
 /// A checkpoint file that cannot be used.
@@ -157,6 +117,10 @@ pub enum CheckpointError {
     Parse(String),
     /// The file was written by an incompatible format era.
     Format(u32),
+    /// The file carries this many delta hops, which only older builds read.
+    DeltaHops(usize),
+    /// The file holds a count at or above 2^63 ([`SnapshotError::Count`]).
+    Snapshot(SnapshotError),
 }
 
 impl fmt::Display for CheckpointError {
@@ -169,6 +133,12 @@ impl fmt::Display for CheckpointError {
                 "checkpoint format {v} is not supported (this build reads format \
                  {CHECKPOINT_FORMAT})"
             ),
+            CheckpointError::DeltaHops(hops) => write!(
+                f,
+                "checkpoint carries {hops} delta hop(s) from an older build, which this build \
+                 cannot resume; resume with the build that wrote it, or restart the audit"
+            ),
+            CheckpointError::Snapshot(e) => write!(f, "{e}"),
         }
     }
 }
@@ -177,6 +147,7 @@ impl Error for CheckpointError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CheckpointError::Io(e) => Some(e),
+            CheckpointError::Snapshot(e) => Some(e),
             _ => None,
         }
     }
@@ -188,15 +159,14 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// Reads and validates a checkpoint file, resolving any delta hops into
-/// one merged snapshot (the returned checkpoint always has empty
-/// [`deltas`](Checkpoint::deltas)).
+/// Reads and validates a checkpoint file.
 ///
 /// # Errors
 ///
 /// [`CheckpointError`] when the file is unreadable, unparseable, from an
-/// incompatible format era, carries version 0 (never written), or its
-/// delta chain is inconsistent.
+/// incompatible format era, carries version 0 (never written) or delta
+/// hops, or holds a count at or above 2^63. That last check is the one
+/// resume runs, so a fleet refuses the file before it spawns a worker.
 pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointError> {
     let text = fs::read_to_string(path)?;
     let checkpoint: Checkpoint =
@@ -207,61 +177,11 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointE
     if checkpoint.version == 0 {
         return Err(CheckpointError::Parse("checkpoint version 0".into()));
     }
-    resolve_deltas(checkpoint)
-}
-
-/// Folds a checkpoint's delta hops into its base snapshot.
-fn resolve_deltas(mut checkpoint: Checkpoint) -> Result<Checkpoint, CheckpointError> {
-    if checkpoint.deltas.is_empty() {
-        return Ok(checkpoint);
+    if !checkpoint.deltas.is_empty() {
+        return Err(CheckpointError::DeltaHops(checkpoint.deltas.len()));
     }
-    let bad = |msg: String| Err(CheckpointError::Parse(msg));
-    let pipeline = &mut checkpoint.pipeline;
-    let mut states: BTreeMap<u64, OnlineSnapshot> =
-        pipeline.states.drain(..).map(|entry| (entry.key, entry.state)).collect();
-    let mut last_version = 0u64;
-    for delta in &checkpoint.deltas {
-        if delta.version <= last_version {
-            return bad(format!(
-                "delta version {} does not ascend past {last_version}",
-                delta.version
-            ));
-        }
-        last_version = delta.version;
-        if delta.partition != pipeline.partition {
-            return bad(format!(
-                "delta version {} was produced under shard map {:?} but its base snapshot \
-                 covers {:?} — the checkpoint mixes states from different partitions",
-                delta.version, delta.partition, pipeline.partition
-            ));
-        }
-        for entry in &delta.changed {
-            states.insert(entry.key, entry.state.clone());
-        }
-        for key in &delta.removed {
-            if states.remove(key).is_none() {
-                return bad(format!("delta removes unknown key {key}"));
-            }
-        }
-        pipeline.reports.extend(delta.new_reports.iter().cloned());
-        pipeline.errors.extend(delta.new_errors.iter().cloned());
-        pipeline.ops_routed = delta.ops_routed;
-        pipeline.uncertified = delta.uncertified;
-    }
-    if last_version != checkpoint.version {
-        return bad(format!(
-            "last delta version {last_version} disagrees with checkpoint version {}",
-            checkpoint.version
-        ));
-    }
-    pipeline.states = states.into_iter().map(|(key, state)| KeySnapshot { key, state }).collect();
-    // Keys are sorted so the resolved snapshot is byte-for-byte the one a
-    // full write of the same state would contain; duplicate finalised
-    // keys (corruption) are left in place for the resume validation to
-    // reject.
-    pipeline.reports.sort_by_key(|entry| entry.key);
-    pipeline.errors.sort_by_key(|entry| entry.key);
-    checkpoint.deltas.clear();
+    check_count("malformed", checkpoint.source.malformed).map_err(CheckpointError::Snapshot)?;
+    check_counts(&checkpoint.pipeline).map_err(CheckpointError::Snapshot)?;
     Ok(checkpoint)
 }
 
@@ -354,10 +274,10 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{PipelineConfig, StreamPipeline};
+    use crate::stream::{KeyError, KeyReport, PipelineConfig, StreamPipeline};
     use crate::Fzf;
+    use kav_history::frame::KeyRange;
     use kav_history::{Operation, Time, Value};
-    use std::collections::{HashMap, HashSet};
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("kav_checkpoint_tests");
@@ -373,102 +293,6 @@ mod tests {
         pipeline.push(1, Operation::write(Value(1), Time(0), Time(10)));
         pipeline.push(1, Operation::read(Value(1), Time(12), Time(20)));
         pipeline.snapshot()
-    }
-
-    /// What changed between two consecutive checkpoint states, as older
-    /// builds' writer computed each delta hop.
-    fn diff_snapshots(
-        prev: &PipelineSnapshot,
-        next: &PipelineSnapshot,
-        version: u64,
-    ) -> CheckpointDelta {
-        let prev_states: HashMap<u64, &OnlineSnapshot> =
-            prev.states.iter().map(|entry| (entry.key, &entry.state)).collect();
-        let next_keys: HashSet<u64> = next.states.iter().map(|entry| entry.key).collect();
-        let prev_reports: HashSet<u64> = prev.reports.iter().map(|entry| entry.key).collect();
-        let prev_errors: HashSet<u64> = prev.errors.iter().map(|entry| entry.key).collect();
-        CheckpointDelta {
-            version,
-            ops_routed: next.ops_routed,
-            uncertified: next.uncertified,
-            partition: next.partition,
-            changed: next
-                .states
-                .iter()
-                .filter(|entry| prev_states.get(&entry.key) != Some(&&entry.state))
-                .cloned()
-                .collect(),
-            removed: prev
-                .states
-                .iter()
-                .map(|entry| entry.key)
-                .filter(|key| !next_keys.contains(key))
-                .collect(),
-            new_reports: next
-                .reports
-                .iter()
-                .filter(|entry| !prev_reports.contains(&entry.key))
-                .cloned()
-                .collect(),
-            new_errors: next
-                .errors
-                .iter()
-                .filter(|entry| !prev_errors.contains(&entry.key))
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// Writes checkpoint files the way older builds did: a full snapshot,
-    /// then up to `delta_every` delta hops appended to it (a partition
-    /// change re-bases early), the whole chain rewritten on every write.
-    struct DeltaChainWriter {
-        path: PathBuf,
-        version: u64,
-        delta_every: usize,
-        base: Option<PipelineSnapshot>,
-        deltas: Vec<CheckpointDelta>,
-        prev: Option<PipelineSnapshot>,
-    }
-
-    impl DeltaChainWriter {
-        fn new(path: &Path, delta_every: usize) -> Self {
-            DeltaChainWriter {
-                path: path.to_owned(),
-                version: 0,
-                delta_every,
-                base: None,
-                deltas: Vec::new(),
-                prev: None,
-            }
-        }
-
-        fn write(&mut self, source: SourcePosition, pipeline: PipelineSnapshot) -> u64 {
-            let version = self.version + 1;
-            match &self.prev {
-                Some(prev)
-                    if prev.partition == pipeline.partition
-                        && self.deltas.len() < self.delta_every =>
-                {
-                    self.deltas.push(diff_snapshots(prev, &pipeline, version));
-                }
-                _ => {
-                    self.base = Some(pipeline.clone());
-                    self.deltas.clear();
-                }
-            }
-            let checkpoint = Checkpoint {
-                format: CHECKPOINT_FORMAT,
-                version,
-                source,
-                pipeline: self.base.clone().expect("the first write is a full snapshot"),
-                deltas: self.deltas.clone(),
-            };
-            fs::write(&self.path, serde_json::to_string(&checkpoint).unwrap() + "\n").unwrap();
-            self.prev = Some(pipeline);
-            self.version = version;
-            version
-        }
     }
 
     /// A small checkpoint touching every serialization corner the
@@ -583,104 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_writes_resolve_to_the_latest_state() {
-        let path = temp_path("delta.ckpt");
-        let config = PipelineConfig { shards: 2, window: 4, batch: 1, ..Default::default() };
-        let mut pipeline = StreamPipeline::new(Fzf, config);
-        let mut writer = DeltaChainWriter::new(&path, 8);
-        let mut saw_delta_file = false;
-        for v in 1..=20u64 {
-            pipeline.push(v % 3, Operation::write(Value(v), Time(10 * v), Time(10 * v + 5)));
-            let snapshot = pipeline.snapshot();
-            let version =
-                writer.write(SourcePosition { lines: v, ..Default::default() }, snapshot.clone());
-            assert_eq!(version, v);
-            saw_delta_file |= fs::read_to_string(&path).unwrap().contains("\"changed\"");
-            let read = read_checkpoint(&path).unwrap();
-            assert!(read.deltas.is_empty(), "read resolves deltas away");
-            assert_eq!(read.version, v);
-            assert_eq!(read.source.lines, v, "source tracks the latest write");
-            assert_eq!(read.pipeline, snapshot, "write {v}");
-        }
-        assert!(saw_delta_file, "the chain must actually carry deltas");
-        // A key that fails mid-chain crosses the delta as removed state
-        // plus a new report and error.
-        pipeline.push(0, Operation::write(Value(99), Time(1), Time(2)));
-        let snapshot = pipeline.snapshot();
-        writer.write(SourcePosition { lines: 21, ..Default::default() }, snapshot.clone());
-        let read = read_checkpoint(&path).unwrap();
-        assert_eq!(read.pipeline, snapshot);
-        assert_eq!(read.pipeline.errors.len(), 1);
-        assert_eq!(read.pipeline.reports.len(), 1);
-        pipeline.finish();
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn inconsistent_delta_chains_are_rejected() {
-        let path = temp_path("badchain.ckpt");
-        let mut writer = DeltaChainWriter::new(&path, 8);
-        writer.write(SourcePosition::default(), small_snapshot());
-        writer.write(SourcePosition::default(), small_snapshot());
-        let parsed: Checkpoint =
-            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(parsed.deltas.len(), 1, "second write is a delta");
-        let reject = |mutate: &dyn Fn(&mut Checkpoint)| {
-            let mut bad = parsed.clone();
-            mutate(&mut bad);
-            fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
-            assert!(matches!(read_checkpoint(&path), Err(CheckpointError::Parse(_))));
-        };
-        // Non-ascending delta version.
-        reject(&|c| c.deltas[0].version = 0);
-        // Delta chain that stops short of the envelope version.
-        reject(&|c| c.deltas[0].version = 7);
-        // Removal of a key that is not live.
-        reject(&|c| c.deltas[0].removed.push(12345));
-        // The untampered file still reads.
-        fs::write(&path, serde_json::to_string(&parsed).unwrap()).unwrap();
-        assert!(read_checkpoint(&path).is_ok());
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mixed_partition_delta_chains_are_rejected() {
-        // Regression: a delta produced under one shard map used to resolve
-        // silently onto a base snapshot taken under another. The chain is
-        // now tagged and the mix is a parse error.
-        let path = temp_path("mixedpartition.ckpt");
-        let mut writer = DeltaChainWriter::new(&path, 8);
-        writer.write(SourcePosition::default(), small_snapshot());
-        writer.write(SourcePosition::default(), small_snapshot());
-        let parsed: Checkpoint =
-            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(parsed.deltas.len(), 1, "second write is a delta");
-
-        // Hand-splice a foreign shard map into the delta: rejected.
-        let mut bad = parsed.clone();
-        bad.deltas[0].partition = Some(KeyRange::ALL.split().0);
-        fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
-        match read_checkpoint(&path) {
-            Err(CheckpointError::Parse(msg)) => {
-                assert!(msg.contains("different partitions"), "diagnostic names the fault: {msg}")
-            }
-            other => panic!("mixed-partition chain must be rejected, got {other:?}"),
-        }
-
-        // A real partition change through the writer continues the chain
-        // with a full snapshot: no cross-partition delta.
-        let mut checkpoints = CheckpointWriter::starting_at(&path, writer.version);
-        let mut moved = small_snapshot();
-        moved.partition = Some(KeyRange::ALL.split().1);
-        checkpoints.write(SourcePosition::default(), moved.clone()).unwrap();
-        let rebased: Checkpoint =
-            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
-        assert!(rebased.deltas.is_empty(), "partition change must re-base the file");
-        assert_eq!(read_checkpoint(&path).unwrap().pipeline, moved);
-        fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn unusable_files_are_rejected() {
         assert!(matches!(
             read_checkpoint(temp_path("missing.ckpt")),
@@ -697,7 +423,33 @@ mod tests {
             .replacen("\"format\":1", "\"format\":999", 1);
         fs::write(&future, bumped).unwrap();
         assert!(matches!(read_checkpoint(&future), Err(CheckpointError::Format(999))));
+        // A delta hop from an older build is refused, whatever it holds.
+        let legacy = temp_path("legacy.ckpt");
+        let mut writer = CheckpointWriter::new(&legacy);
+        writer.write(SourcePosition::default(), small_snapshot()).unwrap();
+        let spliced = fs::read_to_string(&legacy)
+            .unwrap()
+            .replacen("\"deltas\":[]", "\"deltas\":[{\"version\":2}]", 1);
+        fs::write(&legacy, spliced).unwrap();
+        assert!(matches!(read_checkpoint(&legacy), Err(CheckpointError::DeltaHops(1))));
+        // A count no audit reaches is refused, naming its field.
+        let mut huge = small_snapshot();
+        huge.states[0].state.builder.segments_sealed = usize::MAX;
+        writer.write(SourcePosition::default(), huge).unwrap();
+        match read_checkpoint(&legacy) {
+            Err(CheckpointError::Snapshot(SnapshotError::Count { field, value })) => {
+                assert_eq!((field, value), ("segments_sealed", u64::MAX))
+            }
+            other => panic!("expected a count refusal, got {other:?}"),
+        }
+        let source = SourcePosition { malformed: u64::MAX, ..Default::default() };
+        writer.write(source, small_snapshot()).unwrap();
+        assert!(matches!(
+            read_checkpoint(&legacy),
+            Err(CheckpointError::Snapshot(SnapshotError::Count { field: "malformed", .. }))
+        ));
         fs::remove_file(&garbled).ok();
         fs::remove_file(&future).ok();
+        fs::remove_file(&legacy).ok();
     }
 }

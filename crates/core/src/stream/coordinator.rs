@@ -15,9 +15,11 @@
 //!
 //! # Hand-off: death is a resume
 //!
-//! The rebalancing mechanism *is* the checkpoint mechanism. For every
-//! range the coordinator keeps the last snapshot a worker acknowledged,
-//! and the range's buffer is the replay of everything routed since. When
+//! The rebalancing mechanism *is* the checkpoint mechanism. A range starts
+//! on a worker only by resuming a snapshot: empty in a fresh fleet, its
+//! checkpoint slice, a split half, or on hand-off the last one a worker
+//! acknowledged. The coordinator keeps that snapshot for every range, and
+//! the range's buffer is the replay of everything routed since. When
 //! a worker dies (any transport error), each of its ranges is re-assigned
 //! to the survivor owning the fewest ranges: the survivor resumes the
 //! acked snapshot and the coordinator re-sends the replay — an
@@ -49,7 +51,7 @@
 use super::merge::{
     merge_snapshots, partition_snapshot, split_ops_share, FleetSummary, MergeError,
 };
-use super::pipeline::{PipelineOutput, PipelineSnapshot};
+use super::pipeline::{check_counts, PipelineOutput, PipelineSnapshot};
 use crate::models::ModelId;
 use super::protocol::{
     expect_preamble, parse_json, read_message, tag, to_json, write_message, Assignment,
@@ -89,10 +91,7 @@ pub struct FleetConfig {
     pub window: usize,
     /// Per-key retirement horizon (`None` = default).
     pub horizon: Option<usize>,
-    /// Thread shards inside each worker's per-range pipeline.
-    pub worker_shards: usize,
-    /// Operations per routed batch on the wire (and per worker-internal
-    /// channel batch).
+    /// Operations per routed batch on the wire.
     pub batch: usize,
     /// Checkpoint cadence in routed operations (0 = never due).
     pub checkpoint_every: u64,
@@ -109,7 +108,6 @@ impl Default for FleetConfig {
             k: 2,
             window: 1024,
             horizon: None,
-            worker_shards: 1,
             batch: 256,
             checkpoint_every: super::DEFAULT_CHECKPOINT_EVERY,
             replay_cap: DEFAULT_REPLAY_CAP,
@@ -158,9 +156,9 @@ struct RangeState {
     /// prove violations that never happened. The range keeps its (tainted)
     /// acked snapshot; everything after the break is dropped and counted.
     broken: bool,
-    /// Last snapshot the owner acknowledged (`None` until the first
-    /// checkpoint probe).
-    snapshot: Option<PipelineSnapshot>,
+    /// Last snapshot the owner acknowledged; until the first checkpoint
+    /// probe, the one the range started from.
+    snapshot: PipelineSnapshot,
     /// Operations routed to this range since it was created (split-heat
     /// signal, and the `ops_routed` share for fresh assignments).
     routed: u64,
@@ -168,12 +166,7 @@ struct RangeState {
 
 impl RangeState {
     /// A range with an empty buffer, owned by `worker`.
-    fn new(
-        range: KeyRange,
-        worker: usize,
-        snapshot: Option<PipelineSnapshot>,
-        routed: u64,
-    ) -> Self {
+    fn new(range: KeyRange, worker: usize, snapshot: PipelineSnapshot, routed: u64) -> Self {
         RangeState {
             range,
             worker,
@@ -207,14 +200,27 @@ pub struct FleetCoordinator {
 impl FleetCoordinator {
     /// Starts a fresh fleet over `links`: exchanges preambles, carves the
     /// key space into [`KeyRange::partition`]`(links.len())` ranges and
-    /// deals them round-robin.
+    /// deals them round-robin, each starting from an empty snapshot.
     ///
     /// # Errors
     ///
     /// Any preamble or assignment failure ([`ProtocolError`]); a fleet
     /// that cannot start assigns no work.
     pub fn new(config: FleetConfig, links: Vec<WorkerLink>) -> Result<Self, ProtocolError> {
-        Self::with_base(config, links, None, true)
+        let empty = PipelineSnapshot {
+            algo: config.algo.clone(),
+            model: config.model,
+            k: config.k,
+            window: config.window.max(1),
+            horizon: super::resolve_horizon(config.window, config.horizon),
+            ops_routed: 0,
+            uncertified: false,
+            partition: None,
+            states: Vec::new(),
+            reports: Vec::new(),
+            errors: Vec::new(),
+        };
+        Self::resume(config, links, &empty, true)
     }
 
     /// Starts a fleet resuming a merged checkpoint: the base snapshot is
@@ -229,7 +235,7 @@ impl FleetCoordinator {
     /// # Errors
     ///
     /// [`ProtocolError`] on transport/assignment failure, or when `base`
-    /// disagrees with `config` on algorithm, `k`, window or horizon.
+    /// does not match `config` or holds a count at or above 2^63.
     ///
     /// [`StreamPipeline::resume`]: super::StreamPipeline::resume
     pub fn resume(
@@ -238,33 +244,16 @@ impl FleetCoordinator {
         base: &PipelineSnapshot,
         prefix_verified: bool,
     ) -> Result<Self, ProtocolError> {
-        Self::with_base(config, links, Some(base), prefix_verified)
-    }
-
-    fn with_base(
-        config: FleetConfig,
-        links: Vec<WorkerLink>,
-        base: Option<&PipelineSnapshot>,
-        prefix_verified: bool,
-    ) -> Result<Self, ProtocolError> {
-        if let Some(base) = base {
-            if base.algo != config.algo || base.k != config.k {
-                return Err(ProtocolError::VerifierMismatch(format!(
-                    "checkpoint was taken with {}/k={}, fleet runs {}/k={}",
-                    base.algo, base.k, config.algo, config.k
-                )));
-            }
-            let horizon = super::resolve_horizon(config.window, config.horizon);
-            if base.window != config.window.max(1) || base.horizon != horizon {
-                return Err(ProtocolError::VerifierMismatch(format!(
-                    "checkpoint used window {}/horizon {}, fleet config resolves to \
-                     window {}/horizon {horizon}",
-                    base.window,
-                    base.horizon,
-                    config.window.max(1)
-                )));
-            }
+        let horizon = super::resolve_horizon(config.window, config.horizon);
+        let configured = (config.algo.as_str(), config.k, config.window.max(1), horizon);
+        let recorded = (base.algo.as_str(), base.k, base.window, base.horizon);
+        if recorded != configured {
+            return Err(ProtocolError::VerifierMismatch(format!(
+                "checkpoint has (algo, k, window, horizon) = {recorded:?}, fleet config \
+                 resolves to {configured:?}"
+            )));
         }
+        check_counts(base)?;
         let mut workers: Vec<WorkerSlot> = Vec::with_capacity(links.len());
         for mut link in links {
             link.writer.write_all(&COORDINATOR_MAGIC)?;
@@ -277,8 +266,8 @@ impl FleetCoordinator {
         }
         let partition = KeyRange::partition(workers.len());
         let mut fleet = FleetCoordinator {
-            ops_routed: base.map_or(0, |b| b.ops_routed),
-            ops_at_last_snapshot: base.map_or(0, |b| b.ops_routed),
+            ops_routed: base.ops_routed,
+            ops_at_last_snapshot: base.ops_routed,
             summary: FleetSummary {
                 workers: workers.len(),
                 workers_alive: workers.len(),
@@ -289,20 +278,17 @@ impl FleetCoordinator {
             workers,
             ranges: Vec::with_capacity(partition.len()),
         };
-        let mut remaining = base.map_or(0, |b| b.ops_routed);
+        let mut remaining = base.ops_routed;
         let last = partition.len() - 1;
         for (i, range) in partition.into_iter().enumerate() {
-            let snapshot = base.map(|b| {
-                // Conserve the fleet-wide ops_routed sum: each slice takes
-                // its accepted ops, the last takes the remainder (pushes
-                // to failed keys are not attributable to a slice).
-                let share =
-                    if i == last { remaining } else { split_ops_share(b, range).min(remaining) };
-                remaining -= share;
-                partition_snapshot(b, range, share)
-            });
-            let routed = snapshot.as_ref().map_or(0, |s| s.ops_routed);
-            fleet.ranges.push(RangeState::new(range, i % fleet.workers.len(), snapshot, routed));
+            // Conserve the fleet-wide ops_routed sum: each slice takes its
+            // accepted ops, the last takes the remainder (pushes to failed
+            // keys are not attributable to a slice).
+            let share =
+                if i == last { remaining } else { split_ops_share(base, range).min(remaining) };
+            remaining -= share;
+            let snapshot = partition_snapshot(base, range, share);
+            fleet.ranges.push(RangeState::new(range, i % fleet.workers.len(), snapshot, share));
             fleet.assign(i, prefix_verified)?;
         }
         Ok(fleet)
@@ -434,18 +420,8 @@ impl FleetCoordinator {
     /// last acked snapshot.
     fn assign(&mut self, idx: usize, prefix_verified: bool) -> Result<(), ProtocolError> {
         let state = &self.ranges[idx];
-        let assignment = Assignment {
-            range: state.range,
-            algo: self.config.algo.clone(),
-            model: self.config.model,
-            k: self.config.k,
-            window: self.config.window,
-            horizon: self.config.horizon,
-            shards: self.config.worker_shards,
-            batch: self.config.batch,
-            snapshot: state.snapshot.clone(),
-            prefix_verified,
-        };
+        let assignment =
+            Assignment { range: state.range, snapshot: state.snapshot.clone(), prefix_verified };
         self.write_to(state.worker, tag::ASSIGN, &to_json(&assignment)?)
     }
 
@@ -595,7 +571,7 @@ impl FleetCoordinator {
                     // The ack supersedes the replay: hand-offs now resume
                     // from this snapshot. A broken range stays broken —
                     // its gap does not heal, it only gets re-acked.
-                    state.snapshot = Some(snapshot.clone());
+                    state.snapshot = snapshot.clone();
                     state.ops.clear();
                     state.sent = 0;
                     state.replay_intact = !state.broken;
@@ -650,7 +626,7 @@ impl FleetCoordinator {
         // immediately win the next split election.
         let make_state = |child: KeyRange, ops: u64, worker: usize| {
             let snapshot = partition_snapshot(&retired.snapshot, child, ops);
-            RangeState::new(child, worker, Some(snapshot), parent_routed / 2)
+            RangeState::new(child, worker, snapshot, parent_routed / 2)
         };
         let other = self.least_loaded().ok_or(ProtocolError::Disconnected)?;
         let low_state = make_state(low, low_share.min(parent_ops), owner);

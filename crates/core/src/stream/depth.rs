@@ -1,15 +1,15 @@
 //! Rolling windowed staleness analytics over the cumulative
 //! staleness-depth histogram.
 //!
-//! The pipeline's [`Progress`](super::Progress) carries `depth_hist`, a
-//! *cumulative* histogram of read staleness depths since the audit
-//! started. For a long audit that is the wrong lens: a latency regression
-//! an hour in is invisible under millions of healthy early reads. A
-//! [`DepthWindow`] turns the cumulative histogram into a sliding-window
-//! view by retaining the histogram as of `ticks` observations ago and
-//! differencing — the delta is exactly the reads that arrived during the
-//! window, at zero cost to the hot path (two `Vec<u64>` subtractions per
-//! progress tick, nothing per record).
+//! The pipeline's [`PipelineProgress`](super::PipelineProgress) carries
+//! `depth_hist`, a *cumulative* histogram of read staleness depths since
+//! the audit started. For a long audit that is the wrong lens: a latency
+//! regression an hour in is invisible under millions of healthy early
+//! reads. A [`DepthWindow`] turns the cumulative histogram into a
+//! sliding-window view by retaining the histogram as of `ticks`
+//! observations ago and differencing — the delta is exactly the reads that
+//! arrived during the window, at zero cost to the hot path (two `Vec<u64>`
+//! subtractions per progress tick, nothing per record).
 //!
 //! Depths are bucketed (bucket 0 = depth 0, bucket `i >= 1` covers
 //! `[2^(i-1), 2^i)`), so the reported percentiles are the *upper bound*

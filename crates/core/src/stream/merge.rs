@@ -109,7 +109,7 @@ pub fn merge_snapshots(parts: &[PipelineSnapshot]) -> Result<PipelineSnapshot, M
                 return Err(MergeError::OverlappingKey(key));
             }
         }
-        merged.ops_routed += part.ops_routed;
+        merged.ops_routed = merged.ops_routed.saturating_add(part.ops_routed);
         merged.uncertified |= part.uncertified;
         merged.states.extend(part.states.iter().cloned());
         merged.reports.extend(part.reports.iter().cloned());
@@ -165,21 +165,13 @@ pub fn partition_snapshot(
 /// The accepted-operation count of `parent`'s keys inside `range` — the
 /// canonical `ops_routed` share for [`partition_snapshot`]: give one
 /// child its accepted ops and the other `parent.ops_routed` minus that,
-/// so the fleet-wide sum is conserved across splits.
+/// so the fleet-wide sum is conserved across splits. The sum saturates.
 pub fn split_ops_share(parent: &PipelineSnapshot, range: KeyRange) -> u64 {
-    let live: u64 = parent
-        .states
-        .iter()
-        .filter(|entry| range.contains(entry.key))
-        .map(|entry| entry.state.ops)
-        .sum();
-    let finalised: u64 = parent
-        .reports
-        .iter()
-        .filter(|entry| range.contains(entry.key))
-        .map(|entry| entry.report.ops)
-        .sum();
-    live + finalised
+    let live = parent.states.iter().filter(|entry| range.contains(entry.key));
+    let finalised = parent.reports.iter().filter(|entry| range.contains(entry.key));
+    live.map(|entry| entry.state.ops)
+        .chain(finalised.map(|entry| entry.report.ops))
+        .fold(0, u64::saturating_add)
 }
 
 /// Concatenates disjoint per-range finished outputs into the
@@ -263,23 +255,23 @@ mod tests {
         let keys: Vec<u64> = (0..40).collect();
         let whole = pipeline_with(&keys).snapshot();
         let (left, right) = KeyRange::ALL.split();
-        let mut left_pipe = pipeline_with(
-            &keys.iter().copied().filter(|k| left.contains(*k)).collect::<Vec<_>>(),
-        );
-        left_pipe.set_partition(Some(left));
-        let mut right_pipe = pipeline_with(
-            &keys.iter().copied().filter(|k| right.contains(*k)).collect::<Vec<_>>(),
-        );
-        right_pipe.set_partition(Some(right));
-        let merged = merge_snapshots(&[left_pipe.snapshot(), right_pipe.snapshot()]).unwrap();
+        // Each part is tagged with its range, as a fleet worker's is.
+        let parts = [left, right].map(|range| {
+            let mut pipe = pipeline_with(
+                &keys.iter().copied().filter(|k| range.contains(*k)).collect::<Vec<_>>(),
+            );
+            let mut part = pipe.snapshot();
+            part.partition = Some(range);
+            pipe.finish();
+            part
+        });
+        let merged = merge_snapshots(&parts).unwrap();
         assert_eq!(merged, whole);
         assert_eq!(
             serde_json::to_string(&merged).unwrap(),
             serde_json::to_string(&whole).unwrap(),
             "merged fleet checkpoints are byte-identical to single-process ones"
         );
-        left_pipe.finish();
-        right_pipe.finish();
     }
 
     #[test]

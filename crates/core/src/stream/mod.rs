@@ -96,8 +96,8 @@ pub mod protocol;
 pub use depth::{DepthStats, DepthWindow, DEFAULT_DEPTH_WINDOW};
 
 pub use checkpoint::{
-    read_checkpoint, Checkpoint, CheckpointDelta, CheckpointError, CheckpointWriter,
-    SourcePosition, CHECKPOINT_FORMAT, DEFAULT_CHECKPOINT_EVERY,
+    read_checkpoint, Checkpoint, CheckpointError, CheckpointWriter, SourcePosition,
+    CHECKPOINT_FORMAT, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use coordinator::{FleetConfig, FleetCoordinator, WorkerLink, DEFAULT_REPLAY_CAP};
 pub use merge::{
@@ -161,6 +161,24 @@ fn check_identity(
         )));
     }
     Ok(())
+}
+
+/// Refuses a restored count at or above 2^63 ([`SnapshotError::Count`]).
+fn check_count(field: &'static str, value: u64) -> Result<(), SnapshotError> {
+    if value < 1 << 63 { Ok(()) } else { Err(SnapshotError::Count { field, value }) }
+}
+
+/// The counts check of one key's state, its builder's included.
+fn check_online_counts(s: &OnlineSnapshot) -> Result<(), SnapshotError> {
+    let counts = [
+        ("ops", s.ops),
+        ("segments", s.segments as u64),
+        ("violations", s.violations as u64),
+        ("inconclusive", s.inconclusive as u64),
+        ("horizon_breaches", s.horizon_breaches),
+    ];
+    counts.into_iter().try_for_each(|(field, value)| check_count(field, value))?;
+    s.builder.check_counts()
 }
 
 /// Why the online verifier rejected an operation or a segment.
@@ -445,15 +463,14 @@ impl<V: Verifier> OnlineVerifier<V> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`] on verifier identity mismatch, counter
-    /// inconsistency, or a corrupt builder snapshot.
+    /// Returns a [`SnapshotError`] on verifier identity mismatch, an
+    /// out-of-range or inconsistent count, or a corrupt builder snapshot.
     pub fn resume(verifier: V, snapshot: &OnlineSnapshot) -> Result<Self, SnapshotError> {
         check_identity(&verifier, &snapshot.algo, snapshot.model, snapshot.k)?;
+        check_online_counts(snapshot)?;
         if snapshot.window == 0 {
             return Err(SnapshotError::new("window of zero operations".to_string()));
         }
-        // Saturating: untrusted counters near usize::MAX must reject, not
-        // overflow-panic (debug) or wrap past the comparison (release).
         if snapshot.violations.saturating_add(snapshot.inconclusive) > snapshot.segments {
             return Err(SnapshotError::new(
                 "more failed segments than segments verified".to_string(),

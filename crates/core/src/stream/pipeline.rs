@@ -30,7 +30,8 @@
 //! drains its queue and answers.
 
 use super::{
-    check_identity, resolve_horizon, OnlineSnapshot, OnlineVerifier, SnapshotError, StreamReport,
+    check_count, check_identity, check_online_counts, resolve_horizon, OnlineSnapshot,
+    OnlineVerifier, SnapshotError, StreamReport,
 };
 use crate::models::ModelId;
 use crate::Verifier;
@@ -114,9 +115,9 @@ impl PipelineOutput {
         }
     }
 
-    /// Total operations accepted across all keys.
+    /// Total operations accepted across all keys (saturating).
     pub fn total_ops(&self) -> u64 {
-        self.keys.iter().map(|(_, r)| r.ops).sum()
+        self.keys.iter().fold(0, |sum, (_, r)| sum.saturating_add(r.ops))
     }
 }
 
@@ -179,9 +180,8 @@ pub struct PipelineSnapshot {
     /// The slice of the hashed key space this snapshot covers, when it
     /// was taken by a fleet worker (`None` = the whole key space, as every
     /// single-process audit covers). The tag is the *shard map* of the
-    /// state: delta resolution and assignment hand-off reject a mismatch,
-    /// so state produced under one partition is never silently continued
-    /// under another.
+    /// state: assignment hand-off rejects a mismatch, so state produced
+    /// under one partition is never silently continued under another.
     #[serde(default)]
     pub partition: Option<KeyRange>,
     /// Live per-key adapter states, sorted by key.
@@ -190,6 +190,14 @@ pub struct PipelineSnapshot {
     pub reports: Vec<KeyReport>,
     /// Failed keys, sorted by key.
     pub errors: Vec<KeyError>,
+}
+
+/// The counts check [`read_checkpoint`](super::read_checkpoint) and
+/// [`StreamPipeline::resume`] run: no running count, a key's included, is
+/// at or above 2^63, which no audit reaches (finalised reports never grow).
+pub(super) fn check_counts(snapshot: &PipelineSnapshot) -> Result<(), SnapshotError> {
+    check_count("ops_routed", snapshot.ops_routed)?;
+    snapshot.states.iter().try_for_each(|entry| check_online_counts(&entry.state))
 }
 
 /// Live counters of one shard, as answered by a worker probe.
@@ -316,33 +324,34 @@ fn shard_progress<V: Verifier>(
     errors: &KeyErrors,
 ) -> ShardProgress {
     let mut p = ShardProgress { shard, depth_hist: vec![0; DEPTH_BUCKETS], ..Default::default() };
+    // Restored counts are below 2^63 each, but their sums saturate.
     for state in states.values() {
-        p.ops += state.ops();
+        p.ops = p.ops.saturating_add(state.ops());
         p.keys += 1;
-        p.segments += state.segments() as u64;
+        p.segments = p.segments.saturating_add(state.segments() as u64);
         if state.verdict_so_far() == Some(false) {
             p.violating_keys += 1;
         }
-        p.horizon_breaches += state.horizon_breaches();
-        p.orphaned_reads += state.orphaned_reads();
+        p.horizon_breaches = p.horizon_breaches.saturating_add(state.horizon_breaches());
+        p.orphaned_reads = p.orphaned_reads.saturating_add(state.orphaned_reads());
         p.resident += state.resident() as u64;
         p.peak_retired = p.peak_retired.max(state.peak_retired());
         for (bucket, count) in state.depth_histogram().iter().enumerate() {
-            p.depth_hist[bucket] += count;
+            p.depth_hist[bucket] = p.depth_hist[bucket].saturating_add(*count);
         }
     }
     for (_, report) in reports {
-        p.ops += report.ops;
+        p.ops = p.ops.saturating_add(report.ops);
         p.keys += 1;
-        p.segments += report.segments as u64;
+        p.segments = p.segments.saturating_add(report.segments as u64);
         if report.k_atomic() == Some(false) {
             p.violating_keys += 1;
         }
-        p.horizon_breaches += report.horizon_breaches;
-        p.orphaned_reads += report.orphaned_reads;
+        p.horizon_breaches = p.horizon_breaches.saturating_add(report.horizon_breaches);
+        p.orphaned_reads = p.orphaned_reads.saturating_add(report.orphaned_reads);
         p.peak_retired = p.peak_retired.max(report.peak_retired);
         for (bucket, count) in report.depth_hist.iter().enumerate().take(DEPTH_BUCKETS) {
-            p.depth_hist[bucket] += count;
+            p.depth_hist[bucket] = p.depth_hist[bucket].saturating_add(*count);
         }
     }
     p.errored_keys = errors.len();
@@ -412,8 +421,8 @@ pub struct StreamPipeline {
     ops_at_last_snapshot: u64,
     /// Some hop of the snapshot chain was resumed unverified.
     uncertified: bool,
-    /// The key-range slice this pipeline's snapshots are tagged with
-    /// (fleet workers set their assigned range; `None` = whole space).
+    /// The key-range slice this pipeline's snapshots are tagged with: the
+    /// resumed snapshot's (a fleet worker's range), else the whole space.
     partition: Option<KeyRange>,
 }
 
@@ -459,6 +468,7 @@ impl StreamPipeline {
         prefix_verified: bool,
     ) -> Result<Self, SnapshotError> {
         check_identity(&verifier, &snapshot.algo, snapshot.model, snapshot.k)?;
+        check_counts(snapshot)?;
         let window = config.window.max(1);
         let horizon = resolve_horizon(config.window, config.horizon);
         if window != snapshot.window || horizon != snapshot.horizon {
@@ -691,20 +701,6 @@ impl StreamPipeline {
         self.ops_routed
     }
 
-    /// Tags this pipeline's snapshots with the key-range slice they cover.
-    /// Fleet workers set their assigned range; a single-process audit
-    /// leaves the default `None` (the whole key space). The caller is
-    /// responsible for only pushing keys the range
-    /// [contains](KeyRange::contains).
-    pub fn set_partition(&mut self, partition: Option<KeyRange>) {
-        self.partition = partition;
-    }
-
-    /// The key-range slice this pipeline's snapshots are tagged with.
-    pub fn partition(&self) -> Option<KeyRange> {
-        self.partition
-    }
-
     /// True once [`PipelineConfig::checkpoint_every`] operations have been
     /// pushed since the last [`snapshot`](Self::snapshot) (or since the
     /// start). Drivers that persist checkpoints poll this after pushes.
@@ -827,17 +823,18 @@ impl StreamPipeline {
         };
         for probe in self.probe(false) {
             let shard = probe.progress;
-            merged.ops += shard.ops;
+            merged.ops = merged.ops.saturating_add(shard.ops);
             merged.keys += shard.keys;
-            merged.segments += shard.segments;
+            merged.segments = merged.segments.saturating_add(shard.segments);
             merged.violating_keys += shard.violating_keys;
             merged.errored_keys += shard.errored_keys;
-            merged.horizon_breaches += shard.horizon_breaches;
-            merged.orphaned_reads += shard.orphaned_reads;
+            merged.horizon_breaches =
+                merged.horizon_breaches.saturating_add(shard.horizon_breaches);
+            merged.orphaned_reads = merged.orphaned_reads.saturating_add(shard.orphaned_reads);
             merged.resident += shard.resident;
             merged.peak_retired = merged.peak_retired.max(shard.peak_retired);
             for (bucket, count) in shard.depth_hist.iter().enumerate().take(DEPTH_BUCKETS) {
-                merged.depth_hist[bucket] += count;
+                merged.depth_hist[bucket] = merged.depth_hist[bucket].saturating_add(*count);
             }
             merged.shards.push(shard);
         }

@@ -1,10 +1,10 @@
 //! The coordinator↔worker wire protocol of the audit fleet.
 //!
 //! One coordinator process owns ingest and routing; N worker processes
-//! each own a set of key ranges, one [`StreamPipeline`] per range. The
-//! two speak a length-prefixed message stream over any byte pipe
-//! (`kav serve` uses the spawned workers' stdin/stdout; tests use Unix
-//! socket pairs):
+//! each own a set of key ranges, one [`StreamPipeline`] per range, started
+//! by resuming the snapshot its assignment carries. The two speak a
+//! length-prefixed message stream over any byte pipe (`kav serve` uses
+//! the spawned workers' stdin/stdout; tests use Unix socket pairs):
 //!
 //! ```text
 //! coordinator → worker        worker → coordinator
@@ -39,7 +39,6 @@
 
 use super::pipeline::{KeyError, KeyReport, PipelineConfig, PipelineSnapshot, StreamPipeline};
 use super::SnapshotError;
-use crate::models::ModelId;
 use crate::Verifier;
 use kav_history::frame::{decode_routed_batch, BatchError, KeyRange};
 use serde::{Deserialize, Serialize};
@@ -81,33 +80,17 @@ pub mod tag {
     pub const ERROR: u8 = 9;
 }
 
-/// Hands a worker ownership of one key range.
+/// Hands a worker ownership of one key range, with the snapshot it
+/// starts from.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Assignment {
     /// The range the worker now owns; batches for it follow.
     pub range: KeyRange,
-    /// [`Verifier::name`] the fleet runs — the worker refuses a mismatch
-    /// with its own verifier rather than mixing algorithms.
-    pub algo: String,
-    /// The consistency model the fleet audits (absent = k-atomic);
-    /// refused on mismatch like `algo`/`k`, so one fleet never mixes
-    /// verdict semantics.
-    #[serde(default, skip_serializing_if = "ModelId::is_k_atomic")]
-    pub model: ModelId,
-    /// The `k` the fleet decides; likewise refused on mismatch.
-    pub k: u64,
-    /// Per-key sliding-window width.
-    pub window: usize,
-    /// Per-key retirement horizon (`None` = default).
-    pub horizon: Option<usize>,
-    /// Worker-internal thread shards for this range's pipeline.
-    pub shards: usize,
-    /// Worker-internal channel batch size.
-    pub batch: usize,
-    /// Resume state from a checkpoint hand-off (`None` = fresh range).
-    /// Must be tagged with exactly `range` — a snapshot produced under a
-    /// different shard map is refused.
-    pub snapshot: Option<PipelineSnapshot>,
+    /// The range's state (empty for a fresh range). It names the verifier,
+    /// which the worker refuses unless it is its own, so one fleet never
+    /// mixes verdict semantics; it fixes the window and horizon; and it
+    /// must be tagged with `range`, or the worker refuses it.
+    pub snapshot: PipelineSnapshot,
     /// The coordinator's claim that everything since `snapshot`'s cut
     /// will be replayed exactly once (it re-sends its replay buffer).
     /// `false` taints every key of the range: YES degrades to UNKNOWN,
@@ -182,8 +165,8 @@ pub enum ProtocolError {
     DuplicateAssignment(KeyRange),
     /// A BATCH or RETIRE for a range the worker does not own.
     UnassignedRange(KeyRange),
-    /// An ASSIGN whose algorithm, `k` or consistency model disagrees
-    /// with the worker's verifier.
+    /// An ASSIGN whose snapshot's algorithm, `k` or consistency model
+    /// disagrees with the worker's verifier.
     VerifierMismatch(String),
     /// An ASSIGN whose resume snapshot is tagged with a different
     /// partition than the assigned range — state from one shard map must
@@ -409,70 +392,32 @@ fn worker_loop_inner<V: Verifier + Clone + Send + 'static>(
         let (tag, payload) = read_message(input)?;
         match tag {
             tag::ASSIGN => {
-                let assignment: Assignment = parse_json(&payload)?;
-                if !assignment.range.is_valid() {
-                    return Err(ProtocolError::Batch(BatchError::BadRange(assignment.range)));
+                let Assignment { range, snapshot, prefix_verified } = parse_json(&payload)?;
+                if !range.is_valid() {
+                    return Err(ProtocolError::Batch(BatchError::BadRange(range)));
                 }
-                if assignment.algo != verifier.name()
-                    || assignment.k != verifier.k()
-                    || assignment.model != verifier.model()
-                {
+                let ours = (verifier.name(), verifier.k(), verifier.model());
+                if (snapshot.algo.as_str(), snapshot.k, snapshot.model) != ours {
                     return Err(ProtocolError::VerifierMismatch(format!(
                         "fleet runs {}/k={}/model={}, worker runs {}/k={}/model={}",
-                        assignment.algo,
-                        assignment.k,
-                        assignment.model,
-                        verifier.name(),
-                        verifier.k(),
-                        verifier.model()
+                        snapshot.algo, snapshot.k, snapshot.model, ours.0, ours.1, ours.2
                     )));
                 }
-                if owned.iter().any(|o| o.range == assignment.range) {
-                    return Err(ProtocolError::DuplicateAssignment(assignment.range));
+                if owned.iter().any(|o| o.range == range) {
+                    return Err(ProtocolError::DuplicateAssignment(range));
                 }
-                let config = PipelineConfig {
-                    shards: assignment.shards,
-                    window: assignment.window,
-                    horizon: assignment.horizon,
-                    batch: assignment.batch,
-                    checkpoint_every: 0, // the coordinator owns the cadence
-                };
-                let mut pipeline = match &assignment.snapshot {
-                    Some(snapshot) => {
-                        if snapshot.partition != Some(assignment.range) {
-                            return Err(ProtocolError::PartitionMismatch {
-                                range: assignment.range,
-                                snapshot: snapshot.partition,
-                            });
-                        }
-                        StreamPipeline::resume(
-                            verifier.clone(),
-                            config,
-                            snapshot,
-                            assignment.prefix_verified,
-                        )?
-                    }
-                    None => {
-                        let mut fresh = StreamPipeline::new(verifier.clone(), config);
-                        if !assignment.prefix_verified {
-                            // A fresh range whose history is unverifiable
-                            // (e.g. a hand-off that lost its replay before
-                            // any snapshot existed): resume an empty
-                            // snapshot unverified so every key is tainted.
-                            let mut empty = fresh.snapshot();
-                            empty.partition = Some(assignment.range);
-                            fresh = StreamPipeline::resume(
-                                verifier.clone(),
-                                config,
-                                &empty,
-                                false,
-                            )?;
-                        }
-                        fresh
-                    }
-                };
-                pipeline.set_partition(Some(assignment.range));
-                owned.push(OwnedRange { range: assignment.range, pipeline });
+                if snapshot.partition != Some(range) {
+                    let snapshot = snapshot.partition;
+                    return Err(ProtocolError::PartitionMismatch { range, snapshot });
+                }
+                // One thread per range (the fleet's parallelism is its
+                // processes); the coordinator owns the checkpoint cadence.
+                let (window, horizon) = (snapshot.window, Some(snapshot.horizon));
+                let base = PipelineConfig { shards: 1, checkpoint_every: 0, ..Default::default() };
+                let config = PipelineConfig { window, horizon, ..base };
+                let pipeline =
+                    StreamPipeline::resume(verifier.clone(), config, &snapshot, prefix_verified)?;
+                owned.push(OwnedRange { range, pipeline });
                 owned.sort_by_key(|o| o.range);
             }
             tag::BATCH => {

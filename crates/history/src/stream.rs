@@ -222,18 +222,34 @@ impl Error for StreamError {}
 /// configuration it is being resumed under. Resume never "repairs" such a
 /// snapshot — verdicts derived from guessed state would be unsound.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SnapshotError(String);
+pub enum SnapshotError {
+    /// The snapshot is inconsistent or mismatched, as the message says.
+    Invalid(String),
+    /// A restored count is at or above 2^63, which no audit reaches:
+    /// resuming it would overflow on a later record.
+    Count {
+        /// The snapshot field holding the count.
+        field: &'static str,
+        /// The count it holds.
+        value: u64,
+    },
+}
 
 impl SnapshotError {
-    /// An error carrying a preformatted message.
+    /// An [`Invalid`](Self::Invalid) error carrying a preformatted message.
     pub fn new(message: impl Into<String>) -> Self {
-        SnapshotError(message.into())
+        SnapshotError::Invalid(message.into())
     }
 }
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cannot resume snapshot: {}", self.0)
+        match self {
+            SnapshotError::Invalid(message) => write!(f, "cannot resume snapshot: {message}"),
+            SnapshotError::Count { field, value } => {
+                write!(f, "cannot resume snapshot: {field} = {value} is at or above 2^63")
+            }
+        }
     }
 }
 
@@ -285,6 +301,29 @@ pub struct BuilderSnapshot {
     pub segments_sealed: usize,
     /// High-water mark of the operation buffer.
     pub peak_resident: usize,
+}
+
+impl BuilderSnapshot {
+    /// Refuses a count at or above 2^63, naming its field
+    /// ([`SnapshotError::Count`]). [`StreamBuilder::resume`] runs this
+    /// first, as does a reader validating a snapshot before resuming it.
+    pub fn check_counts(&self) -> Result<(), SnapshotError> {
+        let counts = [
+            ("base", self.base),
+            ("retired_total", self.retired_total),
+            ("orphaned_reads", self.orphaned_reads),
+            ("writes_accepted", self.writes_accepted),
+            ("reads_accepted", self.reads_accepted),
+            ("depth_sum", self.depth_sum),
+            ("depth_count_reads", self.depth_count_reads),
+            ("segments_sealed", self.segments_sealed as u64),
+        ];
+        let hist = self.depth_hist.iter().map(|&count| ("depth_hist", count));
+        match counts.into_iter().chain(hist).find(|&(_, value)| value >= 1 << 63) {
+            Some((field, value)) => Err(SnapshotError::Count { field, value }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// One buffered operation and its *reach*: the largest sequence number
@@ -697,7 +736,7 @@ impl StreamBuilder {
     /// The snapshot is validated — completion order and interval sanity of
     /// the buffer, the horizon bound on the retirement ring, value
     /// distinctness across buffer and ring, orphan marks pointing at
-    /// buffered reads, and counter consistency — and the derived pairing
+    /// buffered reads, bounded and consistent counts — and the derived pairing
     /// indexes are re-derived by replaying the buffered operations.
     ///
     /// # Errors
@@ -706,6 +745,7 @@ impl StreamBuilder {
     /// about such a snapshot is trusted.
     pub fn resume(snapshot: &BuilderSnapshot) -> Result<StreamBuilder, SnapshotError> {
         let s = snapshot;
+        s.check_counts()?;
         let err = |msg: String| Err(SnapshotError::new(msg));
         if s.depth_hist.len() != DEPTH_BUCKETS {
             return err(format!(
@@ -759,17 +799,8 @@ impl StreamBuilder {
             }
         }
 
+        // No sum below overflows: `base` and `retired_total` are < 2^63.
         let len = s.buffer.len() as u64;
-        // All arithmetic below is on untrusted fields: prove it cannot
-        // overflow once, up front, so a corrupt checkpoint is rejected
-        // instead of panicking (debug) or wrapping into accepted
-        // nonsense (release).
-        if s.base.checked_add(len).is_none() {
-            return err(format!("sequence base {} overflows past the buffer", s.base));
-        }
-        if s.retired_total.checked_add(len).is_none() {
-            return err(format!("retired-write total {} is implausible", s.retired_total));
-        }
         let mut orphaned: FxHashSet<u64> = FxHashSet::default();
         for &seq in &s.orphaned {
             if seq < s.base || seq >= s.base + len {
@@ -1261,9 +1292,13 @@ mod tests {
         });
         tamper(&|s| s.orphaned.push(999));
         tamper(&|s| s.peak_resident = 0);
-        // Adversarial numeric fields must reject, never overflow.
-        tamper(&|s| s.base = u64::MAX);
+        // Adversarial numeric fields must reject, never overflow, and the
+        // refusal names the field.
+        let err = tamper(&|s| s.base = u64::MAX);
+        assert_eq!(err, SnapshotError::Count { field: "base", value: u64::MAX });
         tamper(&|s| s.retired_total = u64::MAX);
+        let err = tamper(&|s| s.segments_sealed = 1 << 63);
+        assert!(err.to_string().contains("segments_sealed = 9223372036854775808"), "{err}");
         let err = tamper(&|s| s.buffer[0] = w(2, 21, 29));
         assert!(err.to_string().contains("cannot resume"), "{err}");
     }

@@ -383,90 +383,19 @@ fn fault_schedule_audits_resume_across_partition_heal_boundaries() {
     }
 }
 
-/// Writes checkpoint files the way older builds did: a full snapshot,
-/// then up to `delta_every` delta hops appended to it, the whole chain
-/// rewritten on every write. The first write of a resumed audit is full.
-struct DeltaChainWriter {
-    path: std::path::PathBuf,
-    version: u64,
-    delta_every: usize,
-    base: Option<PipelineSnapshot>,
-    deltas: Vec<k_atomicity::verify::CheckpointDelta>,
-    prev: Option<PipelineSnapshot>,
-}
-
-impl DeltaChainWriter {
-    fn starting_at(path: &str, version: u64, delta_every: usize) -> Self {
-        DeltaChainWriter {
-            path: path.into(),
-            version,
-            delta_every,
-            base: None,
-            deltas: Vec::new(),
-            prev: None,
-        }
-    }
-
-    fn write(&mut self, source: k_atomicity::verify::SourcePosition, next: PipelineSnapshot) {
-        use k_atomicity::verify::{Checkpoint, CheckpointDelta, CHECKPOINT_FORMAT};
-        let version = self.version + 1;
-        match &self.prev {
-            Some(prev) if self.deltas.len() < self.delta_every => {
-                let was_live = |key| prev.states.iter().find(|entry| entry.key == key);
-                self.deltas.push(CheckpointDelta {
-                    version,
-                    ops_routed: next.ops_routed,
-                    uncertified: next.uncertified,
-                    partition: next.partition,
-                    changed: next.states.iter()
-                        .filter(|entry| was_live(entry.key).map(|p| &p.state) != Some(&entry.state))
-                        .cloned()
-                        .collect(),
-                    removed: prev.states.iter()
-                        .map(|entry| entry.key)
-                        .filter(|&key| next.states.iter().all(|entry| entry.key != key))
-                        .collect(),
-                    new_reports: next.reports.iter()
-                        .filter(|entry| prev.reports.iter().all(|p| p.key != entry.key))
-                        .cloned()
-                        .collect(),
-                    new_errors: next.errors.iter()
-                        .filter(|entry| prev.errors.iter().all(|p| p.key != entry.key))
-                        .cloned()
-                        .collect(),
-                });
-            }
-            _ => {
-                self.base = Some(next.clone());
-                self.deltas.clear();
-            }
-        }
-        let checkpoint = Checkpoint {
-            format: CHECKPOINT_FORMAT,
-            version,
-            source,
-            pipeline: self.base.clone().expect("the first write is a full snapshot"),
-            deltas: self.deltas.clone(),
-        };
-        let json = serde_json::to_string(&checkpoint).expect("checkpoints serialize");
-        std::fs::write(&self.path, json + "\n").expect("checkpoints write");
-        self.prev = Some(next);
-        self.version = version;
-    }
-}
-
-/// The on-disk delta chain of older builds is equivalent to full
-/// snapshots: an audit that checkpoints in that format with a short
-/// delta cadence, is killed at checkpoints landing before, on and
-/// between full-snapshot boundaries, and resumes from the resolved file —
+/// Checkpoint files carry an audit across crashes: an audit that writes a
+/// full snapshot every 4 records through [`CheckpointWriter`], is killed
+/// after checkpoints at several points, and resumes from the file —
 /// through a second kill-and-resume hop, each hop re-reading the NDJSON
 /// prefix from a *differently chunked* source than the previous one —
 /// must finish with reports byte-identical to the uninterrupted audit.
+///
+/// [`CheckpointWriter`]: k_atomicity::verify::CheckpointWriter
 #[test]
-fn delta_checkpoint_files_resume_across_kill_boundaries() {
+fn checkpoint_files_resume_across_kill_boundaries() {
     use k_atomicity::history::fxhash::Fingerprint;
     use k_atomicity::history::ndjson;
-    use k_atomicity::verify::{read_checkpoint, SourcePosition};
+    use k_atomicity::verify::{read_checkpoint, CheckpointWriter, SourcePosition};
 
     let records = streaming_workload(StreamingWorkloadConfig {
         keys: 3,
@@ -482,14 +411,13 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
     // must match what a prefix re-read would produce, however the bytes
     // arrive.
     let doc: String = records.iter().map(|r| ndjson::to_line(r) + "\n").collect();
-    let dir = std::env::temp_dir().join("kav_delta_resume_test");
+    let dir = std::env::temp_dir().join("kav_kill_resume_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("audit.ckpt");
     let path = path.to_str().unwrap();
 
-    // Checkpoint every 4 records with a full snapshot only every 3rd
-    // write, so kills at records 12/24/36 land on delta-resolved state
-    // (writes 3, 6, 9 — the chain is base + deltas at two of the three).
+    // Checkpoint every 4 records; each hop resumes the last checkpoint
+    // before its kill, and its writer continues the version chain.
     let drive = |from: usize, until: usize, version: u64| {
         // The whole slice at once, or 7-byte reads (a pipe or stdin).
         let mut whole = ndjson::SliceReader::with_fingerprint(doc.as_bytes(), Fingerprint::new());
@@ -501,7 +429,7 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
             StreamPipeline::new(Fzf, config)
         } else {
             let checkpoint = read_checkpoint(path).expect("checkpoint reads back");
-            assert!(checkpoint.deltas.is_empty(), "read_checkpoint resolves deltas");
+            assert_eq!(checkpoint.version, version);
             assert_eq!(checkpoint.source.lines, from as u64);
             // Alternate which source re-proves the prefix — the hop is
             // only sound because both produce the same fingerprint chain.
@@ -520,7 +448,7 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
             StreamPipeline::resume(Fzf, config, &checkpoint.pipeline, true)
                 .expect("own checkpoints resume")
         };
-        let mut writer = DeltaChainWriter::starting_at(path, version, 3);
+        let mut writer = CheckpointWriter::starting_at(path, version);
         let mut fp = Fingerprint::new();
         for (i, record) in records.iter().enumerate().take(until) {
             let line = ndjson::to_line(record) + "\n";
@@ -536,17 +464,17 @@ fn delta_checkpoint_files_resume_across_kill_boundaries() {
                     malformed: 0,
                     malformed_samples: Vec::new(),
                 };
-                writer.write(source, pipeline.snapshot());
+                writer.write(source, pipeline.snapshot()).expect("checkpoints write");
             }
         }
-        (pipeline, writer.version)
+        (pipeline, writer.version())
     };
 
     for (first_kill, second_kill) in [(12, 24), (4, 36), (24, 28), (36, 40)] {
         let (pipeline, v1) = drive(0, first_kill, 0);
         drop(pipeline); // the first crash; only the checkpoint file survives
         let (pipeline, v2) = drive(first_kill, second_kill, v1);
-        drop(pipeline); // the second crash, mid delta chain
+        drop(pipeline); // the second crash
         let (pipeline, _) = drive(second_kill, records.len(), v2);
         let output = pipeline.finish();
         assert_eq!(&output.keys, &baseline.keys, "kills at {first_kill}/{second_kill}");
@@ -647,7 +575,6 @@ mod fleet {
             k: verifier.k(),
             window,
             horizon: None,
-            worker_shards: 2,
             batch: 5,
             checkpoint_every: 0,
             replay_cap,

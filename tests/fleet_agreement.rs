@@ -56,7 +56,6 @@ fn fleet_config<V: Verifier>(verifier: &V, window: usize) -> FleetConfig {
         k: verifier.k(),
         window,
         horizon: None,
-        worker_shards: 2,
         batch: 7, // deliberately off-stride so batches straddle cuts
         checkpoint_every: 0,
         replay_cap: 1 << 20,

@@ -42,23 +42,17 @@ fn handshake(driver: &mut UnixStream) {
     expect_preamble(driver, WORKER_MAGIC).expect("worker announces itself");
 }
 
-/// Sends a valid assignment of `range` to the worker.
-fn assign(driver: &mut UnixStream, range: KeyRange) {
-    let assignment = Assignment {
-        range,
-        algo: "fzf".to_owned(),
-        model: ModelId::KAtomic,
-        k: 2,
-        window: 8,
-        horizon: None,
-        shards: 1,
-        batch: 4,
-        snapshot: None,
-        prefix_verified: true,
-    };
-    let payload = serde_json::to_string(&assignment).unwrap().into_bytes();
-    write_message(driver, tag::ASSIGN, &payload).unwrap();
-    driver.flush().unwrap();
+/// Sends `assignment` to the worker.
+fn send(socket: &mut UnixStream, assignment: &Assignment) {
+    let payload = serde_json::to_string(assignment).unwrap().into_bytes();
+    write_message(socket, tag::ASSIGN, &payload).unwrap();
+    socket.flush().unwrap();
+}
+
+/// Sends a valid assignment of `range` to the worker: a fresh range,
+/// which starts from an empty snapshot tagged with it.
+fn assign(socket: &mut UnixStream, range: KeyRange) {
+    send(socket, &Assignment { range, snapshot: tagged_snapshot(range), prefix_verified: true });
 }
 
 /// Drains the worker's ERROR reply (its best-effort diagnostic before
@@ -167,27 +161,32 @@ fn worker_rejects_duplicate_assignments() {
 
 #[test]
 fn worker_rejects_a_mismatched_verifier() {
-    let (mut driver, handle) = spawn_worker();
-    handshake(&mut driver);
-    let assignment = Assignment {
-        range: KeyRange::ALL,
-        algo: "genk".to_owned(), // the worker runs fzf
-        model: ModelId::KAtomic,
-        k: 2,
-        window: 8,
-        horizon: None,
-        shards: 1,
-        batch: 4,
-        snapshot: None,
-        prefix_verified: true,
-    };
-    let payload = serde_json::to_string(&assignment).unwrap().into_bytes();
-    write_message(&mut driver, tag::ASSIGN, &payload).unwrap();
-    driver.flush().unwrap();
-    expect_error_reply(&mut driver, "genk");
+    let (mut socket, handle) = spawn_worker();
+    handshake(&mut socket);
+    let mut snapshot = tagged_snapshot(KeyRange::ALL);
+    snapshot.algo = "genk".to_owned(); // the worker runs fzf
+    send(&mut socket, &Assignment { range: KeyRange::ALL, snapshot, prefix_verified: true });
+    expect_error_reply(&mut socket, "genk");
     assert!(matches!(
         handle.join().unwrap(),
         Err(ProtocolError::VerifierMismatch(_))
+    ));
+}
+
+#[test]
+fn worker_rejects_an_assignment_tagged_for_another_range() {
+    // Every range starts by resuming its snapshot, so every ASSIGN checks
+    // the snapshot's tag against the range it hands out.
+    let (mut socket, handle) = spawn_worker();
+    handshake(&mut socket);
+    let (low, high) = KeyRange::ALL.split();
+    let snapshot = tagged_snapshot(high);
+    send(&mut socket, &Assignment { range: low, snapshot, prefix_verified: true });
+    expect_error_reply(&mut socket, "different shard map");
+    assert!(matches!(
+        handle.join().unwrap(),
+        Err(ProtocolError::PartitionMismatch { range, snapshot })
+            if range == low && snapshot == Some(high)
     ));
 }
 
@@ -320,21 +319,23 @@ fn fleet_config() -> FleetConfig {
         k: 2,
         window: 8,
         horizon: None,
-        worker_shards: 1,
         batch: 4,
         checkpoint_every: 0,
         replay_cap: 1 << 16,
     }
 }
 
-/// A well-formed per-range snapshot for [`KeyRange::ALL`].
-fn tagged_snapshot() -> k_atomicity::verify::PipelineSnapshot {
+/// A well-formed, empty snapshot of the Fzf (k = 2, window 8) fleet's
+/// range `range`, tagged with it.
+fn tagged_snapshot(range: KeyRange) -> k_atomicity::verify::PipelineSnapshot {
     let mut pipeline = StreamPipeline::new(
         Fzf,
         PipelineConfig { shards: 1, window: 8, ..Default::default() },
     );
-    pipeline.set_partition(Some(KeyRange::ALL));
-    pipeline.snapshot()
+    let mut snapshot = pipeline.snapshot();
+    pipeline.finish();
+    snapshot.partition = Some(range);
+    snapshot
 }
 
 #[test]
@@ -343,7 +344,10 @@ fn coordinator_rejects_replayed_snapshot_versions() {
     // probe's reply must be refused (a replayed cut cannot be trusted).
     let (link, handle) = scripted_worker(|_probes| SnapshotReply {
         version: 1,
-        ranges: vec![RangeSnapshot { range: KeyRange::ALL, snapshot: tagged_snapshot() }],
+        ranges: vec![RangeSnapshot {
+            range: KeyRange::ALL,
+            snapshot: tagged_snapshot(KeyRange::ALL),
+        }],
     });
     let mut fleet = FleetCoordinator::new(fleet_config(), vec![link]).expect("fleet start");
     fleet.snapshot_fleet().expect("the first probe is fine");
@@ -365,7 +369,7 @@ fn coordinator_rejects_mistagged_partition_snapshots() {
     // Replies are versioned correctly but the snapshot claims a foreign
     // partition: certification discipline must refuse the merge.
     let (link, handle) = scripted_worker(|probes| {
-        let mut snapshot = tagged_snapshot();
+        let mut snapshot = tagged_snapshot(KeyRange::ALL);
         snapshot.partition = Some(KeyRange::ALL.split().1); // wrong tag
         SnapshotReply {
             version: probes,
@@ -383,7 +387,7 @@ fn coordinator_rejects_mistagged_partition_snapshots() {
 fn coordinator_rejects_replies_for_unowned_ranges() {
     let (link, handle) = scripted_worker(|probes| {
         let (low, _high) = KeyRange::ALL.split();
-        let mut snapshot = tagged_snapshot();
+        let mut snapshot = tagged_snapshot(KeyRange::ALL);
         snapshot.partition = Some(low);
         SnapshotReply {
             version: probes,
