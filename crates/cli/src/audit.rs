@@ -17,16 +17,19 @@ use kav_core::{
     fleet_verdict, read_checkpoint, worker_loop, CausalVerifier, Checkpoint, CheckpointWriter,
     DepthStats, DepthWindow, FleetConfig, FleetCoordinator, FleetSummary, Fzf, GenK, GkOneAv, Lbt,
     ModelId, PipelineConfig, PipelineOutput, PipelineSnapshot, ProtocolError, RegularVerifier,
-    SafeVerifier, ShardProgress, SourcePosition, StreamPipeline, Verdict, Verifier, WorkerLink,
-    DEFAULT_CAUSAL_BUDGET, DEFAULT_CHECKPOINT_EVERY, DEFAULT_GAP_BUDGET, DEFAULT_REPLAY_CAP,
+    SafeVerifier, ShardProgress, SnapshotFragments, SourcePosition, StreamPipeline, Verdict,
+    Verifier, WorkerLink, DEFAULT_CAUSAL_BUDGET, DEFAULT_CHECKPOINT_EVERY, DEFAULT_GAP_BUDGET,
+    DEFAULT_REPLAY_CAP,
 };
 use kav_history::fxhash::Fingerprint;
 use kav_history::{frame, ndjson, History};
 use serde::Serialize;
 use std::error::Error;
 use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::{self, BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 
 /// Read buffer of a file input; stdin reads through its own lock's buffer.
 const INPUT_BUFFER_BYTES: usize = 64 * 1024;
@@ -357,6 +360,15 @@ impl<'a> AuditSession<'a> {
     /// failures abort.
     fn run(self) -> CmdResult {
         const MALFORMED_SAMPLES: usize = 10;
+        // Started first, so an unusable path fails before any record is
+        // read or any worker is spawned.
+        let mut checkpoints = match self.checkpoint_path {
+            Some(path) => {
+                let last = self.resume.as_ref().map_or(0, |checkpoint| checkpoint.version);
+                Some(CheckpointThread::start(path, last)?)
+            }
+            None => None,
+        };
         // Fingerprint whenever checkpoints are written (so they can later
         // be verified) or verified (a resume).
         let fingerprinted = self.checkpoint_path.is_some() || self.resume.is_some();
@@ -399,9 +411,6 @@ impl<'a> AuditSession<'a> {
                 if prefix_verified { ", prefix verified" } else { ", prefix unverified" },
             );
         }
-        let mut writer = self.checkpoint_path.map(|path| {
-            CheckpointWriter::starting_at(path, self.resume.as_ref().map_or(0, |c| c.version))
-        });
 
         let mut records: u64 = 0;
         let mut depth_window = DepthWindow::default();
@@ -438,7 +447,7 @@ impl<'a> AuditSession<'a> {
                     coordinator.split_hottest()?;
                 }
             }
-            if let Some(writer) = &mut writer {
+            if let Some(checkpoints) = &mut checkpoints {
                 if let Some(snapshot) = sink.snapshot_if_due()? {
                     let position = SourcePosition {
                         lines: source.units_read(),
@@ -448,7 +457,7 @@ impl<'a> AuditSession<'a> {
                         malformed: total_malformed,
                         malformed_samples: malformed.clone(),
                     };
-                    writer.write(position, snapshot)?;
+                    checkpoints.write(position, snapshot)?;
                 }
             }
             if self.progress_every > 0 && records.is_multiple_of(self.progress_every) {
@@ -457,7 +466,7 @@ impl<'a> AuditSession<'a> {
                     let line = ProgressLine {
                         record: "progress",
                         lines: source.units_read(),
-                        checkpoint_version: writer.as_ref().map_or(0, |w| w.version()),
+                        checkpoint_version: checkpoints.as_ref().map_or(0, |c| c.handed),
                         ops_routed: progress.ops_routed,
                         ops: progress.ops,
                         malformed: total_malformed,
@@ -478,6 +487,9 @@ impl<'a> AuditSession<'a> {
             }
         }
         let (output, summary) = sink.finish()?;
+        if let Some(checkpoints) = checkpoints {
+            checkpoints.finish()?;
+        }
         self.report(&output, &summary, total_malformed, &malformed)
     }
 
@@ -664,11 +676,11 @@ enum Sink {
 
 impl Sink {
     /// A snapshot when the checkpoint cadence is due.
-    fn snapshot_if_due(&mut self) -> Result<Option<PipelineSnapshot>, ProtocolError> {
+    fn snapshot_if_due(&mut self) -> Result<Option<Snapshot>, ProtocolError> {
         Ok(match self {
-            Sink::Pipeline(p) => p.checkpoint_due().then(|| p.snapshot()),
+            Sink::Pipeline(p) => p.checkpoint_due().then(|| Snapshot::Pipeline(p.snapshot())),
             Sink::Fleet { coordinator: c, .. } => {
-                c.checkpoint_due().then(|| c.snapshot_fleet()).transpose()?
+                c.checkpoint_due().then(|| c.snapshot_fleet().map(Snapshot::Fleet)).transpose()?
             }
         })
     }
@@ -681,6 +693,105 @@ impl Sink {
             Sink::Pipeline(pipeline) => Ok((pipeline.finish(), FleetSummary::default())),
             // Every worker has answered FINISH; dropping the guard reaps it.
             Sink::Fleet { coordinator, .. } => coordinator.finish(),
+        }
+    }
+}
+
+/// What the ingest thread hands the checkpoint writer: a pipeline's
+/// snapshot, which the writer thread serialises, or a fleet's, which
+/// arrives serialised.
+enum Snapshot {
+    Pipeline(PipelineSnapshot),
+    Fleet(SnapshotFragments),
+}
+
+/// Durability off the ingest path: one thread owns the
+/// [`CheckpointWriter`], so ingest goes on while a checkpoint is
+/// serialised, written and synced. At most one write is in flight: the
+/// next checkpoint and the end of the audit wait for it, and a failed
+/// write surfaces there as exit 2, naming the path. A crash mid-write
+/// still leaves the previous checkpoint intact (the writer replaces the
+/// file atomically).
+struct CheckpointThread<'a> {
+    path: &'a str,
+    /// The version of the last checkpoint handed to the writer, which
+    /// progress records report.
+    handed: u64,
+    in_flight: bool,
+    jobs: Option<mpsc::Sender<(SourcePosition, Snapshot)>>,
+    results: mpsc::Receiver<io::Result<u64>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl<'a> CheckpointThread<'a> {
+    /// Checks the checkpoint's directory, then starts the writer thread
+    /// continuing the chain after version `last`.
+    fn start(path: &'a str, last: u64) -> CmdResult<Self> {
+        let mut writer = CheckpointWriter::starting_at(path, last);
+        writer.check_directory().map_err(|e| bad_input(format!("--checkpoint {path}: {e}")))?;
+        let (jobs, queue) = mpsc::channel::<(SourcePosition, Snapshot)>();
+        let (done, results) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            for (source, snapshot) in queue {
+                let written = match snapshot {
+                    Snapshot::Pipeline(snapshot) => writer.write(source, snapshot),
+                    Snapshot::Fleet(snapshot) => writer.write(source, snapshot),
+                };
+                if done.send(written).is_err() {
+                    return;
+                }
+            }
+        });
+        Ok(CheckpointThread {
+            path,
+            handed: last,
+            in_flight: false,
+            jobs: Some(jobs),
+            results,
+            thread: Some(thread),
+        })
+    }
+
+    /// Waits for the write in flight, if any.
+    fn wait(&mut self) -> CmdResult {
+        if !std::mem::take(&mut self.in_flight) {
+            return Ok(());
+        }
+        let path = self.path;
+        match self.results.recv() {
+            Ok(written) => {
+                written.map(drop).map_err(|e| bad_input(format!("--checkpoint {path}: {e}")))
+            }
+            Err(_) => Err(bad_input(format!("--checkpoint {path}: the writer thread died"))),
+        }
+    }
+
+    /// Hands one checkpoint to the writer, once the previous one is
+    /// durable.
+    fn write(&mut self, source: SourcePosition, snapshot: Snapshot) -> CmdResult {
+        self.wait()?;
+        let jobs = self.jobs.as_ref().expect("the queue closes only on drop");
+        if jobs.send((source, snapshot)).is_err() {
+            return Err(bad_input(format!("--checkpoint {}: the writer thread died", self.path)));
+        }
+        self.in_flight = true;
+        self.handed += 1;
+        Ok(())
+    }
+
+    /// Waits for the last write.
+    fn finish(mut self) -> CmdResult {
+        self.wait()
+    }
+}
+
+impl Drop for CheckpointThread<'_> {
+    /// Closes the queue and lets a write in flight complete, so an audit
+    /// that fails mid-run leaves no temp file behind.
+    fn drop(&mut self) {
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }

@@ -1203,6 +1203,82 @@ fn serve_degrades_yes_to_unknown_on_an_unverifiable_hand_off() {
 }
 
 #[test]
+fn an_unverified_fleet_resume_stays_unknown_through_a_hand_off() {
+    // The checkpoint covers the first half; the second half arrives on
+    // stdin, so the prefix cannot be re-read and every key is tainted.
+    let path = temp_file("taint_full.ndjson");
+    let out = kav(&[
+        "gen", "--workload", "stream", "--keys", "6", "--n", "500", "--seed", "5",
+        "--out", path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let prefix = temp_file("taint_prefix.ndjson");
+    std::fs::write(&prefix, lines[..1500].join("\n") + "\n").unwrap();
+    let rest = lines[1500..].join("\n") + "\n";
+    let ckpt = temp_file("taint.ckpt");
+    let ckpt = ckpt.to_str().unwrap();
+    let out = kav(&[
+        "stream", "--checkpoint", ckpt, "--checkpoint-every", "1500", prefix.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let single = kav_with_stdin(&["stream", "--resume", ckpt, "-"], &rest);
+    assert_eq!(single.status.code(), Some(0), "{}", stderr(&single));
+    let baseline = key_table(&stdout(&single));
+    assert_eq!(baseline.len(), 1 + 6, "a header and six keys: {baseline:?}");
+    assert!(baseline[1..].iter().all(|row| row.ends_with("UNKNOWN")), "{baseline:?}");
+    // A hand-off before the range's first checkpoint probe, and after
+    // some of its traffic: the taint travels in the range's snapshot.
+    for worker in ["0", "1"] {
+        for at in ["1", "10", "700", "1499"] {
+            let kill = format!("{worker}:{at}");
+            let fleet = kav_with_stdin(
+                &["serve", "--workers", "2", "--resume", ckpt, "--kill-worker", &kill, "-"],
+                &rest,
+            );
+            assert_eq!(fleet.status.code(), Some(0), "kill {kill}: {}", stderr(&fleet));
+            let text = stdout(&fleet);
+            assert!(text.contains("1 hand-offs"), "kill {kill}: {text}");
+            assert_eq!(key_table(&text), baseline, "kill {kill}: {text}");
+        }
+    }
+}
+
+#[test]
+fn an_unusable_checkpoint_path_is_refused_before_the_audit_starts() {
+    let input = temp_file("ckpt_path.ndjson");
+    let out = kav(&[
+        "gen", "--workload", "stream", "--keys", "3", "--n", "40", "--out",
+        input.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let input = input.to_str().unwrap();
+    let missing = "/nonexistent/kav_dir/audit.ckpt";
+    // Stdin never closes before the refusal: no record is read and no
+    // worker started, however long the input.
+    for driver in DRIVERS {
+        let out = kav_with_stdin(&argv(driver, &["--checkpoint", missing, "-"]), "");
+        assert_eq!(out.status.code(), Some(2), "{driver:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains(&format!("--checkpoint {missing}: ")), "{driver:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{driver:?}: {}", stdout(&out));
+    }
+    // A write that fails later (here the path is a directory, which the
+    // rename cannot replace) names the path too, and exits 2.
+    let dir = temp_file("ckpt_path_is_a_dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dir.to_str().unwrap();
+    for driver in DRIVERS {
+        let out = kav(&argv(driver, &["--checkpoint", dir, "--checkpoint-every", "20", input]));
+        assert_eq!(out.status.code(), Some(2), "{driver:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains(&format!("--checkpoint {dir}: ")), "{driver:?}: {err}");
+    }
+}
+
+#[test]
 fn serve_and_stream_checkpoints_interchange() {
     let path = temp_file("fleet_interchange.ndjson");
     kav(&[

@@ -92,15 +92,16 @@ pub use search::{ExhaustiveSearch, SearchReport, MAX_SEARCH_OPS};
 pub use smallest_k::{smallest_k, staleness_upper_bound, Staleness};
 pub use stream::protocol;
 pub use stream::{
-    fleet_verdict, merge_reports, merge_snapshots, partition_snapshot, read_checkpoint,
+    fleet_verdict, merge_fragments, merge_reports, partition_snapshot, read_checkpoint,
     split_ops_share,
     worker_loop, Checkpoint, CheckpointError, CheckpointWriter, DepthStats,
     DepthWindow, FleetConfig,
-    FleetCoordinator, FleetSummary, KeyError, KeyReport, KeySnapshot, MergeError, OnlineError,
-    OnlineSnapshot, OnlineVerifier, PipelineConfig, PipelineOutput, PipelineProgress,
-    PipelineSnapshot, ProtocolError, ShardProgress, SnapshotError, SourcePosition,
-    StreamPipeline, StreamReport, WorkerLink, CHECKPOINT_FORMAT, DEFAULT_CHECKPOINT_EVERY,
-    DEFAULT_DEPTH_WINDOW, DEFAULT_HORIZON_WINDOWS, DEFAULT_REPLAY_CAP,
+    FleetCoordinator, FleetSummary, Fragment, KeyError, KeyReport, KeySnapshot, LayoutError,
+    MergeError, OnlineError, OnlineSnapshot, OnlineVerifier, PipelineConfig, PipelineOutput,
+    PipelineProgress, PipelineSnapshot, ProtocolError, ShardProgress, SnapshotError,
+    SnapshotFragments, SnapshotHeader, SourcePosition, StreamPipeline, StreamReport, WorkerLink,
+    CHECKPOINT_FORMAT, DEFAULT_CHECKPOINT_EVERY, DEFAULT_DEPTH_WINDOW, DEFAULT_HORIZON_WINDOWS,
+    DEFAULT_REPLAY_CAP,
 };
 pub use verdict::{Verdict, Verifier};
 pub use witness::{check_witness, TotalOrder, WitnessError};

@@ -53,6 +53,7 @@
 //! # std::fs::remove_file(&path).ok();
 //! ```
 
+use super::fragment::SnapshotFragments;
 use super::pipeline::{check_counts, PipelineSnapshot};
 use super::{check_count, SnapshotError};
 use serde::{Deserialize, Serialize};
@@ -61,6 +62,10 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+
+/// Write buffer of a checkpoint file: the envelope's small pieces gather
+/// in it, and fragments at least this long go to the file directly.
+const WRITE_BUFFER_BYTES: usize = 64 * 1024;
 
 /// Version of the checkpoint file format itself (not of any one file):
 /// bumped when the schema changes incompatibly, so a reader can reject
@@ -220,9 +225,27 @@ impl CheckpointWriter {
         &self.path
     }
 
-    /// Persists one checkpoint: serialize it, write it to the sibling temp
-    /// file, sync, rename over `path`, sync the directory. Returns the new
-    /// version.
+    /// Checks that the directory checkpoints go to exists, so that a bad
+    /// path fails before an audit starts rather than at its first
+    /// checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// The directory cannot be read, or is not a directory.
+    pub fn check_directory(&self) -> io::Result<()> {
+        let dir = parent_dir(&self.path);
+        if fs::metadata(dir)?.is_dir() {
+            Ok(())
+        } else {
+            Err(io::Error::other(format!("{} is not a directory", dir.display())))
+        }
+    }
+
+    /// Persists one checkpoint: lay it out in the sibling temp file (a
+    /// fleet's snapshot arrives in [fragment layout](crate::SnapshotFragments),
+    /// whose fragments are written as they are; a pipeline's is
+    /// serialised first), sync, rename over `path`, sync the directory.
+    /// Returns the new version once the file is durable.
     ///
     /// # Errors
     ///
@@ -230,24 +253,24 @@ impl CheckpointWriter {
     /// (if any) is still intact. A failure to sync the directory comes
     /// after the rename: the new version is in place but may not survive
     /// a power loss, and the next write still gets a fresh version.
-    pub fn write(
-        &mut self,
-        source: SourcePosition,
-        pipeline: PipelineSnapshot,
-    ) -> io::Result<u64> {
+    pub fn write<S>(&mut self, source: SourcePosition, snapshot: S) -> io::Result<u64>
+    where
+        S: TryInto<SnapshotFragments>,
+        S::Error: fmt::Display,
+    {
+        let invalid =
+            |e: &dyn fmt::Display| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+        let snapshot = snapshot.try_into().map_err(|e| invalid(&e))?;
+        let source = serde_json::to_string(&source).map_err(|e| invalid(&e))?;
         let version = self.version + 1;
-        let checkpoint = Checkpoint {
-            format: CHECKPOINT_FORMAT,
-            version,
-            source,
-            pipeline,
-            deltas: Vec::new(),
-        };
-        let mut json = serde_json::to_string(&checkpoint)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        json.push('\n');
-        let mut file = fs::File::create(&self.tmp)?;
-        file.write_all(json.as_bytes())?;
+        // The layout of a serialised `Checkpoint`, with no delta hops.
+        let mut file =
+            io::BufWriter::with_capacity(WRITE_BUFFER_BYTES, fs::File::create(&self.tmp)?);
+        write!(file, "{{\"format\":{CHECKPOINT_FORMAT},\"version\":{version},\"source\":{source}")?;
+        file.write_all(b",\"pipeline\":")?;
+        snapshot.write_json(&mut file)?;
+        file.write_all(b",\"deltas\":[]}\n")?;
+        let file = file.into_inner().map_err(io::IntoInnerError::into_error)?;
         file.sync_all()?;
         drop(file);
         fs::rename(&self.tmp, &self.path)?;
@@ -257,18 +280,23 @@ impl CheckpointWriter {
     }
 }
 
+/// The directory holding `path`; a bare file name lives in the working
+/// directory.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
 /// Syncs the directory holding `path`, so that a rename into it survives
-/// a power loss. A bare file name lives in the working directory.
+/// a power loss.
 fn sync_parent_dir(path: &Path) -> io::Result<()> {
     if !cfg!(unix) {
         // Only Unix lets a directory be opened and synced like a file.
         return Ok(());
     }
-    let dir = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
-    fs::File::open(dir)?.sync_all()
+    fs::File::open(parent_dir(path))?.sync_all()
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //! coordinator lifts the same decomposition across *processes*. Keys are
 //! partitioned by [`KeyRange`] (bit prefixes of the shard hash, so ranges
 //! nest and split cleanly), ingest fans out as routed frame batches, and
-//! per-range [`PipelineSnapshot`]s flow back at checkpoint cadence to be
-//! [merged](super::merge) into one ordinary checkpoint.
+//! per-range snapshots flow back at checkpoint cadence in [fragment
+//! layout](crate::SnapshotFragments), to be [merged](super::merge) into one
+//! ordinary checkpoint without being parsed.
 //!
 //! Each range keeps one buffer of the `(key, Operation)` pairs routed to
 //! it since its last acknowledged snapshot. Its unsent tail is the next
@@ -32,8 +33,9 @@
 //! cannot be re-fed, and per-key streams now have a **gap** — feeding
 //! later operations across it could prove violations that never
 //! happened. So an unverifiable hand-off *stops the range's audit*: the
-//! survivor resumes the acked snapshot unverified (proven violations
-//! survive; its keys are tainted, YES degrades to UNKNOWN, sticky), the
+//! acked snapshot's trust flag is set and the survivor resumes it
+//! (proven violations survive; its keys are tainted, YES degrades to
+//! UNKNOWN, sticky), the
 //! buffer is dropped, every later operation for the range is dropped and
 //! counted in [`FleetSummary::frames_dropped`], and
 //! [`fleet_verdict`](super::merge::fleet_verdict) refuses to certify the
@@ -42,24 +44,30 @@
 //! acks.
 //!
 //! A hot range splits by the same move in reverse: the owner retires the
-//! range (replying with its snapshot), the snapshot is
+//! range (replying with its snapshot), the snapshot is parsed and
 //! [partitioned](super::merge::partition_snapshot) into the two child
-//! ranges, and each child resumes on its new owner with a verified chain.
+//! ranges, and each child resumes on its new owner with the parent's
+//! trust flag.
+//!
+//! Trust is state: the only record of an unverified resume or hand-off is
+//! the snapshot's own `uncertified` flag, which every ASSIGN carries and
+//! every later snapshot of the range keeps.
 //!
 //! [`StreamPipeline`]: super::StreamPipeline
 
+use super::fragment::SnapshotFragments;
 use super::merge::{
-    merge_snapshots, partition_snapshot, split_ops_share, FleetSummary, MergeError,
+    merge_fragments, partition_snapshot, split_ops_share, FleetSummary, MergeError,
 };
 use super::pipeline::{check_counts, PipelineOutput, PipelineSnapshot};
 use crate::models::ModelId;
 use super::protocol::{
-    expect_preamble, parse_json, read_message, tag, to_json, write_message, Assignment,
-    FinishReply, ProtocolError, RangeSnapshot, SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
+    expect_preamble, parse_json, read_message, tag, to_json, write_message, FinishReply,
+    ProtocolError, RangeSnapshot, SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
 };
 use kav_history::frame::{encode_routed_batch, KeyRange};
 use kav_history::Operation;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 /// Default bound on the per-range replay, in operations. At 48 bytes a
 /// buffered operation this caps hand-off memory near 50 MB per range
@@ -157,8 +165,9 @@ struct RangeState {
     /// acked snapshot; everything after the break is dropped and counted.
     broken: bool,
     /// Last snapshot the owner acknowledged; until the first checkpoint
-    /// probe, the one the range started from.
-    snapshot: PipelineSnapshot,
+    /// probe, the one the range started from. Never parsed here, except
+    /// to split the range.
+    snapshot: SnapshotFragments,
     /// Operations routed to this range since it was created (split-heat
     /// signal, and the `ops_routed` share for fresh assignments).
     routed: u64,
@@ -166,7 +175,7 @@ struct RangeState {
 
 impl RangeState {
     /// A range with an empty buffer, owned by `worker`.
-    fn new(range: KeyRange, worker: usize, snapshot: PipelineSnapshot, routed: u64) -> Self {
+    fn new(range: KeyRange, worker: usize, snapshot: SnapshotFragments, routed: u64) -> Self {
         RangeState {
             range,
             worker,
@@ -230,7 +239,8 @@ impl FleetCoordinator {
     ///
     /// `prefix_verified` is the caller's claim that the input will be
     /// re-fed from exactly the checkpoint's cut (fingerprint-proven);
-    /// `false` taints every key, as in [`StreamPipeline::resume`].
+    /// `false` sets every range's trust flag, which taints every key as in
+    /// [`StreamPipeline::resume`] and survives every later hand-off.
     ///
     /// # Errors
     ///
@@ -287,9 +297,11 @@ impl FleetCoordinator {
             let share =
                 if i == last { remaining } else { split_ops_share(base, range).min(remaining) };
             remaining -= share;
-            let snapshot = partition_snapshot(base, range, share);
+            let mut snapshot = partition_snapshot(base, range, share);
+            snapshot.uncertified |= !prefix_verified;
+            let snapshot = snapshot.try_into()?;
             fleet.ranges.push(RangeState::new(range, i % fleet.workers.len(), snapshot, share));
-            fleet.assign(i, prefix_verified)?;
+            fleet.assign(i)?;
         }
         Ok(fleet)
     }
@@ -359,7 +371,7 @@ impl FleetCoordinator {
         }
         let worker = state.worker;
         let payload = encode_routed_batch(state.range, &state.ops[state.sent..]);
-        if self.write_to(worker, tag::BATCH, &payload).is_err() {
+        if self.write_to(worker, |out| write_message(out, tag::BATCH, &payload)).is_err() {
             return self.handle_worker_death(worker);
         }
         let state = &mut self.ranges[idx];
@@ -373,9 +385,13 @@ impl FleetCoordinator {
     }
 
     /// Writes one message to a worker, flushing.
-    fn write_to(&mut self, worker: usize, tag: u8, payload: &[u8]) -> Result<(), ProtocolError> {
+    fn write_to(
+        &mut self,
+        worker: usize,
+        message: impl FnOnce(&mut Box<dyn Write + Send>) -> io::Result<()>,
+    ) -> Result<(), ProtocolError> {
         let link = self.workers[worker].link.as_mut().ok_or(ProtocolError::Disconnected)?;
-        write_message(&mut link.writer, tag, payload)?;
+        message(&mut link.writer)?;
         link.writer.flush()?;
         Ok(())
     }
@@ -404,8 +420,9 @@ impl FleetCoordinator {
         payload: &[u8],
         reply_tag: u8,
     ) -> Result<Option<Vec<u8>>, ProtocolError> {
-        let reply =
-            self.write_to(worker, tag, payload).and_then(|()| self.read_reply(worker, reply_tag));
+        let reply = self
+            .write_to(worker, |out| write_message(out, tag, payload))
+            .and_then(|()| self.read_reply(worker, reply_tag));
         match reply {
             Ok(payload) => Ok(Some(payload)),
             Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => {
@@ -418,11 +435,10 @@ impl FleetCoordinator {
 
     /// Sends range `idx`'s assignment to its owner, resuming the range's
     /// last acked snapshot.
-    fn assign(&mut self, idx: usize, prefix_verified: bool) -> Result<(), ProtocolError> {
+    fn assign(&mut self, idx: usize) -> Result<(), ProtocolError> {
         let state = &self.ranges[idx];
-        let assignment =
-            Assignment { range: state.range, snapshot: state.snapshot.clone(), prefix_verified };
-        self.write_to(state.worker, tag::ASSIGN, &to_json(&assignment)?)
+        let assignment = RangeSnapshot { range: state.range, snapshot: state.snapshot.clone() };
+        self.write_to(state.worker, |out| assignment.write_message(out, tag::ASSIGN))
     }
 
     /// The adoptable worker owning the fewest ranges (the lowest index on
@@ -462,16 +478,26 @@ impl FleetCoordinator {
         self.summary.workers_alive = self.workers.iter().filter(|w| w.alive()).count();
     }
 
-    /// Buries a dead worker and re-homes each of its ranges on the
-    /// survivor owning the fewest, resuming from the last acked snapshot
-    /// and re-sending the replay (see the module docs). Survivors dying
-    /// during the hand-off are buried the same way, recursively.
+    /// Buries a dead worker and re-homes its ranges (see [`rehome`](Self::rehome)).
     ///
     /// # Errors
     ///
     /// Only when no worker is left alive.
     fn handle_worker_death(&mut self, dead: usize) -> Result<(), ProtocolError> {
         self.bury(dead);
+        self.rehome()
+    }
+
+    /// Re-homes each range of a buried worker on the survivor owning the
+    /// fewest, resuming from the last acked snapshot and re-sending the
+    /// replay (see the module docs). An unverifiable hand-off sets the
+    /// snapshot's trust flag first. Survivors dying during the hand-off
+    /// are buried the same way, recursively.
+    ///
+    /// # Errors
+    ///
+    /// Only when no worker is left alive.
+    fn rehome(&mut self) -> Result<(), ProtocolError> {
         while let Some(idx) =
             self.ranges.iter().position(|state| !self.workers[state.worker].alive())
         {
@@ -481,21 +507,21 @@ impl FleetCoordinator {
             self.summary.hand_offs += 1;
             let state = &mut self.ranges[idx];
             state.worker = survivor;
-            let verified = state.replay_intact;
-            if verified {
+            if state.replay_intact {
                 // The whole buffer goes out below; nothing is left unsent.
                 state.sent = state.ops.len();
             } else {
                 self.summary.uncertified_hand_offs += 1;
                 state.broken = true;
+                state.snapshot.header.uncertified = true;
                 state.ops.clear();
                 state.sent = 0;
             }
-            let mut outcome = self.assign(idx, verified);
+            let mut outcome = self.assign(idx);
             let state = &self.ranges[idx];
             if outcome.is_ok() && !state.ops.is_empty() {
                 let payload = encode_routed_batch(state.range, &state.ops);
-                outcome = self.write_to(survivor, tag::BATCH, &payload);
+                outcome = self.write_to(survivor, |out| write_message(out, tag::BATCH, &payload));
             }
             match outcome {
                 Ok(()) => {}
@@ -510,57 +536,75 @@ impl FleetCoordinator {
     }
 
     /// Flushes every range and collects one consistent fleet-wide cut,
-    /// merged into a whole-key-space [`PipelineSnapshot`] — the fleet
-    /// checkpoint, interchangeable with a single-process one. Also
-    /// re-arms [`checkpoint_due`](Self::checkpoint_due) and clears the
-    /// replay buffers of every acked range (the new snapshot supersedes
-    /// them).
+    /// merged into a whole-key-space snapshot — the fleet checkpoint,
+    /// interchangeable with a single-process one. Also re-arms
+    /// [`checkpoint_due`](Self::checkpoint_due) and clears the replay
+    /// buffers of every acked range (the new snapshot supersedes them).
     ///
-    /// A worker dying mid-probe is handed off and the probe retried, so
-    /// the returned cut is always consistent.
+    /// Every worker is probed before any reply is read, so workers
+    /// serialise their ranges in parallel. The replies stay in [fragment
+    /// layout](crate::SnapshotFragments): the coordinator checks their headers and
+    /// keys and lays their bytes out in key order, parsing none of them. A
+    /// worker dying mid-probe has every other reply drained, is handed
+    /// off, and the probe is retried, so the returned cut is always
+    /// consistent.
     ///
     /// # Errors
     ///
     /// [`ProtocolError`] when the fleet dies entirely or a reply violates
     /// the protocol (non-ascending snapshot version, wrong ranges,
     /// mismatched partition tags — each a diagnostic, never a verdict).
-    pub fn snapshot_fleet(&mut self) -> Result<PipelineSnapshot, ProtocolError> {
-        'retry: loop {
+    pub fn snapshot_fleet(&mut self) -> Result<SnapshotFragments, ProtocolError> {
+        loop {
             for idx in 0..self.ranges.len() {
                 self.flush_range(idx)?;
             }
-            // One probe per live worker that owns ranges; replies arrive
-            // in request order.
             let probed: Vec<usize> = (0..self.workers.len())
                 .filter(|w| {
                     self.workers[*w].alive()
                         && self.ranges.iter().any(|state| state.worker == *w)
                 })
                 .collect();
-            let mut replies: Vec<(usize, SnapshotReply)> = Vec::with_capacity(probed.len());
+            let mut dead = Vec::new();
+            let mut asked = Vec::with_capacity(probed.len());
             for worker in probed {
-                let Some(payload) =
-                    self.request(worker, tag::SNAPSHOT, &[], tag::SNAPSHOT_REPLY)?
-                else {
-                    continue 'retry;
-                };
-                replies.push((worker, parse_json(&payload)?));
-            }
-            let mut parts: Vec<PipelineSnapshot> = Vec::with_capacity(self.ranges.len());
-            for (worker, reply) in replies {
-                if reply.version <= self.workers[worker].last_snapshot_version {
-                    return Err(ProtocolError::SnapshotVersion {
-                        got: reply.version,
-                        last: self.workers[worker].last_snapshot_version,
-                    });
+                match self.write_to(worker, |out| write_message(out, tag::SNAPSHOT, &[])) {
+                    Ok(()) => asked.push(worker),
+                    Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => dead.push(worker),
+                    Err(e) => return Err(e),
                 }
-                self.workers[worker].last_snapshot_version = reply.version;
+            }
+            // Read every reply, a death notwithstanding: nothing may be
+            // written to a worker whose reply is still unread.
+            let mut replies = Vec::with_capacity(asked.len());
+            for worker in asked {
+                match self.read_reply(worker, tag::SNAPSHOT_REPLY) {
+                    Ok(payload) => replies.push((worker, SnapshotReply::decode(payload)?)),
+                    Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => dead.push(worker),
+                    Err(e) => return Err(e),
+                }
+            }
+            for (worker, reply) in &replies {
+                let last = self.workers[*worker].last_snapshot_version;
+                if reply.version <= last {
+                    return Err(ProtocolError::SnapshotVersion { got: reply.version, last });
+                }
+                self.workers[*worker].last_snapshot_version = reply.version;
+            }
+            if !dead.is_empty() {
+                for worker in dead {
+                    self.bury(worker);
+                }
+                self.rehome()?;
+                continue;
+            }
+            for (worker, reply) in replies {
                 self.check_owned(worker, reply.ranges.iter().map(|r| r.range))?;
                 for RangeSnapshot { range, snapshot } in reply.ranges {
-                    if snapshot.partition != Some(range) {
+                    if snapshot.header.partition != Some(range) {
                         return Err(ProtocolError::PartitionMismatch {
                             range,
-                            snapshot: snapshot.partition,
+                            snapshot: snapshot.header.partition,
                         });
                     }
                     let state = self
@@ -571,25 +615,26 @@ impl FleetCoordinator {
                     // The ack supersedes the replay: hand-offs now resume
                     // from this snapshot. A broken range stays broken —
                     // its gap does not heal, it only gets re-acked.
-                    state.snapshot = snapshot.clone();
+                    state.snapshot = snapshot;
                     state.ops.clear();
                     state.sent = 0;
                     state.replay_intact = !state.broken;
-                    parts.push(snapshot);
                 }
             }
             self.ops_at_last_snapshot = self.ops_routed;
-            return merge_snapshots(&parts).map_err(|e: MergeError| {
-                ProtocolError::Json(format!("fleet snapshots do not merge: {e}"))
-            });
+            // Every range was just acked: its owner was probed and covered
+            // exactly the ranges it owns.
+            return merge_fragments(self.ranges.iter().map(|state| &state.snapshot)).map_err(
+                |e: MergeError| ProtocolError::Json(format!("fleet snapshots do not merge: {e}")),
+            );
         }
     }
 
     /// Splits the hottest range (most routed operations since creation) in
     /// two: the owner retires it at a consistent cut, the snapshot is
     /// partitioned between the two children, and the busier half stays
-    /// put while the other re-homes on the least-loaded worker — all with
-    /// verified chains, so splitting never costs certification.
+    /// put while the other re-homes on the least-loaded worker — each with
+    /// the parent's trust flag, so splitting never costs certification.
     ///
     /// # Errors
     ///
@@ -611,31 +656,30 @@ impl FleetCoordinator {
             // The owner died before retiring: its hand-off replaces the split.
             return Ok(());
         };
-        let retired: RangeSnapshot = parse_json(&payload)?;
-        if retired.range != range || retired.snapshot.partition != Some(range) {
-            return Err(ProtocolError::PartitionMismatch {
-                range,
-                snapshot: retired.snapshot.partition,
-            });
+        let retired = RangeSnapshot::decode(payload)?;
+        let partition = retired.snapshot.header.partition;
+        if retired.range != range || partition != Some(range) {
+            return Err(ProtocolError::PartitionMismatch { range, snapshot: partition });
         }
+        let parent = retired.snapshot.parse()?;
         let (low, high) = range.split();
-        let low_share = split_ops_share(&retired.snapshot, low);
+        let low_share = split_ops_share(&parent, low);
         let parent_routed = self.ranges[idx].routed;
-        let parent_ops = retired.snapshot.ops_routed;
         // Heat resets proportionally so the split halves do not
         // immediately win the next split election.
         let make_state = |child: KeyRange, ops: u64, worker: usize| {
-            let snapshot = partition_snapshot(&retired.snapshot, child, ops);
-            RangeState::new(child, worker, snapshot, parent_routed / 2)
+            let snapshot = partition_snapshot(&parent, child, ops).try_into()?;
+            Ok::<_, ProtocolError>(RangeState::new(child, worker, snapshot, parent_routed / 2))
         };
         let other = self.least_loaded().ok_or(ProtocolError::Disconnected)?;
-        let low_state = make_state(low, low_share.min(parent_ops), owner);
-        let high_state = make_state(high, parent_ops - low_share.min(parent_ops), other);
+        let low_ops = low_share.min(parent.ops_routed);
+        let low_state = make_state(low, low_ops, owner)?;
+        let high_state = make_state(high, parent.ops_routed - low_ops, other)?;
         self.ranges.swap_remove(idx);
         for state in [low_state, high_state] {
             let worker = state.worker;
             self.ranges.push(state);
-            match self.assign(self.ranges.len() - 1, true) {
+            match self.assign(self.ranges.len() - 1) {
                 Ok(()) => {}
                 Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => {
                     self.handle_worker_death(worker)?;
@@ -669,7 +713,7 @@ impl FleetCoordinator {
             if !self.ranges.iter().any(|state| state.worker == worker) {
                 // Nothing assigned (every range handed off elsewhere);
                 // still finish it so the process exits cleanly.
-                let _ = self.write_to(worker, tag::FINISH, &[]);
+                let _ = self.write_to(worker, |out| write_message(out, tag::FINISH, &[]));
                 let _ = self.read_reply(worker, tag::FINISH_REPLY);
                 self.workers[worker].retired = true;
                 continue;

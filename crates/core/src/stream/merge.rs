@@ -16,23 +16,23 @@
 //!   degrades YES to UNKNOWN, and the taint is sticky exactly as it is
 //!   for single-process resume chains.
 //!
-//! [`merge_snapshots`] folds per-range [`PipelineSnapshot`]s into one
-//! whole-key-space snapshot — a *fleet checkpoint* is therefore an
-//! ordinary checkpoint file, resumable by `kav stream --resume` or
-//! re-partitionable by [`partition_snapshot`] for a differently sized
-//! fleet. [`merge_reports`] does the same for finished
+//! [`merge_fragments`] lays per-range snapshots out as one
+//! whole-key-space snapshot without parsing them — a *fleet checkpoint*
+//! is therefore an ordinary checkpoint file, resumable by `kav stream
+//! --resume` or re-partitionable by [`partition_snapshot`] for a
+//! differently sized fleet. [`merge_reports`] does the same for finished
 //! [`PipelineOutput`]s.
 //!
 //! [`StreamPipeline`]: super::StreamPipeline
 
+use super::fragment::SnapshotFragments;
 use super::pipeline::{PipelineOutput, PipelineSnapshot};
 use kav_history::frame::KeyRange;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-/// Why per-shard snapshots cannot be merged (see [`merge_snapshots`]).
+/// Why per-shard snapshots cannot be merged (see [`merge_fragments`]).
 /// Always a protocol/state fault, never a verdict: drivers surface these
 /// as exit-2 diagnostics.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,63 +61,53 @@ impl fmt::Display for MergeError {
 
 impl Error for MergeError {}
 
-/// Folds disjoint per-range snapshots into one whole-key-space
-/// [`PipelineSnapshot`] (partition tag cleared, keys re-sorted,
-/// `ops_routed` summed, the uncertified taint OR-ed — one tainted shard
-/// taints the fleet, YES degrades to UNKNOWN, NO is unaffected).
+/// Folds disjoint per-range snapshots in [fragment
+/// layout](crate::SnapshotFragments) into one whole-key-space snapshot: the
+/// fragments laid out in key order, none of them parsed or copied. The
+/// partition tag is cleared, `ops_routed` summed and the uncertified taint
+/// OR-ed — one tainted shard taints the fleet, YES degrades to UNKNOWN, NO
+/// is unaffected.
 ///
 /// # Errors
 ///
 /// [`MergeError`] when the parts disagree on configuration or claim
 /// overlapping keys; nothing about a rejected merge is trusted.
-pub fn merge_snapshots(parts: &[PipelineSnapshot]) -> Result<PipelineSnapshot, MergeError> {
-    let first = parts.first().ok_or(MergeError::Empty)?;
-    let mut merged = PipelineSnapshot {
-        algo: first.algo.clone(),
-        model: first.model,
-        k: first.k,
-        window: first.window,
-        horizon: first.horizon,
-        ops_routed: 0,
-        uncertified: false,
-        partition: None,
-        states: Vec::new(),
-        reports: Vec::new(),
-        errors: Vec::new(),
-    };
-    let mut seen: HashSet<u64> = HashSet::new();
+pub fn merge_fragments<'a>(
+    parts: impl IntoIterator<Item = &'a SnapshotFragments>,
+) -> Result<SnapshotFragments, MergeError> {
+    let mut parts = parts.into_iter();
+    let mut merged = parts.next().ok_or(MergeError::Empty)?.clone();
+    merged.header.partition = None;
     for part in parts {
-        if part.algo != merged.algo || part.k != merged.k || part.model != merged.model {
+        let (ours, theirs) = (&merged.header, &part.header);
+        if (&ours.algo, ours.k, ours.model) != (&theirs.algo, theirs.k, theirs.model) {
             return Err(MergeError::ConfigMismatch(format!(
                 "{}/k={}/model={} vs {}/k={}/model={}",
-                merged.algo, merged.k, merged.model, part.algo, part.k, part.model
+                ours.algo, ours.k, ours.model, theirs.algo, theirs.k, theirs.model
             )));
         }
-        if part.window != merged.window || part.horizon != merged.horizon {
+        if (ours.window, ours.horizon) != (theirs.window, theirs.horizon) {
             return Err(MergeError::ConfigMismatch(format!(
                 "window {}/horizon {} vs window {}/horizon {}",
-                merged.window, merged.horizon, part.window, part.horizon
+                ours.window, ours.horizon, theirs.window, theirs.horizon
             )));
         }
-        for key in part
-            .states
-            .iter()
-            .map(|entry| entry.key)
-            .chain(part.errors.iter().map(|entry| entry.key))
-        {
-            if !seen.insert(key) {
-                return Err(MergeError::OverlappingKey(key));
-            }
-        }
-        merged.ops_routed = merged.ops_routed.saturating_add(part.ops_routed);
-        merged.uncertified |= part.uncertified;
-        merged.states.extend(part.states.iter().cloned());
-        merged.reports.extend(part.reports.iter().cloned());
-        merged.errors.extend(part.errors.iter().cloned());
+        merged.header.ops_routed = merged.header.ops_routed.saturating_add(theirs.ops_routed);
+        merged.header.uncertified |= theirs.uncertified;
+        merged.states.extend_from_slice(&part.states);
+        merged.reports.extend_from_slice(&part.reports);
+        merged.errors.extend_from_slice(&part.errors);
     }
-    merged.states.sort_by_key(|entry| entry.key);
-    merged.reports.sort_by_key(|entry| entry.key);
-    merged.errors.sort_by_key(|entry| entry.key);
+    for list in [&mut merged.states, &mut merged.reports, &mut merged.errors] {
+        list.sort_by_key(|fragment| fragment.key);
+    }
+    // Each key is live or failed in exactly one part.
+    let mut keys: Vec<u64> =
+        merged.states.iter().chain(&merged.errors).map(|fragment| fragment.key).collect();
+    keys.sort_unstable();
+    if let Some(pair) = keys.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(MergeError::OverlappingKey(pair[0]));
+    }
     Ok(merged)
 }
 
@@ -126,12 +116,20 @@ pub fn merge_snapshots(parts: &[PipelineSnapshot]) -> Result<PipelineSnapshot, M
 /// a fleet, and the split when a hot shard divides. `ops_routed` is the
 /// caller's share accounting (per-key state does not record which routed
 /// operations belonged to which key, so the caller divides the parent's
-/// total; [`split_ops_share`] is the canonical division).
+/// total; [`split_ops_share`] is the canonical division). Each key list of
+/// the slice is sorted by key, as the fragment layout requires, even when
+/// `parent`'s were not.
 pub fn partition_snapshot(
     parent: &PipelineSnapshot,
     range: KeyRange,
     ops_routed: u64,
 ) -> PipelineSnapshot {
+    fn slice<T: Clone>(entries: &[T], key: impl Fn(&T) -> u64, range: KeyRange) -> Vec<T> {
+        let mut slice: Vec<T> =
+            entries.iter().filter(|entry| range.contains(key(entry))).cloned().collect();
+        slice.sort_by_key(key);
+        slice
+    }
     PipelineSnapshot {
         algo: parent.algo.clone(),
         model: parent.model,
@@ -141,24 +139,9 @@ pub fn partition_snapshot(
         ops_routed,
         uncertified: parent.uncertified,
         partition: Some(range),
-        states: parent
-            .states
-            .iter()
-            .filter(|entry| range.contains(entry.key))
-            .cloned()
-            .collect(),
-        reports: parent
-            .reports
-            .iter()
-            .filter(|entry| range.contains(entry.key))
-            .cloned()
-            .collect(),
-        errors: parent
-            .errors
-            .iter()
-            .filter(|entry| range.contains(entry.key))
-            .cloned()
-            .collect(),
+        states: slice(&parent.states, |entry| entry.key, range),
+        reports: slice(&parent.reports, |entry| entry.key, range),
+        errors: slice(&parent.errors, |entry| entry.key, range),
     }
 }
 
@@ -250,6 +233,16 @@ mod tests {
         pipeline
     }
 
+    fn fragments(snapshot: PipelineSnapshot) -> SnapshotFragments {
+        snapshot.try_into().unwrap()
+    }
+
+    fn json(snapshot: &SnapshotFragments) -> String {
+        let mut out = Vec::new();
+        snapshot.write_json(&mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn merge_of_a_partition_equals_the_unpartitioned_snapshot() {
         let keys: Vec<u64> = (0..40).collect();
@@ -263,12 +256,12 @@ mod tests {
             let mut part = pipe.snapshot();
             part.partition = Some(range);
             pipe.finish();
-            part
+            fragments(part)
         });
-        let merged = merge_snapshots(&parts).unwrap();
-        assert_eq!(merged, whole);
+        let merged = merge_fragments(&parts).unwrap();
+        assert_eq!(merged.parse().unwrap(), whole);
         assert_eq!(
-            serde_json::to_string(&merged).unwrap(),
+            json(&merged),
             serde_json::to_string(&whole).unwrap(),
             "merged fleet checkpoints are byte-identical to single-process ones"
         );
@@ -286,27 +279,33 @@ mod tests {
         ];
         assert_eq!(parts[0].partition, Some(left));
         assert!(parts[0].states.iter().all(|e| left.contains(e.key)));
-        assert_eq!(merge_snapshots(&parts).unwrap(), whole);
+        let merged = merge_fragments(&parts.map(fragments)).unwrap();
+        assert_eq!(merged.parse().unwrap(), whole);
+        // Slices come out sorted even from a parent whose keys are not.
+        let mut shuffled = whole.clone();
+        shuffled.states.reverse();
+        let parts = [left, right].map(|range| partition_snapshot(&shuffled, range, 0));
+        assert!(parts.iter().all(|part| part.states.is_sorted_by_key(|entry| entry.key)));
     }
 
     #[test]
     fn merge_rejects_overlap_and_mismatch_and_ors_taint() {
-        let snapshot = pipeline_with(&[1, 2, 3]).snapshot();
-        assert_eq!(merge_snapshots(&[]), Err(MergeError::Empty));
+        let snapshot = fragments(pipeline_with(&[1, 2, 3]).snapshot());
+        assert_eq!(merge_fragments([]), Err(MergeError::Empty));
         assert!(matches!(
-            merge_snapshots(&[snapshot.clone(), snapshot.clone()]),
+            merge_fragments([&snapshot, &snapshot]),
             Err(MergeError::OverlappingKey(_))
         ));
-        let mut other_window = pipeline_with(&[9]).snapshot();
-        other_window.window = snapshot.window + 1;
+        let mut other_window = fragments(pipeline_with(&[9]).snapshot());
+        other_window.header.window = snapshot.header.window + 1;
         assert!(matches!(
-            merge_snapshots(&[snapshot.clone(), other_window]),
+            merge_fragments([&snapshot, &other_window]),
             Err(MergeError::ConfigMismatch(_))
         ));
-        let mut tainted = pipeline_with(&[100]).snapshot();
-        tainted.uncertified = true;
-        let merged = merge_snapshots(&[snapshot, tainted]).unwrap();
-        assert!(merged.uncertified, "one tainted shard taints the fleet");
+        let mut tainted = fragments(pipeline_with(&[100]).snapshot());
+        tainted.header.uncertified = true;
+        let merged = merge_fragments([&snapshot, &tainted]).unwrap();
+        assert!(merged.header.uncertified, "one tainted shard taints the fleet");
     }
 
     #[test]

@@ -89,6 +89,7 @@
 mod checkpoint;
 pub mod coordinator;
 pub mod depth;
+pub mod fragment;
 pub mod merge;
 mod pipeline;
 pub mod protocol;
@@ -100,8 +101,9 @@ pub use checkpoint::{
     CHECKPOINT_FORMAT, DEFAULT_CHECKPOINT_EVERY,
 };
 pub use coordinator::{FleetConfig, FleetCoordinator, WorkerLink, DEFAULT_REPLAY_CAP};
+pub use fragment::{Fragment, LayoutError, SnapshotFragments, SnapshotHeader};
 pub use merge::{
-    fleet_verdict, merge_reports, merge_snapshots, partition_snapshot, split_ops_share,
+    fleet_verdict, merge_fragments, merge_reports, partition_snapshot, split_ops_share,
     FleetSummary, MergeError,
 };
 pub use pipeline::{

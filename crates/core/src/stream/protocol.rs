@@ -10,7 +10,7 @@
 //! coordinator → worker        worker → coordinator
 //! ───────────────────         ────────────────────
 //! COORDINATOR_MAGIC           WORKER_MAGIC          (stream preambles)
-//! ASSIGN   {Assignment}
+//! ASSIGN   {RangeSnapshot}
 //! BATCH    routed frames      (no reply — ingest is pipelined)
 //! SNAPSHOT                    SNAPSHOT_REPLY {SnapshotReply}
 //! RETIRE   {KeyRange}         RETIRE_REPLY   {RangeSnapshot}
@@ -18,30 +18,37 @@
 //!                             ERROR    diagnostic text, then exit 2
 //! ```
 //!
-//! Every message is `tag u8 | length u32 LE | payload`; BATCH payloads
+//! Every message is `tag u8 | length u32 LE | payload`. BATCH payloads
 //! are [`encode_routed_batch`] bytes (magic, key-range routing header,
-//! length-prefixed frames), everything else is JSON of the types below.
+//! length-prefixed frames). Snapshots travel in [fragment
+//! layout](crate::SnapshotFragments): a [`RangeSnapshot`] is its range, a JSON
+//! header and one JSON fragment per key, and a [`SnapshotReply`] is
+//! `version u64 | count u32` followed by `count` of them. RETIRE and
+//! FINISH_REPLY payloads are JSON.
 //!
-//! **Validation discipline**: every fault — a truncated frame, a wrong
-//! magic, a key routed outside its declared range, a non-ascending
-//! snapshot version, a duplicate assignment — is a [`ProtocolError`],
-//! which drivers surface as an exit-2 diagnostic. A protocol fault is
-//! *unusable input*, never evidence about the store: no code path turns
-//! one into a verdict.
+//! **Validation discipline**: every fault — a truncated frame or
+//! snapshot, a wrong magic, a key routed or snapshotted outside its
+//! declared range, a non-ascending snapshot version, a duplicate
+//! assignment — is a [`ProtocolError`], which drivers surface as an exit-2
+//! diagnostic. A protocol fault is *unusable input*, never evidence about
+//! the store: no code path turns one into a verdict.
 //!
-//! The request/reply shape is deliberately strict — a worker writes only
-//! in reply to a request, and the coordinator reads a reply immediately
-//! after each request — so the synchronous pipes cannot deadlock: at any
-//! moment at most one side is writing while the other reads.
+//! **No deadlock**: a worker writes only in reply to a request, and the
+//! coordinator writes nothing to a worker whose reply it has not yet read
+//! in full. A SNAPSHOT goes to every worker before any reply is read, so
+//! workers serialise in parallel; a worker blocked on a full pipe is then
+//! one the coordinator will read before it writes to it again.
 //!
 //! [`StreamPipeline`]: super::StreamPipeline
 //! [`encode_routed_batch`]: kav_history::frame::encode_routed_batch
 
-use super::pipeline::{KeyError, KeyReport, PipelineConfig, PipelineSnapshot, StreamPipeline};
+use super::fragment::{wire_u32, Cursor, LayoutError, SnapshotFragments};
+use super::pipeline::{KeyError, KeyReport, PipelineConfig, StreamPipeline};
 use super::SnapshotError;
 use crate::Verifier;
 use kav_history::frame::{decode_routed_batch, BatchError, KeyRange};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -60,7 +67,8 @@ pub const MAX_MESSAGE_LEN: u32 = 256 * 1024 * 1024;
 
 /// Message tags (the `tag u8` of the wire framing).
 pub mod tag {
-    /// Coordinator → worker: take ownership of a key range ([`Assignment`](super::Assignment)).
+    /// Coordinator → worker: take ownership of a key range, starting from
+    /// its [`RangeSnapshot`](super::RangeSnapshot).
     pub const ASSIGN: u8 = 1;
     /// Coordinator → worker: a routed frame batch.
     pub const BATCH: u8 = 2;
@@ -80,35 +88,51 @@ pub mod tag {
     pub const ERROR: u8 = 9;
 }
 
-/// Hands a worker ownership of one key range, with the snapshot it
-/// starts from.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Assignment {
-    /// The range the worker now owns; batches for it follow.
+/// One range's snapshot: what ASSIGN hands a worker (an empty snapshot
+/// for a fresh range), what RETIRE_REPLY hands back, and one entry of a
+/// [`SnapshotReply`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct RangeSnapshot {
+    /// The range the snapshot covers. On ASSIGN the worker owns it from
+    /// then on, and batches for it follow.
     pub range: KeyRange,
-    /// The range's state (empty for a fresh range). It names the verifier,
-    /// which the worker refuses unless it is its own, so one fleet never
-    /// mixes verdict semantics; it fixes the window and horizon; and it
-    /// must be tagged with `range`, or the worker refuses it.
-    pub snapshot: PipelineSnapshot,
-    /// The coordinator's claim that everything since `snapshot`'s cut
-    /// will be replayed exactly once (it re-sends its replay buffer).
-    /// `false` taints every key of the range: YES degrades to UNKNOWN,
-    /// sticky, exactly as an unverified single-process resume.
-    pub prefix_verified: bool,
+    /// The range's state. Its header names the verifier, which a worker
+    /// refuses unless it is its own, so one fleet never mixes verdict
+    /// semantics; it fixes the window and horizon; it carries the trust
+    /// flag, so a tainted range stays tainted through every hand-off; and
+    /// it must be tagged with `range`, or the receiver refuses it.
+    pub snapshot: SnapshotFragments,
 }
 
-/// One range's snapshot inside a reply.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RangeSnapshot {
-    /// The range the snapshot covers (also tagged inside the snapshot).
-    pub range: KeyRange,
-    /// The range's pipeline state at the probe's consistent cut.
-    pub snapshot: PipelineSnapshot,
+impl RangeSnapshot {
+    /// Writes this snapshot as one message tagged `tag` (ASSIGN or
+    /// RETIRE_REPLY). The caller flushes.
+    ///
+    /// # Errors
+    ///
+    /// Transport I/O errors, and a snapshot too large for one message.
+    pub fn write_message(&self, out: &mut impl Write, tag: u8) -> io::Result<()> {
+        let mut parts = Vec::new();
+        self.snapshot.encode(self.range, &mut parts)?;
+        write_parts(out, tag, &parts)
+    }
+
+    /// Decodes an ASSIGN or RETIRE_REPLY payload.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Layout`] for bytes that are not exactly one
+    /// snapshot in fragment layout.
+    pub fn decode(payload: Vec<u8>) -> Result<Self, ProtocolError> {
+        let mut cursor = Cursor::new(payload);
+        let (range, snapshot) = SnapshotFragments::decode(&mut cursor)?;
+        cursor.finish()?;
+        Ok(RangeSnapshot { range, snapshot })
+    }
 }
 
 /// A worker's answer to SNAPSHOT: all its ranges at one consistent cut.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotReply {
     /// Strictly ascending per worker; the coordinator refuses a version
     /// that does not ascend (a duplicate betrays a confused or replayed
@@ -116,6 +140,47 @@ pub struct SnapshotReply {
     pub version: u64,
     /// One entry per owned range, sorted by range.
     pub ranges: Vec<RangeSnapshot>,
+}
+
+impl SnapshotReply {
+    /// Writes this reply as one SNAPSHOT_REPLY message. The caller
+    /// flushes.
+    ///
+    /// # Errors
+    ///
+    /// Transport I/O errors, and a reply too large for one message.
+    pub fn write_message(&self, out: &mut impl Write) -> io::Result<()> {
+        let mut head = self.version.to_le_bytes().to_vec();
+        head.extend_from_slice(&wire_u32(self.ranges.len())?.to_le_bytes());
+        let mut parts = vec![Cow::Owned(head)];
+        for entry in &self.ranges {
+            entry.snapshot.encode(entry.range, &mut parts)?;
+        }
+        write_parts(out, tag::SNAPSHOT_REPLY, &parts)
+    }
+
+    /// Decodes a SNAPSHOT_REPLY payload. Its fragments stay in the
+    /// payload, unparsed and uncopied.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Layout`] for a malformed payload, or for two
+    /// ranges that overlap (a key could then appear in both).
+    pub fn decode(payload: Vec<u8>) -> Result<Self, ProtocolError> {
+        let mut cursor = Cursor::new(payload);
+        let version = cursor.u64()?;
+        let count = cursor.u32()?;
+        let mut ranges: Vec<RangeSnapshot> = Vec::new();
+        for _ in 0..count {
+            let (range, snapshot) = SnapshotFragments::decode(&mut cursor)?;
+            if let Some(other) = ranges.iter().find(|entry| entry.range.overlaps(&range)) {
+                return Err(LayoutError::OverlappingRanges(other.range, range).into());
+            }
+            ranges.push(RangeSnapshot { range, snapshot });
+        }
+        cursor.finish()?;
+        Ok(SnapshotReply { version, ranges })
+    }
 }
 
 /// One range's finished output inside a [`FinishReply`].
@@ -159,6 +224,8 @@ pub enum ProtocolError {
     Oversized(u32),
     /// A JSON payload that does not parse as its message type.
     Json(String),
+    /// A snapshot payload that is not in [fragment layout](crate::SnapshotFragments).
+    Layout(LayoutError),
     /// A BATCH payload rejected by frame validation.
     Batch(BatchError),
     /// An ASSIGN for a range the worker already owns.
@@ -216,6 +283,7 @@ impl fmt::Display for ProtocolError {
                 "fleet message of {len} bytes exceeds the {MAX_MESSAGE_LEN}-byte bound"
             ),
             ProtocolError::Json(e) => write!(f, "malformed fleet message payload: {e}"),
+            ProtocolError::Layout(e) => write!(f, "malformed fleet snapshot: {e}"),
             ProtocolError::Batch(e) => write!(f, "bad frame batch: {e}"),
             ProtocolError::DuplicateAssignment(range) => {
                 write!(f, "range {range} assigned twice to the same worker")
@@ -254,6 +322,7 @@ impl Error for ProtocolError {
         match self {
             ProtocolError::Io(e) => Some(e),
             ProtocolError::Batch(e) => Some(e),
+            ProtocolError::Layout(e) => Some(e),
             ProtocolError::Snapshot(e) => Some(e),
             _ => None,
         }
@@ -272,6 +341,18 @@ impl From<BatchError> for ProtocolError {
     }
 }
 
+impl From<serde_json::Error> for ProtocolError {
+    fn from(e: serde_json::Error) -> Self {
+        ProtocolError::Json(e.to_string())
+    }
+}
+
+impl From<LayoutError> for ProtocolError {
+    fn from(e: LayoutError) -> Self {
+        ProtocolError::Layout(e)
+    }
+}
+
 impl From<SnapshotError> for ProtocolError {
     fn from(e: SnapshotError) -> Self {
         ProtocolError::Snapshot(e)
@@ -284,11 +365,24 @@ impl From<SnapshotError> for ProtocolError {
 /// # Errors
 ///
 /// Propagates transport I/O errors (a dead peer surfaces here as a
-/// broken pipe).
+/// broken pipe), and refuses a payload beyond [`MAX_MESSAGE_LEN`].
 pub fn write_message(out: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()> {
+    write_parts(out, tag, &[Cow::Borrowed(payload)])
+}
+
+/// Writes one framed message whose payload is `parts` in order, so a
+/// snapshot's fragments go on the wire without being gathered first.
+fn write_parts(out: &mut impl Write, tag: u8, parts: &[Cow<[u8]>]) -> io::Result<()> {
+    let len = wire_u32(parts.iter().map(|part| part.len()).sum())?;
+    if len > MAX_MESSAGE_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("a {len}-byte fleet message exceeds the {MAX_MESSAGE_LEN}-byte bound"),
+        ));
+    }
     out.write_all(&[tag])?;
-    out.write_all(&(payload.len() as u32).to_le_bytes())?;
-    out.write_all(payload)
+    out.write_all(&len.to_le_bytes())?;
+    parts.iter().try_for_each(|part| out.write_all(part))
 }
 
 /// Reads one framed message.
@@ -392,31 +486,31 @@ fn worker_loop_inner<V: Verifier + Clone + Send + 'static>(
         let (tag, payload) = read_message(input)?;
         match tag {
             tag::ASSIGN => {
-                let Assignment { range, snapshot, prefix_verified } = parse_json(&payload)?;
-                if !range.is_valid() {
-                    return Err(ProtocolError::Batch(BatchError::BadRange(range)));
-                }
+                let RangeSnapshot { range, snapshot } = RangeSnapshot::decode(payload)?;
+                let header = &snapshot.header;
                 let ours = (verifier.name(), verifier.k(), verifier.model());
-                if (snapshot.algo.as_str(), snapshot.k, snapshot.model) != ours {
+                if (header.algo.as_str(), header.k, header.model) != ours {
                     return Err(ProtocolError::VerifierMismatch(format!(
                         "fleet runs {}/k={}/model={}, worker runs {}/k={}/model={}",
-                        snapshot.algo, snapshot.k, snapshot.model, ours.0, ours.1, ours.2
+                        header.algo, header.k, header.model, ours.0, ours.1, ours.2
                     )));
                 }
                 if owned.iter().any(|o| o.range == range) {
                     return Err(ProtocolError::DuplicateAssignment(range));
                 }
-                if snapshot.partition != Some(range) {
-                    let snapshot = snapshot.partition;
+                if header.partition != Some(range) {
+                    let snapshot = header.partition;
                     return Err(ProtocolError::PartitionMismatch { range, snapshot });
                 }
                 // One thread per range (the fleet's parallelism is its
                 // processes); the coordinator owns the checkpoint cadence.
-                let (window, horizon) = (snapshot.window, Some(snapshot.horizon));
+                // Trust travels in the snapshot's own flag, so the chain
+                // up to it counts as verified here.
+                let (window, horizon) = (header.window, Some(header.horizon));
                 let base = PipelineConfig { shards: 1, checkpoint_every: 0, ..Default::default() };
                 let config = PipelineConfig { window, horizon, ..base };
                 let pipeline =
-                    StreamPipeline::resume(verifier.clone(), config, &snapshot, prefix_verified)?;
+                    StreamPipeline::resume(verifier.clone(), config, &snapshot.parse()?, true)?;
                 owned.push(OwnedRange { range, pipeline });
                 owned.sort_by_key(|o| o.range);
             }
@@ -434,10 +528,12 @@ fn worker_loop_inner<V: Verifier + Clone + Send + 'static>(
                 snapshot_version += 1;
                 let ranges = owned
                     .iter_mut()
-                    .map(|o| RangeSnapshot { range: o.range, snapshot: o.pipeline.snapshot() })
-                    .collect();
-                let reply = SnapshotReply { version: snapshot_version, ranges };
-                write_message(output, tag::SNAPSHOT_REPLY, &to_json(&reply)?)?;
+                    .map(|o| {
+                        let snapshot = o.pipeline.snapshot().try_into()?;
+                        Ok(RangeSnapshot { range: o.range, snapshot })
+                    })
+                    .collect::<Result<_, ProtocolError>>()?;
+                SnapshotReply { version: snapshot_version, ranges }.write_message(output)?;
                 output.flush()?;
             }
             tag::RETIRE => {
@@ -446,14 +542,12 @@ fn worker_loop_inner<V: Verifier + Clone + Send + 'static>(
                     .iter()
                     .position(|o| o.range == range)
                     .ok_or(ProtocolError::UnassignedRange(range))?;
-                let mut retired = owned.remove(pos);
-                let reply =
-                    RangeSnapshot { range, snapshot: retired.pipeline.snapshot() };
-                write_message(output, tag::RETIRE_REPLY, &to_json(&reply)?)?;
-                output.flush()?;
                 // Drop the retired pipeline without reports: its state
                 // lives on in the reply the coordinator re-assigns.
-                drop(retired);
+                let mut retired = owned.remove(pos);
+                let snapshot = retired.pipeline.snapshot().try_into()?;
+                RangeSnapshot { range, snapshot }.write_message(output, tag::RETIRE_REPLY)?;
+                output.flush()?;
             }
             tag::FINISH => {
                 let ranges = owned

@@ -162,6 +162,13 @@ impl KeyRange {
         key.wrapping_mul(KEY_HASH_MULTIPLIER) >> (64 - self.bits) == self.prefix
     }
 
+    /// Whether some key hashes into both ranges: one range's prefix
+    /// extends the other's.
+    pub fn overlaps(&self, other: &KeyRange) -> bool {
+        let bits = self.bits.min(other.bits);
+        self.prefix >> (self.bits - bits) == other.prefix >> (other.bits - bits)
+    }
+
     /// The two child ranges that exactly tile this one (next hash bit 0
     /// and 1) — the hot-shard split.
     ///
@@ -758,6 +765,13 @@ mod tests {
             } else {
                 assert!(!zz.contains(key) && !zo.contains(key));
             }
+        }
+        // Nested ranges overlap; disjoint ones share no key.
+        for (a, b) in [(KeyRange::ALL, zz), (zero, zz), (zo, zero), (one, one)] {
+            assert!(a.overlaps(&b) && b.overlaps(&a), "{a} and {b}");
+        }
+        for (a, b) in [(zero, one), (zz, zo), (one, zz)] {
+            assert!(!a.overlaps(&b) && !b.overlaps(&a), "{a} and {b}");
         }
         // partition(n) tiles the space with the smallest power of two >= n.
         for workers in 1..=9usize {

@@ -16,24 +16,28 @@ use k_atomicity::history::frame::{FrameReader, FrameWriter};
 use k_atomicity::history::ndjson::{self, StreamRecord};
 use k_atomicity::verify::{
     worker_loop, FleetConfig, FleetCoordinator, FleetSummary, Fzf, GenK, GkOneAv, KeyError,
-    KeyReport, ModelId, PipelineConfig, PipelineOutput, PipelineSnapshot, StreamPipeline,
-    Verifier, WorkerLink,
+    KeyReport, ModelId, PipelineConfig, PipelineOutput, PipelineSnapshot, SnapshotFragments,
+    StreamPipeline, Verifier, WorkerLink,
 };
 use k_atomicity::workloads::{streaming_workload, StreamingWorkloadConfig};
 use proptest::prelude::*;
+use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::thread::JoinHandle;
 
 /// Spawns `workers` worker loops on socket pairs, returning the
-/// coordinator-side links and the join handles.
+/// coordinator-side links, the join handles, and each worker's socket,
+/// whose shutdown kills the worker.
 fn spawn_workers<V: Verifier + Clone + Send + 'static>(
     verifier: V,
     workers: usize,
-) -> (Vec<WorkerLink>, Vec<JoinHandle<()>>) {
+) -> (Vec<WorkerLink>, Vec<JoinHandle<()>>, Vec<UnixStream>) {
     let mut links = Vec::with_capacity(workers);
     let mut handles = Vec::with_capacity(workers);
+    let mut kills = Vec::with_capacity(workers);
     for _ in 0..workers {
         let (coordinator_side, worker_side) = UnixStream::pair().expect("socketpair");
+        kills.push(worker_side.try_clone().expect("clone worker socket"));
         let v = verifier.clone();
         handles.push(std::thread::spawn(move || {
             let input = worker_side.try_clone().expect("clone worker socket");
@@ -46,7 +50,7 @@ fn spawn_workers<V: Verifier + Clone + Send + 'static>(
             reader: Box::new(coordinator_side),
         });
     }
-    (links, handles)
+    (links, handles, kills)
 }
 
 fn fleet_config<V: Verifier>(verifier: &V, window: usize) -> FleetConfig {
@@ -71,8 +75,8 @@ fn fleet_run<V: Verifier + Clone + Send + 'static>(
     records: &[StreamRecord],
     cuts: &[usize],
     split_at: Option<usize>,
-) -> (PipelineOutput, FleetSummary, Vec<PipelineSnapshot>) {
-    let (links, handles) = spawn_workers(verifier.clone(), workers);
+) -> (PipelineOutput, FleetSummary, Vec<SnapshotFragments>) {
+    let (links, handles, _) = spawn_workers(verifier.clone(), workers);
     let mut fleet =
         FleetCoordinator::new(fleet_config(&verifier, window), links).expect("fleet start");
     let mut snapshots = Vec::new();
@@ -144,6 +148,13 @@ fn assert_outputs_identical(fleet: &PipelineOutput, single: &PipelineOutput, ctx
     assert_eq!(fleet.all_k_atomic(), single.all_k_atomic(), "{ctx}");
 }
 
+/// A fleet snapshot as the JSON a checkpoint file holds.
+fn fleet_json(snapshot: &SnapshotFragments) -> String {
+    let mut out = Vec::new();
+    snapshot.write_json(&mut out).unwrap();
+    String::from_utf8(out).unwrap()
+}
+
 /// Roundtrips records through the chosen on-disk encoding, so the fleet
 /// ingests exactly what a `kav serve` invocation would decode.
 fn through_encoding(records: &[StreamRecord], binary: bool) -> Vec<StreamRecord> {
@@ -213,7 +224,7 @@ proptest! {
         prop_assert_eq!(fleet_snaps.len(), single_snaps.len());
         for (fleet_snap, single_snap) in fleet_snaps.iter().zip(&single_snaps) {
             prop_assert_eq!(
-                serde_json::to_string(fleet_snap).unwrap(),
+                fleet_json(fleet_snap),
                 serde_json::to_string(single_snap).unwrap(),
                 "merged fleet checkpoint differs from single-process ({})", ctx
             );
@@ -240,6 +251,71 @@ proptest! {
         prop_assert_eq!(summary.splits, 1);
         prop_assert_eq!(summary.ranges, workers.next_power_of_two() + 1);
         prop_assert_eq!(summary.uncertified_hand_offs, 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Trust is state: after an unverified resume (the prefix could not be
+    /// re-read), a worker killed at any point hands its ranges off with
+    /// their taint, so no key ends more certain than in the single-process
+    /// audit resumed the same way — whether the kill comes before the
+    /// range's first probe or after it.
+    #[test]
+    fn an_unverified_resume_stays_unverified_through_a_kill(
+        workers in 2usize..4,
+        victim in 0usize..3,
+        seed in 0u64..1_000,
+        cut_frac in 1usize..4,
+        kill_frac in 0usize..8,
+        probe in any::<bool>(),
+    ) {
+        let (verifier, window) = (GkOneAv, 8);
+        let records = workload(8, 30, 1, seed);
+        let cut = records.len() * cut_frac / 4;
+        let (prefix, rest) = records.split_at(cut);
+        let config = PipelineConfig { shards: 2, window, ..Default::default() };
+        let mut checkpointed = StreamPipeline::new(verifier, config);
+        for record in prefix {
+            checkpointed.push(record.key, record.op());
+        }
+        let base = checkpointed.snapshot();
+        checkpointed.finish();
+
+        let mut single = StreamPipeline::resume(verifier, config, &base, false).unwrap();
+        for record in rest {
+            single.push(record.key, record.op());
+        }
+        let single = single.finish();
+
+        let (links, handles, kills) = spawn_workers(verifier, workers);
+        let config = fleet_config(&verifier, window);
+        let mut fleet =
+            FleetCoordinator::resume(config, links, &base, false).expect("fleet resume");
+        let (kill_at, probe_at) = (rest.len() * kill_frac / 8, rest.len() / 8);
+        for (i, record) in rest.iter().enumerate() {
+            if probe && i == probe_at {
+                fleet.snapshot_fleet().expect("fleet snapshot");
+            }
+            if i == kill_at {
+                kills[victim % workers].shutdown(Shutdown::Both).expect("kill");
+            }
+            fleet.push(record.key, record.op()).expect("push survives a dead worker");
+        }
+        let (output, summary) = fleet.finish().expect("fleet finish");
+        for handle in handles {
+            handle.join().expect("worker thread");
+        }
+        prop_assert_eq!(summary.hand_offs >= 1, true);
+        prop_assert_eq!(output.keys.len(), single.keys.len());
+        for ((key, got), (_, want)) in output.keys.iter().zip(&single.keys) {
+            prop_assert!(
+                got.k_atomic() == want.k_atomic() || got.k_atomic().is_none(),
+                "key {}: fleet says {:?}, the single process {:?}",
+                key, got.k_atomic(), want.k_atomic()
+            );
+        }
     }
 }
 

@@ -9,15 +9,18 @@
 use k_atomicity::history::frame::{decode_routed_batch, encode_routed_batch, KeyRange};
 use k_atomicity::history::{Operation, Time, Value};
 use k_atomicity::verify::protocol::{
-    expect_preamble, read_message, tag, write_message, Assignment, FinishReply, RangeOutput,
-    RangeSnapshot, SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
+    expect_preamble, read_message, tag, write_message, FinishReply, RangeOutput, RangeSnapshot,
+    SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
 };
 use k_atomicity::verify::{
-    worker_loop, FleetConfig, FleetCoordinator, FleetSummary, Fzf, ModelId, PipelineConfig,
-    ProtocolError, StreamPipeline, WorkerLink,
+    worker_loop, FleetConfig, FleetCoordinator, FleetSummary, Fzf, LayoutError, ModelId,
+    PipelineConfig, ProtocolError, SnapshotFragments, StreamPipeline, WorkerLink,
 };
+use k_atomicity::workloads::{streaming_workload, StreamingWorkloadConfig};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 // ---------------------------------------------------------------------------
@@ -43,16 +46,15 @@ fn handshake(driver: &mut UnixStream) {
 }
 
 /// Sends `assignment` to the worker.
-fn send(socket: &mut UnixStream, assignment: &Assignment) {
-    let payload = serde_json::to_string(assignment).unwrap().into_bytes();
-    write_message(socket, tag::ASSIGN, &payload).unwrap();
+fn send(socket: &mut UnixStream, assignment: &RangeSnapshot) {
+    assignment.write_message(socket, tag::ASSIGN).unwrap();
     socket.flush().unwrap();
 }
 
 /// Sends a valid assignment of `range` to the worker: a fresh range,
 /// which starts from an empty snapshot tagged with it.
 fn assign(socket: &mut UnixStream, range: KeyRange) {
-    send(socket, &Assignment { range, snapshot: tagged_snapshot(range), prefix_verified: true });
+    send(socket, &RangeSnapshot { range, snapshot: tagged_snapshot(range) });
 }
 
 /// Drains the worker's ERROR reply (its best-effort diagnostic before
@@ -164,8 +166,8 @@ fn worker_rejects_a_mismatched_verifier() {
     let (mut socket, handle) = spawn_worker();
     handshake(&mut socket);
     let mut snapshot = tagged_snapshot(KeyRange::ALL);
-    snapshot.algo = "genk".to_owned(); // the worker runs fzf
-    send(&mut socket, &Assignment { range: KeyRange::ALL, snapshot, prefix_verified: true });
+    snapshot.header.algo = "genk".to_owned(); // the worker runs fzf
+    send(&mut socket, &RangeSnapshot { range: KeyRange::ALL, snapshot });
     expect_error_reply(&mut socket, "genk");
     assert!(matches!(
         handle.join().unwrap(),
@@ -181,7 +183,7 @@ fn worker_rejects_an_assignment_tagged_for_another_range() {
     handshake(&mut socket);
     let (low, high) = KeyRange::ALL.split();
     let snapshot = tagged_snapshot(high);
-    send(&mut socket, &Assignment { range: low, snapshot, prefix_verified: true });
+    send(&mut socket, &RangeSnapshot { range: low, snapshot });
     expect_error_reply(&mut socket, "different shard map");
     assert!(matches!(
         handle.join().unwrap(),
@@ -252,8 +254,7 @@ fn scripted_worker(
                 tag::ASSIGN | tag::BATCH => {}
                 tag::SNAPSHOT => {
                     probes += 1;
-                    let payload = serde_json::to_string(&reply(probes)).unwrap().into_bytes();
-                    write_message(&mut worker_side, tag::SNAPSHOT_REPLY, &payload).unwrap();
+                    reply(probes).write_message(&mut worker_side).unwrap();
                     worker_side.flush().unwrap();
                 }
                 _ => return,
@@ -285,10 +286,7 @@ fn recording_worker(die_after: Option<usize>) -> (WorkerLink, JoinHandle<Batches
         while die_after != Some(batches.len()) {
             let (got, payload) = read_message(&mut worker_side).unwrap();
             match got {
-                tag::ASSIGN => {
-                    let text = std::str::from_utf8(&payload).unwrap();
-                    owned.push(serde_json::from_str::<Assignment>(text).unwrap().range);
-                }
+                tag::ASSIGN => owned.push(RangeSnapshot::decode(payload).unwrap().range),
                 tag::BATCH => batches.push(decode_routed_batch(&payload).unwrap()),
                 tag::FINISH => {
                     let ranges = owned
@@ -325,17 +323,26 @@ fn fleet_config() -> FleetConfig {
     }
 }
 
-/// A well-formed, empty snapshot of the Fzf (k = 2, window 8) fleet's
-/// range `range`, tagged with it.
-fn tagged_snapshot(range: KeyRange) -> k_atomicity::verify::PipelineSnapshot {
+/// A well-formed snapshot of the Fzf (k = 2, window 8) fleet's range
+/// `range`, tagged with it, holding each of `keys` after one write.
+fn snapshot_with(range: KeyRange, keys: impl IntoIterator<Item = u64>) -> SnapshotFragments {
     let mut pipeline = StreamPipeline::new(
         Fzf,
         PipelineConfig { shards: 1, window: 8, ..Default::default() },
     );
+    for key in keys {
+        pipeline.push(key, Operation::write(Value(1), Time(0), Time(5)));
+    }
     let mut snapshot = pipeline.snapshot();
     pipeline.finish();
     snapshot.partition = Some(range);
-    snapshot
+    snapshot.try_into().unwrap()
+}
+
+/// A well-formed, empty snapshot of the fleet's range `range`, tagged
+/// with it.
+fn tagged_snapshot(range: KeyRange) -> SnapshotFragments {
+    snapshot_with(range, [])
 }
 
 #[test]
@@ -370,7 +377,7 @@ fn coordinator_rejects_mistagged_partition_snapshots() {
     // partition: certification discipline must refuse the merge.
     let (link, handle) = scripted_worker(|probes| {
         let mut snapshot = tagged_snapshot(KeyRange::ALL);
-        snapshot.partition = Some(KeyRange::ALL.split().1); // wrong tag
+        snapshot.header.partition = Some(KeyRange::ALL.split().1); // wrong tag
         SnapshotReply {
             version: probes,
             ranges: vec![RangeSnapshot { range: KeyRange::ALL, snapshot }],
@@ -388,7 +395,7 @@ fn coordinator_rejects_replies_for_unowned_ranges() {
     let (link, handle) = scripted_worker(|probes| {
         let (low, _high) = KeyRange::ALL.split();
         let mut snapshot = tagged_snapshot(KeyRange::ALL);
-        snapshot.partition = Some(low);
+        snapshot.header.partition = Some(low);
         SnapshotReply {
             version: probes,
             ranges: vec![RangeSnapshot { range: low, snapshot }], // owns ALL, reports low
@@ -479,4 +486,239 @@ fn an_overflowed_replay_drops_the_rest() {
     );
     assert_eq!(summary.frames_dropped, 8);
     assert_eq!((summary.hand_offs, summary.uncertified_hand_offs), (1, 1));
+}
+
+// ---------------------------------------------------------------------------
+// Hostile bytes on the snapshot layout: every fault is a typed error.
+// ---------------------------------------------------------------------------
+
+/// The first `n` keys of `range`.
+fn keys_in(range: KeyRange, n: usize) -> Vec<u64> {
+    (0u64..).filter(|k| range.contains(*k)).take(n).collect()
+}
+
+/// A SNAPSHOT_REPLY payload covering `ranges` (each holding three keys of
+/// its own), as a worker sends it.
+fn reply_payload(entries: Vec<RangeSnapshot>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    SnapshotReply { version: 7, ranges: entries }.write_message(&mut bytes).unwrap();
+    let (got, payload) = read_message(&mut bytes.as_slice()).unwrap();
+    assert_eq!(got, tag::SNAPSHOT_REPLY);
+    payload
+}
+
+fn entry(range: KeyRange, keys: Vec<u64>) -> RangeSnapshot {
+    RangeSnapshot { range, snapshot: snapshot_with(range, keys) }
+}
+
+/// The layout fault `payload` decodes to, as a SNAPSHOT_REPLY.
+fn reply_fault(payload: Vec<u8>) -> LayoutError {
+    match SnapshotReply::decode(payload) {
+        Err(ProtocolError::Layout(e)) => e,
+        other => panic!("expected a layout fault, got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_snapshot_bytes_are_typed_errors() {
+    let (low, high) = KeyRange::ALL.split();
+    let valid = reply_payload(vec![entry(low, keys_in(low, 3)), entry(high, keys_in(high, 3))]);
+    let decoded = SnapshotReply::decode(valid.clone()).expect("a worker's reply decodes");
+    assert_eq!(decoded.version, 7);
+    assert_eq!(decoded.ranges[1].snapshot.states.len(), 3);
+    assert_eq!(decoded.ranges[1].snapshot, snapshot_with(high, keys_in(high, 3)));
+
+    // Every truncation, of a reply and of a lone range snapshot.
+    for cut in 0..valid.len() {
+        assert!(
+            matches!(reply_fault(valid[..cut].to_vec()), LayoutError::Truncated { .. }),
+            "cut at {cut}"
+        );
+    }
+    let mut single = Vec::new();
+    entry(low, keys_in(low, 3)).write_message(&mut single, tag::ASSIGN).unwrap();
+    let (_, single) = read_message(&mut single.as_slice()).unwrap();
+    RangeSnapshot::decode(single.clone()).expect("a lone range snapshot decodes");
+    for cut in 0..single.len() {
+        assert!(
+            matches!(
+                RangeSnapshot::decode(single[..cut].to_vec()),
+                Err(ProtocolError::Layout(LayoutError::Truncated { .. }))
+            ),
+            "cut at {cut}"
+        );
+    }
+
+    // Length prefixes: u32::MAX, and one byte past the payload's end. The
+    // reply header is 12 bytes, the range's fixed fields 28; the first
+    // fragment's length follows its key.
+    let (header_len, states, first_len) = (12 + 12, 12 + 16, 12 + 28 + 8);
+    for at in [header_len, states, first_len] {
+        for len in [u32::MAX, (valid.len() - at) as u32] {
+            let mut bad = valid.clone();
+            bad[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            assert!(
+                matches!(reply_fault(bad), LayoutError::Truncated { .. }),
+                "length {len} at offset {at}"
+            );
+        }
+    }
+    let mut bad = valid.clone();
+    bad[8..12].copy_from_slice(&u32::MAX.to_le_bytes()); // the range count
+    assert!(matches!(reply_fault(bad), LayoutError::Truncated { .. }));
+
+    // Keys outside their range, and keys that do not strictly ascend.
+    let foreign = reply_payload(vec![RangeSnapshot {
+        range: low,
+        snapshot: snapshot_with(low, keys_in(high, 1)),
+    }]);
+    assert!(matches!(reply_fault(foreign), LayoutError::ForeignKey { range, .. } if range == low));
+    let mut descending = snapshot_with(low, keys_in(low, 3));
+    descending.states.reverse();
+    let descending = reply_payload(vec![RangeSnapshot { range: low, snapshot: descending }]);
+    assert!(matches!(reply_fault(descending), LayoutError::KeyOrder { .. }));
+
+    // One key in two ranges: the whole space and its low half both hold it.
+    let key = keys_in(low, 1);
+    let twice =
+        reply_payload(vec![entry(KeyRange::ALL, key.clone()), entry(low, key)]);
+    assert_eq!(reply_fault(twice), LayoutError::OverlappingRanges(KeyRange::ALL, low));
+
+    // Trailing bytes.
+    let mut trailing = valid.clone();
+    trailing.push(0);
+    assert_eq!(reply_fault(trailing), LayoutError::TrailingBytes(1));
+    let mut trailing = single.clone();
+    trailing.extend_from_slice(b"{}");
+    assert!(matches!(
+        RangeSnapshot::decode(trailing),
+        Err(ProtocolError::Layout(LayoutError::TrailingBytes(2)))
+    ));
+
+    // A fragment indexed under another key of the range than its own:
+    // the third index entry's key, relabelled as the range's fourth key.
+    let mut relabelled = valid.clone();
+    let (third_key, fourth) = (first_len - 8 + 2 * 12, keys_in(low, 4)[3]);
+    relabelled[third_key..third_key + 8].copy_from_slice(&fourth.to_le_bytes());
+    assert_eq!(reply_fault(relabelled), LayoutError::Mislabelled { key: fourth });
+}
+
+// ---------------------------------------------------------------------------
+// A death during the fanned-out probe.
+// ---------------------------------------------------------------------------
+
+/// A writer that signals each flush: a worker flushes once after its
+/// preamble and once after each reply.
+struct SignalOnFlush {
+    inner: UnixStream,
+    flushed: mpsc::Sender<()>,
+}
+
+impl Write for SignalOnFlush {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()?;
+        let _ = self.flushed.send(());
+        Ok(())
+    }
+}
+
+/// A reader that keeps a copy of every byte read through it.
+struct Recorded {
+    inner: UnixStream,
+    bytes: Arc<Mutex<Vec<u8>>>,
+}
+
+impl Read for Recorded {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.bytes.lock().unwrap().extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+}
+
+#[test]
+fn a_death_mid_probe_drains_the_peer_hands_off_and_retries() {
+    let records = streaming_workload(StreamingWorkloadConfig {
+        keys: 8,
+        ops_per_key: 30,
+        k: 2,
+        seed: 11,
+        ..Default::default()
+    });
+    let half = records.len() / 2;
+
+    // Worker 1 is a real worker; every flush of its output is signalled,
+    // and the coordinator keeps what it reads from it.
+    let (peer_side, peer_worker_side) = UnixStream::pair().expect("socketpair");
+    let (flushed, peer_flushed) = mpsc::channel();
+    let output = SignalOnFlush { inner: peer_worker_side.try_clone().unwrap(), flushed };
+    let peer = std::thread::spawn(move || worker_loop(Fzf, peer_worker_side, output));
+    let read_from_peer = Arc::new(Mutex::new(Vec::new()));
+    let peer_link = WorkerLink {
+        writer: Box::new(peer_side.try_clone().unwrap()),
+        reader: Box::new(Recorded { inner: peer_side, bytes: read_from_peer.clone() }),
+    };
+
+    // Worker 0 takes everything it is sent, and dies on SNAPSHOT once its
+    // peer has flushed its reply (its second flush, after the preamble's).
+    let (dying_side, mut dying) = UnixStream::pair().expect("socketpair");
+    let dying_handle = std::thread::spawn(move || {
+        expect_preamble(&mut dying, COORDINATOR_MAGIC).unwrap();
+        dying.write_all(&WORKER_MAGIC).unwrap();
+        dying.flush().unwrap();
+        while read_message(&mut dying).unwrap().0 != tag::SNAPSHOT {}
+        peer_flushed.recv().unwrap();
+        peer_flushed.recv().unwrap();
+    });
+    let dying_link = WorkerLink {
+        writer: Box::new(dying_side.try_clone().unwrap()),
+        reader: Box::new(dying_side),
+    };
+
+    let mut fleet =
+        FleetCoordinator::new(fleet_config(), vec![dying_link, peer_link]).expect("fleet start");
+    let config = PipelineConfig { shards: 2, window: 8, ..Default::default() };
+    let mut single = StreamPipeline::new(Fzf, config);
+    for record in &records[..half] {
+        fleet.push(record.key, record.op()).unwrap();
+        single.push(record.key, record.op());
+    }
+    let cut = fleet.snapshot_fleet().expect("the probe survives the death");
+    dying_handle.join().unwrap();
+    let mut json = Vec::new();
+    cut.write_json(&mut json).unwrap();
+    assert_eq!(
+        String::from_utf8(json).unwrap(),
+        serde_json::to_string(&single.snapshot()).unwrap(),
+        "the retried cut is the single-process snapshot at the same record"
+    );
+    assert_eq!(fleet.summary().hand_offs, 1);
+
+    for record in &records[half..] {
+        fleet.push(record.key, record.op()).unwrap();
+        single.push(record.key, record.op());
+    }
+    fleet.snapshot_fleet().expect("a later probe");
+    let (output, summary) = fleet.finish().expect("the survivor finishes the audit");
+    peer.join().unwrap().expect("the survivor exits cleanly");
+    let single = single.finish();
+    assert_eq!(output.keys, single.keys);
+    assert_eq!((summary.hand_offs, summary.uncertified_hand_offs), (1, 0));
+
+    // The survivor's replies: the drained one covers only its own range,
+    // the retry both, and versions ascend.
+    let recorded = read_from_peer.lock().unwrap().clone();
+    let mut stream = &recorded[WORKER_MAGIC.len()..];
+    let mut replies = Vec::new();
+    while let Ok((got, payload)) = read_message(&mut stream) {
+        if got == tag::SNAPSHOT_REPLY {
+            let reply = SnapshotReply::decode(payload).unwrap();
+            replies.push((reply.version, reply.ranges.len()));
+        }
+    }
+    assert_eq!(replies, [(1, 1), (2, 2), (3, 2)]);
 }
