@@ -159,9 +159,12 @@ fn default_budget(model: ModelId) -> u64 {
 }
 
 /// `kav work` — one fleet worker: speaks the coordinator↔worker protocol
-/// on stdin/stdout until FINISH (exit 0) or a protocol fault (exit 2 with
-/// the diagnostic on stderr — a fault is unusable input, never a
-/// verdict). Spawned by `kav serve`.
+/// on stdin/stdout until stdin closes. Exit 0 when it closes after the
+/// worker has answered a FINISH and while it owns no range (a worker
+/// keeps serving after FINISH, to adopt the ranges of a peer that dies at
+/// the finish line); exit 2, with the diagnostic on stderr, on a protocol
+/// fault or any other close — a fault is unusable input, never a verdict.
+/// Spawned by `kav serve`.
 pub fn work(args: &Args) -> CmdResult {
     let (spec, _) = VerifierSpec::from_flags(args)?;
     with_verifier!(spec, |v| worker_loop(v, std::io::stdin().lock(), std::io::stdout().lock()))
@@ -691,7 +694,8 @@ impl Sink {
     fn finish(self) -> Result<(PipelineOutput, FleetSummary), ProtocolError> {
         match self {
             Sink::Pipeline(pipeline) => Ok((pipeline.finish(), FleetSummary::default())),
-            // Every worker has answered FINISH; dropping the guard reaps it.
+            // Every worker has answered FINISH, and `finish` closes its
+            // link, so it exits cleanly; dropping the guard reaps it.
             Sink::Fleet { coordinator, .. } => coordinator.finish(),
         }
     }

@@ -1166,17 +1166,29 @@ fn serve_absorbs_a_sigkilled_worker_via_checkpoint_hand_off() {
     // SIGKILL worker 1 mid-stream; checkpoints every 100 records keep the
     // replay verifiable, so the hand-off must be invisible in the report
     // and the pre-kill violations must survive with the violation exit.
-    let fleet = kav(&[
-        "serve", "--workers", "3", "--algo", "genk", "--k", "2", "--window", "24",
-        "--checkpoint", ckpt, "--checkpoint-every", "100",
-        "--kill-worker", "1:300", path,
-    ]);
-    assert_eq!(fleet.status.code(), Some(1), "{}", stderr(&fleet));
-    let text = stdout(&fleet);
-    assert_eq!(key_table(&text), baseline, "hand-off changed the report");
-    assert!(text.contains("(0 uncertified)"), "{text}");
-    assert!(!text.contains("0 hand-offs"), "{text}");
-    assert!(stderr(&fleet).contains("not 2-atomic"), "{}", stderr(&fleet));
+    // Then SIGKILL each worker at the last record, at batch 1 with no
+    // checkpoint due there: only the FINISH round meets the dead worker,
+    // and a worker that has already answered FINISH adopts its range.
+    let mut runs = vec![["--batch", "256", "--checkpoint-every", "100", "--kill-worker", "1:300"]];
+    for kill in ["0:600", "1:600", "2:600"] {
+        runs.push(["--batch", "1", "--checkpoint-every", "128", "--kill-worker", kill]);
+    }
+    for flags in runs {
+        let mut args = vec![
+            "serve", "--workers", "3", "--algo", "genk", "--k", "2", "--window", "24",
+            "--checkpoint", ckpt,
+        ];
+        args.extend(flags);
+        args.push(path);
+        let fleet = kav(&args);
+        assert_eq!(fleet.status.code(), Some(1), "{flags:?}: {}", stderr(&fleet));
+        let text = stdout(&fleet);
+        assert_eq!(key_table(&text), baseline, "{flags:?}: hand-off changed the report");
+        assert!(text.contains("(2 alive at the end)"), "{flags:?}: {text}");
+        assert!(text.contains("(0 uncertified)"), "{flags:?}: {text}");
+        assert!(!text.contains(" 0 hand-offs"), "{flags:?}: {text}");
+        assert!(stderr(&fleet).contains("not 2-atomic"), "{flags:?}: {}", stderr(&fleet));
+    }
 }
 
 #[test]

@@ -123,24 +123,19 @@ impl Default for FleetConfig {
     }
 }
 
+/// The answers to one fan-out: each worker with its reply's payload.
+type Replies = Vec<(usize, Vec<u8>)>;
+
 /// A worker slot: its transport while alive, its snapshot-version high
 /// water mark.
 struct WorkerSlot {
     link: Option<WorkerLink>,
     last_snapshot_version: u64,
-    /// True once the worker answered FINISH: its reports are final, so it
-    /// may never adopt another range (though its link stays usable).
-    retired: bool,
 }
 
 impl WorkerSlot {
     fn alive(&self) -> bool {
         self.link.is_some()
-    }
-
-    /// Eligible to adopt a range: alive and not yet finished.
-    fn adoptable(&self) -> bool {
-        self.alive() && !self.retired
     }
 }
 
@@ -269,7 +264,7 @@ impl FleetCoordinator {
             link.writer.write_all(&COORDINATOR_MAGIC)?;
             link.writer.flush()?;
             expect_preamble(&mut link.reader, WORKER_MAGIC)?;
-            workers.push(WorkerSlot { link: Some(link), last_snapshot_version: 0, retired: false });
+            workers.push(WorkerSlot { link: Some(link), last_snapshot_version: 0 });
         }
         if workers.is_empty() {
             return Err(ProtocolError::Disconnected);
@@ -441,11 +436,11 @@ impl FleetCoordinator {
         self.write_to(state.worker, |out| assignment.write_message(out, tag::ASSIGN))
     }
 
-    /// The adoptable worker owning the fewest ranges (the lowest index on
-    /// a tie).
+    /// The live worker owning the fewest ranges (the lowest index on a
+    /// tie).
     fn least_loaded(&self) -> Option<usize> {
         (0..self.workers.len())
-            .filter(|w| self.workers[*w].adoptable())
+            .filter(|w| self.workers[*w].alive())
             .min_by_key(|w| self.ranges.iter().filter(|r| r.worker == *w).count())
     }
 
@@ -470,6 +465,41 @@ impl FleetCoordinator {
             ));
         }
         Ok(())
+    }
+
+    /// Sends `request` to every worker in `workers` before reading any
+    /// reply, so they work in parallel, then reads every `reply_tag`
+    /// answer, a death notwithstanding: nothing may be written to a worker
+    /// whose reply is still unread. Returns the replies in `workers` order,
+    /// and whether a worker died (the dead are buried; their ranges still
+    /// need [`rehome`](Self::rehome)).
+    fn fan_out(
+        &mut self,
+        workers: Vec<usize>,
+        request: u8,
+        reply_tag: u8,
+    ) -> Result<(Replies, bool), ProtocolError> {
+        let mut dead = Vec::new();
+        let mut asked = Vec::with_capacity(workers.len());
+        for worker in workers {
+            match self.write_to(worker, |out| write_message(out, request, &[])) {
+                Ok(()) => asked.push(worker),
+                Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => dead.push(worker),
+                Err(e) => return Err(e),
+            }
+        }
+        let mut replies = Vec::with_capacity(asked.len());
+        for worker in asked {
+            match self.read_reply(worker, reply_tag) {
+                Ok(payload) => replies.push((worker, payload)),
+                Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => dead.push(worker),
+                Err(e) => return Err(e),
+            }
+        }
+        for &worker in &dead {
+            self.bury(worker);
+        }
+        Ok((replies, !dead.is_empty()))
     }
 
     /// Marks a worker dead.
@@ -565,36 +595,18 @@ impl FleetCoordinator {
                         && self.ranges.iter().any(|state| state.worker == *w)
                 })
                 .collect();
-            let mut dead = Vec::new();
-            let mut asked = Vec::with_capacity(probed.len());
-            for worker in probed {
-                match self.write_to(worker, |out| write_message(out, tag::SNAPSHOT, &[])) {
-                    Ok(()) => asked.push(worker),
-                    Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => dead.push(worker),
-                    Err(e) => return Err(e),
-                }
-            }
-            // Read every reply, a death notwithstanding: nothing may be
-            // written to a worker whose reply is still unread.
-            let mut replies = Vec::with_capacity(asked.len());
-            for worker in asked {
-                match self.read_reply(worker, tag::SNAPSHOT_REPLY) {
-                    Ok(payload) => replies.push((worker, SnapshotReply::decode(payload)?)),
-                    Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => dead.push(worker),
-                    Err(e) => return Err(e),
-                }
-            }
-            for (worker, reply) in &replies {
-                let last = self.workers[*worker].last_snapshot_version;
+            let (payloads, died) = self.fan_out(probed, tag::SNAPSHOT, tag::SNAPSHOT_REPLY)?;
+            let mut replies = Vec::with_capacity(payloads.len());
+            for (worker, payload) in payloads {
+                let reply = SnapshotReply::decode(payload)?;
+                let last = self.workers[worker].last_snapshot_version;
                 if reply.version <= last {
                     return Err(ProtocolError::SnapshotVersion { got: reply.version, last });
                 }
-                self.workers[*worker].last_snapshot_version = reply.version;
+                self.workers[worker].last_snapshot_version = reply.version;
+                replies.push((worker, reply));
             }
-            if !dead.is_empty() {
-                for worker in dead {
-                    self.bury(worker);
-                }
+            if died {
                 self.rehome()?;
                 continue;
             }
@@ -694,9 +706,16 @@ impl FleetCoordinator {
 
     /// Finishes the fleet: flushes everything, collects every worker's
     /// final reports and merges them into the single-process
-    /// [`PipelineOutput`] shape. Workers dying before replying are handed
-    /// off to unfinished survivors and those are re-finished, so one
-    /// crash at the finish line does not cost the audit.
+    /// [`PipelineOutput`] shape.
+    ///
+    /// FINISH goes to every live worker before any reply is read, so
+    /// workers verify their final windows in parallel, and every reply is
+    /// read even after a death. A worker that answers has reported and
+    /// dropped its ranges but keeps serving, so the ranges of a worker
+    /// that died before replying are handed off to live workers (one that
+    /// has already answered included), and a further FINISH round goes to
+    /// those adopters only: one crash at the finish line does not cost the
+    /// audit.
     ///
     /// # Errors
     ///
@@ -707,48 +726,30 @@ impl FleetCoordinator {
             self.flush_range(idx)?;
         }
         let mut outputs: Vec<PipelineOutput> = Vec::new();
-        'drain: while let Some(worker) =
-            (0..self.workers.len()).find(|w| self.workers[*w].adoptable())
-        {
-            if !self.ranges.iter().any(|state| state.worker == worker) {
-                // Nothing assigned (every range handed off elsewhere);
-                // still finish it so the process exits cleanly.
-                let _ = self.write_to(worker, |out| write_message(out, tag::FINISH, &[]));
-                let _ = self.read_reply(worker, tag::FINISH_REPLY);
-                self.workers[worker].retired = true;
-                continue;
+        // The first round asks every live worker, ranged or not, so each
+        // one's link may close once it has answered.
+        let mut asked: Vec<usize> =
+            (0..self.workers.len()).filter(|w| self.workers[*w].alive()).collect();
+        while !asked.is_empty() {
+            let (replies, _) = self.fan_out(asked, tag::FINISH, tag::FINISH_REPLY)?;
+            for (worker, payload) in replies {
+                let reply: FinishReply = parse_json(&payload)?;
+                self.check_owned(worker, reply.ranges.iter().map(|r| r.range))?;
+                // Final: the worker has dropped these ranges.
+                self.ranges.retain(|state| state.worker != worker);
+                outputs.extend(reply.ranges.into_iter().map(|range| PipelineOutput {
+                    keys: range.keys.into_iter().map(|e| (e.key, e.report)).collect(),
+                    errors: range.errors.into_iter().map(|e| (e.key, e.error)).collect(),
+                }));
             }
-            // A dead worker's ranges may only move to unfinished workers
-            // (a retired survivor's reports are final), which is exactly
-            // what the adoptable() election enforces.
-            let Some(payload) = self.request(worker, tag::FINISH, &[], tag::FINISH_REPLY)? else {
-                continue 'drain;
-            };
-            let reply: FinishReply = parse_json(&payload)?;
-            self.check_owned(worker, reply.ranges.iter().map(|r| r.range))?;
-            for range_output in reply.ranges {
-                outputs.push(PipelineOutput {
-                    keys: range_output
-                        .keys
-                        .into_iter()
-                        .map(|entry| (entry.key, entry.report))
-                        .collect(),
-                    errors: range_output
-                        .errors
-                        .into_iter()
-                        .map(|entry| (entry.key, entry.error))
-                        .collect(),
-                });
-            }
-            self.workers[worker].retired = true;
+            // Only unfinished ranges remain, each on a live worker once
+            // re-homed (no survivor left is a transport failure, never a
+            // partial verdict); their owners are asked again.
+            self.rehome()?;
+            asked = (0..self.workers.len())
+                .filter(|w| self.ranges.iter().any(|state| state.worker == *w))
+                .collect();
         }
-        if self.ranges.iter().any(|state| !self.workers[state.worker].retired) {
-            // Some range's owner died and no unfinished survivor was left
-            // to adopt it: the audit is incomplete — an input/transport
-            // failure, never a partial verdict.
-            return Err(ProtocolError::Disconnected);
-        }
-        self.summary.workers_alive = self.workers.iter().filter(|w| w.alive()).count();
         Ok((super::merge::merge_reports(outputs), self.summary))
     }
 }

@@ -844,17 +844,25 @@ impl StreamPipeline {
 
     /// Closes the stream, waits for all workers and merges their reports.
     ///
+    /// Every shard's channel closes before any shard is joined, so the
+    /// shards drain and verify their keys' final segments in parallel.
+    ///
     /// # Panics
     ///
-    /// Re-raises any worker panic.
+    /// Re-raises a worker panic (the lowest-numbered panicking shard's).
     pub fn finish(mut self) -> PipelineOutput {
         for shard in 0..self.workers.len() {
             self.flush_shard(shard);
         }
+        // Dropping each sender closes its channel; the worker drains and
+        // exits. Collecting first closes every channel before any join.
+        let handles: Vec<_> = self
+            .workers
+            .into_iter()
+            .map(|worker| worker.handle.expect("flush_shard diverges when it takes a handle"))
+            .collect();
         let mut output = PipelineOutput::default();
-        for worker in self.workers {
-            drop(worker.sender); // closes the channel; the worker drains and exits
-            let handle = worker.handle.expect("flush_shard diverges when it takes a handle");
+        for handle in handles {
             match handle.join() {
                 Ok((reports, errors)) => {
                     output.keys.extend(reports);
@@ -882,6 +890,8 @@ mod tests {
     use kav_history::stream::completion_order;
     use kav_history::{Time, Value};
     use kav_workloads::{ladder, random_k_atomic, RandomHistoryConfig};
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::time::Duration;
 
     fn keyed_corpus(keys: u64) -> Vec<(u64, kav_history::History)> {
         (0..keys)
@@ -1370,6 +1380,65 @@ mod tests {
         }));
         let payload = result.expect_err("worker panic must propagate");
         assert_eq!(panic_message(payload.as_ref()), "worker exploded on purpose");
+    }
+
+    /// A verifier whose every call waits, for at most a few seconds, until
+    /// `calls` calls have arrived, and records whether it gave up waiting.
+    #[derive(Clone)]
+    struct RendezvousVerifier {
+        calls: usize,
+        /// Calls arrived so far, and whether any call gave up.
+        state: Arc<(Mutex<(usize, bool)>, Condvar)>,
+    }
+
+    impl RendezvousVerifier {
+        fn new(calls: usize) -> Self {
+            RendezvousVerifier { calls, state: Arc::default() }
+        }
+
+        fn gave_up(&self) -> bool {
+            self.state.0.lock().unwrap().1
+        }
+    }
+
+    impl Verifier for RendezvousVerifier {
+        fn k(&self) -> u64 {
+            2
+        }
+        fn name(&self) -> &'static str {
+            "rendezvous"
+        }
+        fn verify(&self, _: &kav_history::History) -> Verdict {
+            let (lock, arrived) = &*self.state;
+            let mut state = lock.lock().unwrap();
+            state.0 += 1;
+            arrived.notify_all();
+            let (mut state, wait) = arrived
+                .wait_timeout_while(state, Duration::from_secs(5), |(n, _)| *n < self.calls)
+                .unwrap();
+            state.1 |= wait.timed_out();
+            Verdict::Consistent
+        }
+    }
+
+    #[test]
+    fn finish_verifies_every_shard_at_once() {
+        // One key per shard, in a window wider than the stream: each key's
+        // only segment is verified in finish, and each shard's verify
+        // waits for the other's.
+        let verifier = RendezvousVerifier::new(2);
+        let mut pipeline = StreamPipeline::new(
+            verifier.clone(),
+            PipelineConfig { shards: 2, window: 64, ..Default::default() },
+        );
+        for shard in 0..2 {
+            let key = (0u64..).find(|key| shard_of(*key, 2) == shard).unwrap();
+            pipeline.push(key, Operation::write(Value(1), Time(0), Time(10)));
+            pipeline.push(key, Operation::read(Value(1), Time(12), Time(20)));
+        }
+        let output = pipeline.finish();
+        assert_eq!(output.keys.len(), 2);
+        assert!(!verifier.gave_up(), "a shard verified while the other's channel was open");
     }
 
     #[test]

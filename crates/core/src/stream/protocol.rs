@@ -14,9 +14,13 @@
 //! BATCH    routed frames      (no reply — ingest is pipelined)
 //! SNAPSHOT                    SNAPSHOT_REPLY {SnapshotReply}
 //! RETIRE   {KeyRange}         RETIRE_REPLY   {RangeSnapshot}
-//! FINISH                      FINISH_REPLY   {FinishReply}, then exit
+//! FINISH                      FINISH_REPLY   {FinishReply}
 //!                             ERROR    diagnostic text, then exit 2
 //! ```
+//!
+//! FINISH is not terminal: a worker that has answered it keeps serving, so
+//! it can adopt the ranges of a peer that died at the finish line (see
+//! [`worker_loop`] for when it exits).
 //!
 //! Every message is `tag u8 | length u32 LE | payload`. BATCH payloads
 //! are [`encode_routed_batch`] bytes (magic, key-range routing header,
@@ -35,9 +39,13 @@
 //!
 //! **No deadlock**: a worker writes only in reply to a request, and the
 //! coordinator writes nothing to a worker whose reply it has not yet read
-//! in full. A SNAPSHOT goes to every worker before any reply is read, so
-//! workers serialise in parallel; a worker blocked on a full pipe is then
-//! one the coordinator will read before it writes to it again.
+//! in full. A SNAPSHOT or a FINISH goes to every worker it is meant for
+//! before any reply is read, so workers serialise snapshots and verify
+//! their final windows in parallel; a worker blocked on a full pipe is
+//! then one the coordinator will read before it writes to it again. The
+//! coordinator reads every reply of a round, even after a death, and
+//! re-homes the dead worker's ranges (ASSIGN, BATCH) only once the round
+//! is drained.
 //!
 //! [`StreamPipeline`]: super::StreamPipeline
 //! [`encode_routed_batch`]: kav_history::frame::encode_routed_batch
@@ -76,7 +84,8 @@ pub mod tag {
     pub const SNAPSHOT: u8 = 3;
     /// Coordinator → worker: give up a range, replying with its final snapshot.
     pub const RETIRE: u8 = 4;
-    /// Coordinator → worker: finish every pipeline and reply with reports.
+    /// Coordinator → worker: finish and drop every owned range, replying
+    /// with their reports.
     pub const FINISH: u8 = 5;
     /// Worker → coordinator: reply to SNAPSHOT.
     pub const SNAPSHOT_REPLY: u8 = 6;
@@ -195,7 +204,7 @@ pub struct RangeOutput {
 }
 
 /// A worker's answer to FINISH: every range's final reports. The worker
-/// exits cleanly after sending it.
+/// then owns no range, and exits cleanly once its link closes.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FinishReply {
     /// One entry per owned range, sorted by range.
@@ -444,18 +453,24 @@ struct OwnedRange {
     pipeline: StreamPipeline,
 }
 
-/// Runs one fleet worker over a transport until FINISH or a fault: reads
-/// the coordinator's preamble, answers with its own, then serves the
-/// message loop — hosting one [`StreamPipeline`] per assigned range,
-/// each verifying with a clone of `verifier`.
+/// Runs one fleet worker over a transport until its link closes or a
+/// fault: reads the coordinator's preamble, answers with its own, then
+/// serves the message loop — hosting one [`StreamPipeline`] per assigned
+/// range, each verifying with a clone of `verifier`.
+///
+/// FINISH is not terminal: the worker reports every range it owns, drops
+/// them and keeps serving, so it can still adopt a range whose owner died
+/// at the finish line (and is asked to FINISH again).
 ///
 /// On a fault the worker best-effort sends an ERROR diagnostic before
 /// returning, and the driver exits 2; it never fabricates a verdict.
 ///
 /// # Errors
 ///
-/// Every protocol violation described on [`ProtocolError`]; `Ok(())`
-/// only after a complete FINISH exchange.
+/// Every protocol violation described on [`ProtocolError`]. The link
+/// closing is `Ok(())` only after the worker has answered a FINISH and
+/// while it owns no range; any other close is
+/// [`ProtocolError::Disconnected`].
 pub fn worker_loop<V: Verifier + Clone + Send + 'static>(
     verifier: V,
     mut input: impl Read,
@@ -482,8 +497,13 @@ fn worker_loop_inner<V: Verifier + Clone + Send + 'static>(
 
     let mut owned: Vec<OwnedRange> = Vec::new();
     let mut snapshot_version = 0u64;
+    let mut finished = false;
     loop {
-        let (tag, payload) = read_message(input)?;
+        let (tag, payload) = match read_message(input) {
+            // Everything this worker verified has been reported.
+            Err(ProtocolError::Disconnected) if finished && owned.is_empty() => return Ok(()),
+            message => message?,
+        };
         match tag {
             tag::ASSIGN => {
                 let RangeSnapshot { range, snapshot } = RangeSnapshot::decode(payload)?;
@@ -572,7 +592,7 @@ fn worker_loop_inner<V: Verifier + Clone + Send + 'static>(
                 let reply = FinishReply { ranges };
                 write_message(output, tag::FINISH_REPLY, &to_json(&reply)?)?;
                 output.flush()?;
-                return Ok(());
+                finished = true;
             }
             other => return Err(ProtocolError::UnknownTag(other)),
         }

@@ -7,21 +7,23 @@
 //! [`ProtocolError`]: k_atomicity::verify::ProtocolError
 
 use k_atomicity::history::frame::{decode_routed_batch, encode_routed_batch, KeyRange};
-use k_atomicity::history::{Operation, Time, Value};
+use k_atomicity::history::{History, Operation, Time, Value};
 use k_atomicity::verify::protocol::{
     expect_preamble, read_message, tag, write_message, FinishReply, RangeOutput, RangeSnapshot,
     SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
 };
 use k_atomicity::verify::{
     worker_loop, FleetConfig, FleetCoordinator, FleetSummary, Fzf, LayoutError, ModelId,
-    PipelineConfig, ProtocolError, SnapshotFragments, StreamPipeline, WorkerLink,
+    PipelineConfig, ProtocolError, SnapshotFragments, StreamPipeline, Verdict, Verifier,
+    WorkerLink,
 };
 use k_atomicity::workloads::{streaming_workload, StreamingWorkloadConfig};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Worker-side rejections: a test driver plays coordinator over raw bytes.
@@ -627,12 +629,12 @@ impl Write for SignalOnFlush {
 }
 
 /// A reader that keeps a copy of every byte read through it.
-struct Recorded {
-    inner: UnixStream,
+struct Recorded<R> {
+    inner: R,
     bytes: Arc<Mutex<Vec<u8>>>,
 }
 
-impl Read for Recorded {
+impl<R: Read> Read for Recorded<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
         self.bytes.lock().unwrap().extend_from_slice(&buf[..n]);
@@ -721,4 +723,192 @@ fn a_death_mid_probe_drains_the_peer_hands_off_and_retries() {
         }
     }
     assert_eq!(replies, [(1, 1), (2, 2), (3, 2)]);
+}
+
+// ---------------------------------------------------------------------------
+// The finish line: every worker finishes at once, and a death there is
+// absorbed.
+// ---------------------------------------------------------------------------
+
+/// A verifier whose every call waits, for at most a few seconds, until
+/// `calls` calls have arrived, and records whether it gave up waiting.
+#[derive(Clone)]
+struct RendezvousVerifier {
+    calls: usize,
+    /// Calls arrived so far, and whether any call gave up.
+    state: Arc<(Mutex<(usize, bool)>, Condvar)>,
+}
+
+impl RendezvousVerifier {
+    fn new(calls: usize) -> Self {
+        RendezvousVerifier { calls, state: Arc::default() }
+    }
+
+    fn gave_up(&self) -> bool {
+        self.state.0.lock().unwrap().1
+    }
+}
+
+impl Verifier for RendezvousVerifier {
+    fn k(&self) -> u64 {
+        2
+    }
+    fn name(&self) -> &'static str {
+        "rendezvous"
+    }
+    fn verify(&self, _: &History) -> Verdict {
+        let (lock, arrived) = &*self.state;
+        let mut state = lock.lock().unwrap();
+        state.0 += 1;
+        arrived.notify_all();
+        let (mut state, wait) = arrived
+            .wait_timeout_while(state, Duration::from_secs(5), |(n, _)| *n < self.calls)
+            .unwrap();
+        state.1 |= wait.timed_out();
+        Verdict::Consistent
+    }
+}
+
+/// Spawns one `worker_loop` running `verifier`, returning the
+/// coordinator's link to it plus the handle resolving to the loop's exit.
+fn worker_link<V: Verifier + Clone + Send + 'static>(
+    verifier: V,
+) -> (WorkerLink, JoinHandle<Result<(), ProtocolError>>) {
+    let (coordinator_side, worker_side) = UnixStream::pair().expect("socketpair");
+    let handle = std::thread::spawn(move || {
+        let input = worker_side.try_clone().expect("clone");
+        worker_loop(verifier, input, worker_side)
+    });
+    let link = WorkerLink {
+        writer: Box::new(coordinator_side.try_clone().expect("clone")),
+        reader: Box::new(coordinator_side),
+    };
+    (link, handle)
+}
+
+#[test]
+fn finish_reaches_every_worker_before_any_reply() {
+    let verifier = RendezvousVerifier::new(2);
+    let (links, handles): (Vec<_>, Vec<_>) =
+        (0..2).map(|_| worker_link(verifier.clone())).unzip();
+    let config = FleetConfig { algo: "rendezvous".to_owned(), window: 64, ..fleet_config() };
+    let mut fleet = FleetCoordinator::new(config, links).expect("fleet start");
+    // One key per worker, in a window wider than the stream: each key's
+    // only segment is verified at FINISH, and each worker's verify waits
+    // for the other's.
+    for range in KeyRange::partition(2) {
+        let key = keys_in(range, 1)[0];
+        fleet.push(key, Operation::write(Value(1), Time(0), Time(10))).unwrap();
+        fleet.push(key, Operation::read(Value(1), Time(12), Time(20))).unwrap();
+    }
+    let (output, _) = fleet.finish().expect("fleet finish");
+    for handle in handles {
+        handle.join().unwrap().expect("a finished worker exits cleanly");
+    }
+    assert_eq!(output.keys.len(), 2);
+    assert!(!verifier.gave_up(), "a worker verified before the other was sent FINISH");
+}
+
+#[test]
+fn a_death_at_finish_is_absorbed_by_a_finished_survivor() {
+    let records = streaming_workload(StreamingWorkloadConfig {
+        keys: 8,
+        ops_per_key: 30,
+        k: 2,
+        seed: 11,
+        ..Default::default()
+    });
+
+    // Worker 1, the last asked, takes everything it is sent, reads FINISH
+    // and closes its socket without replying: every other worker has
+    // answered FINISH by the time its death is found.
+    let (dying_side, mut dying) = UnixStream::pair().expect("socketpair");
+    let dying_handle = std::thread::spawn(move || {
+        expect_preamble(&mut dying, COORDINATOR_MAGIC).unwrap();
+        dying.write_all(&WORKER_MAGIC).unwrap();
+        dying.flush().unwrap();
+        while read_message(&mut dying).unwrap().0 != tag::FINISH {}
+    });
+    let dying_link = WorkerLink {
+        writer: Box::new(dying_side.try_clone().unwrap()),
+        reader: Box::new(dying_side),
+    };
+    // Worker 0 is a real worker; the coordinator keeps what it reads from
+    // it.
+    let (survivor, survivor_handle) = worker_link(Fzf);
+    let read_from_survivor = Arc::new(Mutex::new(Vec::new()));
+    let survivor = WorkerLink {
+        writer: survivor.writer,
+        reader: Box::new(Recorded { inner: survivor.reader, bytes: read_from_survivor.clone() }),
+    };
+
+    let mut fleet =
+        FleetCoordinator::new(fleet_config(), vec![survivor, dying_link]).expect("fleet start");
+    let config = PipelineConfig { shards: 2, window: 8, ..Default::default() };
+    let mut single = StreamPipeline::new(Fzf, config);
+    for record in &records {
+        fleet.push(record.key, record.op()).unwrap();
+        single.push(record.key, record.op());
+    }
+    let (output, summary) = fleet.finish().expect("the survivor finishes the dead worker's range");
+    dying_handle.join().unwrap();
+    survivor_handle.join().unwrap().expect("the survivor exits cleanly once the fleet is gone");
+    let single = single.finish();
+    assert_eq!(output.keys, single.keys);
+    assert_eq!(output.errors, single.errors);
+    assert_eq!((summary.hand_offs, summary.uncertified_hand_offs), (1, 0));
+
+    // The survivor answered FINISH for its own range, then adopted the
+    // dead worker's and answered a second FINISH for that one.
+    let recorded = read_from_survivor.lock().unwrap().clone();
+    let mut stream = &recorded[WORKER_MAGIC.len()..];
+    let mut finished = Vec::new();
+    while let Ok((got, payload)) = read_message(&mut stream) {
+        assert_eq!(got, tag::FINISH_REPLY);
+        let text = String::from_utf8(payload).unwrap();
+        let reply: FinishReply = serde_json::from_str(&text).unwrap();
+        finished.push(reply.ranges.iter().map(|r| r.range).collect::<Vec<_>>());
+    }
+    let [low, high] = KeyRange::partition(2)[..] else { panic!("two ranges") };
+    assert_eq!(finished, [vec![low], vec![high]]);
+}
+
+#[test]
+fn a_worker_exits_cleanly_only_once_finished_and_rangeless() {
+    let finish = |socket: &mut UnixStream| {
+        write_message(socket, tag::FINISH, &[]).unwrap();
+        socket.flush().unwrap();
+        assert_eq!(read_message(socket).unwrap().0, tag::FINISH_REPLY);
+    };
+    let disconnected = |exit: Result<(), ProtocolError>| {
+        assert!(matches!(exit, Err(ProtocolError::Disconnected)), "got {exit:?}");
+    };
+
+    // Closed before any FINISH, with a range and without.
+    let (mut socket, handle) = spawn_worker();
+    handshake(&mut socket);
+    assign(&mut socket, KeyRange::ALL);
+    drop(socket);
+    disconnected(handle.join().unwrap());
+    let (mut socket, handle) = spawn_worker();
+    handshake(&mut socket);
+    drop(socket);
+    disconnected(handle.join().unwrap());
+
+    // Closed after a FINISH, but holding a range adopted since.
+    let (mut socket, handle) = spawn_worker();
+    handshake(&mut socket);
+    assign(&mut socket, KeyRange::ALL);
+    finish(&mut socket);
+    assign(&mut socket, KeyRange::ALL);
+    drop(socket);
+    disconnected(handle.join().unwrap());
+
+    // Closed after a FINISH that left it no range: a clean exit.
+    let (mut socket, handle) = spawn_worker();
+    handshake(&mut socket);
+    assign(&mut socket, KeyRange::ALL);
+    finish(&mut socket);
+    drop(socket);
+    handle.join().unwrap().expect("a finished worker exits cleanly");
 }
