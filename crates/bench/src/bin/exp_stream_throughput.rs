@@ -543,11 +543,11 @@ fn main() {
     }
 
     // Fleet axis: the same stream through the multi-process data plane
-    // (coordinator routing + wire protocol + worker-side pipelines), with
+    // (coordinator routing + wire protocol + worker-side shards), with
     // workers as in-process threads so the row measures the architecture,
     // not fork/exec. The vs-single column is the distribution overhead
     // against the plain single-process pipeline on the same input.
-    println!("\n## fleet throughput (fzf, window {window}, batch 256, one thread per range)\n");
+    println!("\n## fleet throughput (fzf, window {window}, batch 256, one thread per worker)\n");
     header(&["workers", "ops/s", "vs single-process"]);
     let single = measure(
         Fzf,

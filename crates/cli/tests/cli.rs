@@ -1427,7 +1427,8 @@ fn a_checkpoint_with_delta_hops_is_refused_and_serve_takes_no_shards() {
         assert!(!stderr(&out).contains("worker:"), "{}", stderr(&out));
     }
 
-    // A fleet runs one thread per key range: its size is --workers.
+    // A fleet worker is one process running one thread: a fleet's size is
+    // --workers.
     let out = kav(&["serve", "--shards", "2", input.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("--workers"), "{}", stderr(&out));

@@ -62,8 +62,8 @@ use super::merge::{
 use super::pipeline::{check_counts, PipelineOutput, PipelineSnapshot};
 use crate::models::ModelId;
 use super::protocol::{
-    expect_preamble, parse_json, read_message, tag, to_json, write_message, FinishReply,
-    ProtocolError, RangeSnapshot, SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
+    expect_preamble, parse_json, read_message, tag, to_json, valid_range, write_message,
+    FinishReply, ProtocolError, RangeSnapshot, SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
 };
 use kav_history::frame::{encode_routed_batch, KeyRange};
 use kav_history::Operation;
@@ -211,19 +211,8 @@ impl FleetCoordinator {
     /// Any preamble or assignment failure ([`ProtocolError`]); a fleet
     /// that cannot start assigns no work.
     pub fn new(config: FleetConfig, links: Vec<WorkerLink>) -> Result<Self, ProtocolError> {
-        let empty = PipelineSnapshot {
-            algo: config.algo.clone(),
-            model: config.model,
-            k: config.k,
-            window: config.window.max(1),
-            horizon: super::resolve_horizon(config.window, config.horizon),
-            ops_routed: 0,
-            uncertified: false,
-            partition: None,
-            states: Vec::new(),
-            reports: Vec::new(),
-            errors: Vec::new(),
-        };
+        let (window, horizon) = (config.window, config.horizon);
+        let empty = PipelineSnapshot::empty(&config.algo, config.model, config.k, window, horizon);
         Self::resume(config, links, &empty, true)
     }
 
@@ -457,7 +446,7 @@ impl FleetCoordinator {
             .map(|state| state.range)
             .collect();
         owned.sort();
-        let mut got: Vec<KeyRange> = got.collect();
+        let mut got: Vec<KeyRange> = got.map(valid_range).collect::<Result<_, _>>()?;
         got.sort();
         if owned != got {
             return Err(ProtocolError::UnassignedRange(

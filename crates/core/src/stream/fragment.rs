@@ -32,7 +32,7 @@
 //! it allocates or slices, and checks that every key lies in the range,
 //! ascends strictly within its list, and opens its own fragment.
 
-use super::pipeline::{KeyError, KeyReport, KeySnapshot, PipelineSnapshot};
+use super::pipeline::{KeyEntries, KeyError, KeyReport, KeySnapshot, PipelineSnapshot};
 use crate::models::ModelId;
 use kav_history::frame::KeyRange;
 use serde::{Deserialize, Serialize};
@@ -120,6 +120,42 @@ const LISTS: [(&str, &str); 3] = [("states", "state"), ("reports", "report"), ("
 /// Bytes of one index entry: key u64, len u32.
 const INDEX_ENTRY: usize = 12;
 
+impl PipelineSnapshot {
+    /// The snapshot with `header`'s fields and these key lists.
+    pub(super) fn from_parts(header: SnapshotHeader, entries: KeyEntries) -> Self {
+        let SnapshotHeader { algo, model, k, window, horizon, ops_routed, uncertified, partition } =
+            header;
+        let (states, reports, errors) = entries;
+        PipelineSnapshot {
+            algo,
+            model,
+            k,
+            window,
+            horizon,
+            ops_routed,
+            uncertified,
+            partition,
+            states,
+            reports,
+            errors,
+        }
+    }
+
+    /// Everything but the key lists.
+    pub(super) fn header(&self) -> SnapshotHeader {
+        SnapshotHeader {
+            algo: self.algo.clone(),
+            model: self.model,
+            k: self.k,
+            window: self.window,
+            horizon: self.horizon,
+            ops_routed: self.ops_routed,
+            uncertified: self.uncertified,
+            partition: self.partition,
+        }
+    }
+}
+
 impl TryFrom<PipelineSnapshot> for SnapshotFragments {
     type Error = serde_json::Error;
 
@@ -139,19 +175,10 @@ impl TryFrom<PipelineSnapshot> for SnapshotFragments {
                 .collect()
         }
         Ok(SnapshotFragments {
+            header: snapshot.header(),
             states: fragments(&snapshot.states, |e: &KeySnapshot| e.key)?,
             reports: fragments(&snapshot.reports, |e: &KeyReport| e.key)?,
             errors: fragments(&snapshot.errors, |e: &KeyError| e.key)?,
-            header: SnapshotHeader {
-                algo: snapshot.algo,
-                model: snapshot.model,
-                k: snapshot.k,
-                window: snapshot.window,
-                horizon: snapshot.horizon,
-                ops_routed: snapshot.ops_routed,
-                uncertified: snapshot.uncertified,
-                partition: snapshot.partition,
-            },
         })
     }
 }
@@ -186,20 +213,10 @@ impl SnapshotFragments {
                 })
                 .collect()
         }
-        let header = self.header.clone();
-        Ok(PipelineSnapshot {
-            algo: header.algo,
-            model: header.model,
-            k: header.k,
-            window: header.window,
-            horizon: header.horizon,
-            ops_routed: header.ops_routed,
-            uncertified: header.uncertified,
-            partition: header.partition,
-            states: entries(&self.states, |e: &KeySnapshot| e.key)?,
-            reports: entries(&self.reports, |e: &KeyReport| e.key)?,
-            errors: entries(&self.errors, |e: &KeyError| e.key)?,
-        })
+        let states = entries(&self.states, |e: &KeySnapshot| e.key)?;
+        let reports = entries(&self.reports, |e: &KeyReport| e.key)?;
+        let errors = entries(&self.errors, |e: &KeyError| e.key)?;
+        Ok(PipelineSnapshot::from_parts(self.header.clone(), (states, reports, errors)))
     }
 
     /// Writes the snapshot as compact JSON: the bytes `serde_json::to_string`
@@ -276,10 +293,13 @@ impl SnapshotFragments {
         let (index, _) = cursor.take(entries * INDEX_ENTRY as u64)?;
         let (start, end) = cursor.take(u64::from(header_len))?;
         let payload = Arc::clone(&cursor.payload);
-        let header = std::str::from_utf8(&payload[start..end])
+        let header: SnapshotHeader = std::str::from_utf8(&payload[start..end])
             .map_err(|e| e.to_string())
             .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
             .map_err(LayoutError::Header)?;
+        if let Some(partition) = header.partition.filter(|partition| !partition.is_valid()) {
+            return Err(LayoutError::BadRange(partition));
+        }
         let mut index = payload[index..].chunks_exact(INDEX_ENTRY);
         let mut lists: [Vec<Fragment>; 3] = Default::default();
         for ((list, count), (_, field)) in lists.iter_mut().zip(counts).zip(LISTS) {
@@ -368,7 +388,7 @@ pub enum LayoutError {
     },
     /// Bytes follow the last declared field.
     TrailingBytes(usize),
-    /// A range that fails [`KeyRange::is_valid`].
+    /// A range, or a header's partition, that fails [`KeyRange::is_valid`].
     BadRange(KeyRange),
     /// Two ranges of one message overlap, so a key could belong to both.
     OverlappingRanges(KeyRange, KeyRange),

@@ -25,7 +25,7 @@
 //!
 //! [`StreamPipeline`]: super::StreamPipeline
 
-use super::fragment::SnapshotFragments;
+use super::fragment::{SnapshotFragments, SnapshotHeader};
 use super::pipeline::{PipelineOutput, PipelineSnapshot};
 use kav_history::frame::KeyRange;
 use serde::{Deserialize, Serialize};
@@ -130,19 +130,11 @@ pub fn partition_snapshot(
         slice.sort_by_key(key);
         slice
     }
-    PipelineSnapshot {
-        algo: parent.algo.clone(),
-        model: parent.model,
-        k: parent.k,
-        window: parent.window,
-        horizon: parent.horizon,
-        ops_routed,
-        uncertified: parent.uncertified,
-        partition: Some(range),
-        states: slice(&parent.states, |entry| entry.key, range),
-        reports: slice(&parent.reports, |entry| entry.key, range),
-        errors: slice(&parent.errors, |entry| entry.key, range),
-    }
+    let header = SnapshotHeader { ops_routed, partition: Some(range), ..parent.header() };
+    let states = slice(&parent.states, |entry| entry.key, range);
+    let reports = slice(&parent.reports, |entry| entry.key, range);
+    let errors = slice(&parent.errors, |entry| entry.key, range);
+    PipelineSnapshot::from_parts(header, (states, reports, errors))
 }
 
 /// The accepted-operation count of `parent`'s keys inside `range` — the

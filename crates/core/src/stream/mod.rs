@@ -652,7 +652,7 @@ impl<V: Verifier> OnlineVerifier<V> {
         Ok(self.report())
     }
 
-    fn report(self) -> StreamReport {
+    fn report(&self) -> StreamReport {
         StreamReport {
             model: self.verifier.model(),
             k: self.verifier.k(),

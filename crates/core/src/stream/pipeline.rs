@@ -1,34 +1,37 @@
 //! Sharded multi-register streaming verification.
 //!
 //! k-atomicity is a local property (§II-B): each register verifies
-//! independently, so a multi-register stream shards by key. The pipeline
-//! spawns one worker thread per shard, each owning the
-//! [`OnlineVerifier`]s of the keys hashed to it.
+//! independently, so a multi-register stream shards by key. A `Shard`
+//! owns the [`OnlineVerifier`]s of the keys hashed to it, and its verdicts
+//! are a function of the operations pushed into it alone. The pipeline
+//! spawns one thread per shard, each driving one `Shard`; a fleet worker
+//! drives one per range inline (see [`protocol`](super::protocol)).
 //!
 //! The ingest side only hashes and buffers: `(key, Operation)` pairs
 //! accumulate in a per-shard `Vec` of [`PipelineConfig::batch`] pairs and
 //! cross the channel as one batch per flush, so the per-operation cost of
 //! ingest is a hash and a push; channel synchronisation (the ~1.5M ops/s
 //! ceiling of per-operation sends) is amortised over the whole batch.
-//! Workers likewise receive a batch per `recv` and verify its pairs in
-//! order. Throughput then scales with shard count until the work itself
+//! Shard threads likewise receive a batch per `recv` and verify its pairs
+//! in order. Throughput then scales with shard count until the work itself
 //! (not the channel) saturates the cores.
 //!
 //! # Probes: snapshots and progress
 //!
-//! Besides batches, the ingest side can send a worker a *probe*. A probe
-//! is answered only after every batch queued before it — channels are
-//! FIFO — so probing all shards after flushing the ingest buffers yields
-//! a **consistent cut**: the merged answer reflects exactly the
+//! Besides batches, the ingest side can send a shard thread a *probe*. A
+//! probe is answered only after every batch queued before it — channels
+//! are FIFO — so probing all shards after flushing the ingest buffers
+//! yields a **consistent cut**: the merged answer reflects exactly the
 //! operations pushed so far, none in flight. [`StreamPipeline::snapshot`]
 //! uses probes to assemble a [`PipelineSnapshot`] (resumable via
 //! [`StreamPipeline::resume`] — see the stream-module docs on
 //! [`OnlineVerifier`] for the soundness argument), and
 //! [`StreamPipeline::progress`] uses them for a cheap
 //! [`PipelineProgress`] summary. Both pause ingest for one channel
-//! round-trip per shard; verification itself keeps running until a worker
+//! round-trip per shard; verification itself keeps running until a thread
 //! drains its queue and answers.
 
+use super::fragment::SnapshotHeader;
 use super::{
     check_count, check_identity, check_online_counts, resolve_horizon, OnlineSnapshot,
     OnlineVerifier, SnapshotError, StreamReport,
@@ -192,6 +195,42 @@ pub struct PipelineSnapshot {
     pub errors: Vec<KeyError>,
 }
 
+/// A snapshot's three key lists: live states, early reports, errors.
+pub(super) type KeyEntries = (Vec<KeySnapshot>, Vec<KeyReport>, Vec<KeyError>);
+
+impl PipelineSnapshot {
+    /// The snapshot of an audit that has routed nothing: what a fresh
+    /// pipeline or fleet starts from. `window` and `horizon` resolve as a
+    /// [`PipelineConfig`]'s do.
+    pub(super) fn empty(
+        algo: &str,
+        model: ModelId,
+        k: u64,
+        window: usize,
+        horizon: Option<usize>,
+    ) -> Self {
+        let header = SnapshotHeader {
+            algo: algo.to_string(),
+            model,
+            k,
+            window: window.max(1),
+            horizon: resolve_horizon(window, horizon),
+            ops_routed: 0,
+            uncertified: false,
+            partition: None,
+        };
+        Self::from_parts(header, KeyEntries::default())
+    }
+}
+
+/// `entries` with each list sorted by key.
+fn sorted(mut entries: KeyEntries) -> KeyEntries {
+    entries.0.sort_by_key(|entry| entry.key);
+    entries.1.sort_by_key(|entry| entry.key);
+    entries.2.sort_by_key(|entry| entry.key);
+    entries
+}
+
 /// The counts check [`read_checkpoint`](super::read_checkpoint) and
 /// [`StreamPipeline::resume`] run: no running count, a key's included, is
 /// at or above 2^63, which no audit reaches (finalised reports never grow).
@@ -262,10 +301,8 @@ pub struct PipelineProgress {
     pub shards: Vec<ShardProgress>,
 }
 
-/// Per-key reports a worker accumulated.
-type KeyReports = Vec<(u64, StreamReport)>;
-/// Keys a worker gave up on, with the error message.
-type KeyErrors = Vec<(u64, String)>;
+/// A finished shard's reports and errors, each sorted by key.
+type Finished = (Vec<KeyReport>, Vec<KeyError>);
 /// What crosses the channel in the common case: a batch of keyed ops.
 type Batch = Vec<(u64, Operation)>;
 
@@ -280,14 +317,213 @@ fn empty_batch(batch: usize) -> Batch {
     Vec::with_capacity(batch.min(MAX_PREALLOCATED))
 }
 
-/// A worker's answer to a probe.
+/// The keys of one shard and everything verified about them: the live
+/// per-key [`OnlineVerifier`]s, the reports and errors of keys that
+/// failed, and the taint of an unverified resume. Its verdicts depend on
+/// the operations pushed into it alone, so a pipeline thread and a fleet
+/// worker drive it alike.
+pub(super) struct Shard<V> {
+    verifier: V,
+    window: usize,
+    horizon: usize,
+    /// Some hop of the snapshot chain was resumed unverified: every key,
+    /// a key first seen later included, is tainted.
+    uncertified: bool,
+    // Keyed by *untrusted* input keys and unbounded in size, so these
+    // stay on the standard library's DoS-resistant hasher (unlike the
+    // builder-internal maps, which are bounded by window/horizon — see
+    // `kav_history::fxhash`).
+    states: HashMap<u64, OnlineVerifier<V>>,
+    failed: HashSet<u64>,
+    reports: Vec<KeyReport>,
+    errors: Vec<KeyError>,
+}
+
+impl<V: Verifier + Clone> Shard<V> {
+    /// Checks `snapshot` against `verifier` and `config`, and deals its
+    /// keys over `config.shards` shards (see [`StreamPipeline::resume`]).
+    pub(super) fn resume(
+        verifier: &V,
+        config: &PipelineConfig,
+        snapshot: &PipelineSnapshot,
+        prefix_verified: bool,
+    ) -> Result<Vec<Self>, SnapshotError> {
+        check_identity(verifier, &snapshot.algo, snapshot.model, snapshot.k)?;
+        check_counts(snapshot)?;
+        let window = config.window.max(1);
+        let horizon = resolve_horizon(config.window, config.horizon);
+        if window != snapshot.window || horizon != snapshot.horizon {
+            return Err(SnapshotError::new(format!(
+                "snapshot used window {} / horizon {}, resuming config resolves to \
+                 window {window} / horizon {horizon}",
+                snapshot.window, snapshot.horizon
+            )));
+        }
+        // Taint is sticky across hops: one unverified resume anywhere in
+        // the chain leaves the whole audit uncertifiable.
+        let uncertified = !prefix_verified || snapshot.uncertified;
+        let mut shards: Vec<Self> = (0..config.shards.max(1))
+            .map(|_| Shard {
+                verifier: verifier.clone(),
+                window,
+                horizon,
+                uncertified,
+                states: HashMap::new(),
+                failed: HashSet::new(),
+                reports: Vec::new(),
+                errors: Vec::new(),
+            })
+            .collect();
+        let count = shards.len();
+        for entry in &snapshot.errors {
+            let shard = &mut shards[shard_of(entry.key, count)];
+            if !shard.failed.insert(entry.key) {
+                return Err(SnapshotError::new(format!(
+                    "key {} listed twice among the failed keys",
+                    entry.key
+                )));
+            }
+            shard.errors.push(entry.clone());
+        }
+        let mut reported: HashSet<u64> = HashSet::new();
+        for entry in &snapshot.reports {
+            if !reported.insert(entry.key) {
+                return Err(SnapshotError::new(format!(
+                    "key {} carries two finalised reports",
+                    entry.key
+                )));
+            }
+        }
+        for entry in &snapshot.states {
+            let shard = &mut shards[shard_of(entry.key, count)];
+            if shard.states.contains_key(&entry.key) {
+                return Err(SnapshotError::new(format!("key {} appears twice", entry.key)));
+            }
+            if shard.failed.contains(&entry.key) {
+                return Err(SnapshotError::new(format!(
+                    "key {} is both live and failed",
+                    entry.key
+                )));
+            }
+            let mut state = OnlineVerifier::resume(verifier.clone(), &entry.state)?;
+            if state.window() != window || state.horizon() != horizon {
+                return Err(SnapshotError::new(format!(
+                    "key {} disagrees with the pipeline's window/horizon",
+                    entry.key
+                )));
+            }
+            if uncertified {
+                state.mark_uncertified();
+            }
+            shard.states.insert(entry.key, state);
+        }
+        for entry in &snapshot.reports {
+            let shard = &mut shards[shard_of(entry.key, count)];
+            if !shard.failed.contains(&entry.key) {
+                return Err(SnapshotError::new(format!(
+                    "key {} finalised early without a recorded stream error",
+                    entry.key
+                )));
+            }
+            shard.reports.push(entry.clone());
+        }
+        Ok(shards)
+    }
+
+    /// Verifies one operation of `key`, unless the key has failed. An
+    /// operation its key refuses fails the key, which keeps its aborted
+    /// report beside the error: a violation already proven must survive
+    /// (abort never certifies YES), and the key's accepted ops and
+    /// segments stay in the tallies — progress counters must never go
+    /// backwards when a key fails.
+    pub(super) fn push(&mut self, key: u64, op: Operation) {
+        if self.failed.contains(&key) {
+            return;
+        }
+        let state = self.states.entry(key).or_insert_with(|| {
+            let mut fresh =
+                OnlineVerifier::with_horizon(self.verifier.clone(), self.window, self.horizon);
+            if self.uncertified {
+                // A key first seen after an unverified resume: its earlier
+                // records may have been lost with the unproven prefix.
+                fresh.mark_uncertified();
+            }
+            fresh
+        });
+        if let Err(e) = state.push(op) {
+            self.errors.push(KeyError { key, error: e.to_string() });
+            self.failed.insert(key);
+            let state = self.states.remove(&key).expect("state was just pushed to");
+            self.reports.push(KeyReport { key, report: state.abort() });
+        }
+    }
+
+    /// The shard's live counters, labelled `shard`: its live keys' reports
+    /// so far and its failed keys' reports, summed.
+    pub(super) fn progress(&self, shard: usize) -> ShardProgress {
+        let mut p =
+            ShardProgress { shard, depth_hist: vec![0; DEPTH_BUCKETS], ..Default::default() };
+        let live: Vec<StreamReport> = self.states.values().map(OnlineVerifier::report).collect();
+        // Restored counts are below 2^63 each, but their sums saturate.
+        for report in live.iter().chain(self.reports.iter().map(|entry| &entry.report)) {
+            p.ops = p.ops.saturating_add(report.ops);
+            p.keys += 1;
+            p.segments = p.segments.saturating_add(report.segments as u64);
+            if report.k_atomic() == Some(false) {
+                p.violating_keys += 1;
+            }
+            p.horizon_breaches = p.horizon_breaches.saturating_add(report.horizon_breaches);
+            p.orphaned_reads = p.orphaned_reads.saturating_add(report.orphaned_reads);
+            p.peak_retired = p.peak_retired.max(report.peak_retired);
+            for (bucket, count) in report.depth_hist.iter().enumerate().take(DEPTH_BUCKETS) {
+                p.depth_hist[bucket] = p.depth_hist[bucket].saturating_add(*count);
+            }
+        }
+        p.resident = self.states.values().map(|state| state.resident() as u64).sum();
+        p.errored_keys = self.errors.len();
+        p
+    }
+
+    /// Every key's state, report and error, each list sorted by key.
+    pub(super) fn snapshot(&self) -> KeyEntries {
+        let states = self.states.iter();
+        let states = states.map(|(&key, state)| KeySnapshot { key, state: state.snapshot() });
+        sorted((states.collect(), self.reports.clone(), self.errors.clone()))
+    }
+
+    /// Ends every key's stream, verifying its last segment.
+    pub(super) fn finish(self) -> Finished {
+        let (mut reports, mut errors) = (self.reports, self.errors);
+        for (key, state) in self.states {
+            // As on the push-error path: if the final flush fails
+            // validation, a violation already proven on this key must
+            // still surface (clone only on that rare path — freeze
+            // consumes the state).
+            let proven = (state.verdict_so_far() == Some(false)).then(|| state.clone());
+            match state.freeze() {
+                Ok(report) => reports.push(KeyReport { key, report }),
+                Err(e) => {
+                    errors.push(KeyError { key, error: e.to_string() });
+                    if let Some(violated) = proven {
+                        reports.push(KeyReport { key, report: violated.abort() });
+                    }
+                }
+            }
+        }
+        reports.sort_by_key(|entry| entry.key);
+        errors.sort_by_key(|entry| entry.key);
+        (reports, errors)
+    }
+}
+
+/// A shard thread's answer to a probe.
 struct ShardProbe {
     progress: ShardProgress,
     /// Present only when the probe asked for a snapshot.
-    snapshot: Option<(Vec<KeySnapshot>, Vec<KeyReport>, Vec<KeyError>)>,
+    snapshot: Option<KeyEntries>,
 }
 
-/// What the ingest side sends a worker.
+/// What the ingest side sends a shard thread.
 enum Msg {
     /// Verify these operations.
     Batch(Batch),
@@ -295,67 +531,12 @@ enum Msg {
     Probe { snapshot: bool, reply: mpsc::SyncSender<ShardProbe> },
 }
 
-/// Initial state handed to a worker: empty for a fresh pipeline, the
-/// checkpointed key states for a resumed one.
-struct ShardSeed<V> {
-    states: Vec<(u64, OnlineVerifier<V>)>,
-    reports: KeyReports,
-    errors: KeyErrors,
-}
-
-impl<V> Default for ShardSeed<V> {
-    fn default() -> Self {
-        ShardSeed { states: Vec::new(), reports: Vec::new(), errors: Vec::new() }
-    }
-}
-
-struct Worker {
+/// A thread driving one [`Shard`].
+struct ShardThread {
     sender: mpsc::SyncSender<Msg>,
-    /// `Some` until the worker is joined; taken early (before `finish`)
+    /// `Some` until the thread is joined; taken early (before `finish`)
     /// only to propagate a panic discovered through a failed send.
-    handle: Option<JoinHandle<(KeyReports, KeyErrors)>>,
-}
-
-/// The live counters of one shard (used for both probe flavours).
-fn shard_progress<V: Verifier>(
-    shard: usize,
-    states: &HashMap<u64, OnlineVerifier<V>>,
-    reports: &KeyReports,
-    errors: &KeyErrors,
-) -> ShardProgress {
-    let mut p = ShardProgress { shard, depth_hist: vec![0; DEPTH_BUCKETS], ..Default::default() };
-    // Restored counts are below 2^63 each, but their sums saturate.
-    for state in states.values() {
-        p.ops = p.ops.saturating_add(state.ops());
-        p.keys += 1;
-        p.segments = p.segments.saturating_add(state.segments() as u64);
-        if state.verdict_so_far() == Some(false) {
-            p.violating_keys += 1;
-        }
-        p.horizon_breaches = p.horizon_breaches.saturating_add(state.horizon_breaches());
-        p.orphaned_reads = p.orphaned_reads.saturating_add(state.orphaned_reads());
-        p.resident += state.resident() as u64;
-        p.peak_retired = p.peak_retired.max(state.peak_retired());
-        for (bucket, count) in state.depth_histogram().iter().enumerate() {
-            p.depth_hist[bucket] = p.depth_hist[bucket].saturating_add(*count);
-        }
-    }
-    for (_, report) in reports {
-        p.ops = p.ops.saturating_add(report.ops);
-        p.keys += 1;
-        p.segments = p.segments.saturating_add(report.segments as u64);
-        if report.k_atomic() == Some(false) {
-            p.violating_keys += 1;
-        }
-        p.horizon_breaches = p.horizon_breaches.saturating_add(report.horizon_breaches);
-        p.orphaned_reads = p.orphaned_reads.saturating_add(report.orphaned_reads);
-        p.peak_retired = p.peak_retired.max(report.peak_retired);
-        for (bucket, count) in report.depth_hist.iter().enumerate().take(DEPTH_BUCKETS) {
-            p.depth_hist[bucket] = p.depth_hist[bucket].saturating_add(*count);
-        }
-    }
-    p.errored_keys = errors.len();
-    p
+    handle: Option<JoinHandle<Finished>>,
 }
 
 /// A running sharded verification pipeline.
@@ -404,26 +585,17 @@ fn shard_progress<V: Verifier>(
 /// assert_eq!(resumed.finish().all_k_atomic(), Some(true));
 /// ```
 pub struct StreamPipeline {
-    workers: Vec<Worker>,
+    workers: Vec<ShardThread>,
     /// Per-shard ingest buffers, flushed at `batch` operations.
     buffers: Vec<Batch>,
     batch: usize,
-    /// Resolved window / horizon / cadence (shards and batch already
-    /// clamped into `workers` / `batch`).
-    window: usize,
-    horizon: usize,
     checkpoint_every: u64,
-    algo: &'static str,
-    model: ModelId,
-    k: u64,
-    ops_routed: u64,
+    /// Every snapshot field but the key lists: the verifier's identity,
+    /// the resolved window and horizon, the operations pushed so far, the
+    /// taint, and the key-range tag (the resumed snapshot's, else none).
+    header: SnapshotHeader,
     /// `ops_routed` as of the last snapshot (cadence anchor).
     ops_at_last_snapshot: u64,
-    /// Some hop of the snapshot chain was resumed unverified.
-    uncertified: bool,
-    /// The key-range slice this pipeline's snapshots are tagged with: the
-    /// resumed snapshot's (a fleet worker's range), else the whole space.
-    partition: Option<KeyRange>,
 }
 
 impl StreamPipeline {
@@ -433,14 +605,10 @@ impl StreamPipeline {
         verifier: V,
         config: PipelineConfig,
     ) -> Self {
-        let shards = config.shards.max(1);
-        Self::build(
-            verifier,
-            config,
-            (0..shards).map(|_| ShardSeed::default()).collect(),
-            0,
-            false,
-        )
+        let (algo, model, k) = (verifier.name(), verifier.model(), verifier.k());
+        let empty = PipelineSnapshot::empty(algo, model, k, config.window, config.horizon);
+        Self::resume(verifier, config, &empty, true)
+            .expect("a pipeline resumes the empty snapshot of its own configuration")
     }
 
     /// Rebuilds a pipeline from a [`snapshot`](Self::snapshot).
@@ -467,238 +635,58 @@ impl StreamPipeline {
         snapshot: &PipelineSnapshot,
         prefix_verified: bool,
     ) -> Result<Self, SnapshotError> {
-        check_identity(&verifier, &snapshot.algo, snapshot.model, snapshot.k)?;
-        check_counts(snapshot)?;
-        let window = config.window.max(1);
-        let horizon = resolve_horizon(config.window, config.horizon);
-        if window != snapshot.window || horizon != snapshot.horizon {
-            return Err(SnapshotError::new(format!(
-                "snapshot used window {} / horizon {}, resuming config resolves to \
-                 window {window} / horizon {horizon}",
-                snapshot.window, snapshot.horizon
-            )));
-        }
-
-        let shards = config.shards.max(1);
-        // Taint is sticky across hops: one unverified resume anywhere in
-        // the chain leaves the whole audit uncertifiable.
-        let uncertified = !prefix_verified || snapshot.uncertified;
-        let mut seeds: Vec<ShardSeed<V>> = (0..shards).map(|_| ShardSeed::default()).collect();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut errored: HashSet<u64> = HashSet::new();
-        for entry in &snapshot.errors {
-            if !errored.insert(entry.key) {
-                return Err(SnapshotError::new(format!(
-                    "key {} listed twice among the failed keys",
-                    entry.key
-                )));
-            }
-        }
-        let mut reported: HashSet<u64> = HashSet::new();
-        for entry in &snapshot.reports {
-            if !reported.insert(entry.key) {
-                return Err(SnapshotError::new(format!(
-                    "key {} carries two finalised reports",
-                    entry.key
-                )));
-            }
-        }
-        for entry in &snapshot.states {
-            if !seen.insert(entry.key) {
-                return Err(SnapshotError::new(format!("key {} appears twice", entry.key)));
-            }
-            if errored.contains(&entry.key) {
-                return Err(SnapshotError::new(format!(
-                    "key {} is both live and failed",
-                    entry.key
-                )));
-            }
-            let mut state = OnlineVerifier::resume(verifier.clone(), &entry.state)?;
-            if state.window() != window || state.horizon() != horizon {
-                return Err(SnapshotError::new(format!(
-                    "key {} disagrees with the pipeline's window/horizon",
-                    entry.key
-                )));
-            }
-            if uncertified {
-                state.mark_uncertified();
-            }
-            seeds[shard_of(entry.key, shards)].states.push((entry.key, state));
-        }
-        for entry in &snapshot.reports {
-            if !errored.contains(&entry.key) {
-                return Err(SnapshotError::new(format!(
-                    "key {} finalised early without a recorded stream error",
-                    entry.key
-                )));
-            }
-            seeds[shard_of(entry.key, shards)]
-                .reports
-                .push((entry.key, entry.report.clone()));
-        }
-        for entry in &snapshot.errors {
-            seeds[shard_of(entry.key, shards)].errors.push((entry.key, entry.error.clone()));
-        }
-        let mut pipeline = Self::build(verifier, config, seeds, snapshot.ops_routed, uncertified);
-        pipeline.partition = snapshot.partition;
-        Ok(pipeline)
-    }
-
-    /// Spawns the workers, fresh or seeded.
-    fn build<V: Verifier + Clone + Send + 'static>(
-        verifier: V,
-        config: PipelineConfig,
-        seeds: Vec<ShardSeed<V>>,
-        ops_routed: u64,
-        uncertified: bool,
-    ) -> Self {
-        let shards = seeds.len();
-        let window = config.window.max(1);
-        let horizon = resolve_horizon(config.window, config.horizon);
+        let shards = Shard::resume(&verifier, &config, snapshot, prefix_verified)?;
+        let mut header = snapshot.header();
+        header.uncertified |= !prefix_verified;
         let batch = config.batch.max(1);
         // Bounded channels apply backpressure: if ingest outpaces
         // verification, `push` blocks instead of queueing the stream in
         // memory. The bound is measured in batches but sized so the
         // in-flight backlog stays at roughly four windows of operations —
         // windowed verification must keep windowed memory.
-        let backlog = window.saturating_mul(4).div_ceil(batch).clamp(2, MAX_PREALLOCATED);
-        let algo = verifier.name();
-        let model = verifier.model();
-        let k = verifier.k();
-        let workers = seeds
+        let backlog = header.window.saturating_mul(4).div_ceil(batch).clamp(2, MAX_PREALLOCATED);
+        let workers: Vec<ShardThread> = shards
             .into_iter()
             .enumerate()
-            .map(|(shard, seed)| {
+            .map(|(index, mut shard)| {
                 let (sender, receiver) = mpsc::sync_channel::<Msg>(backlog);
-                let verifier = verifier.clone();
+                // One recv per message: a batch amortises the channel cost
+                // over its operations; a probe is answered after everything
+                // queued before it (the consistent cut).
                 let handle = std::thread::spawn(move || {
-                    // Keyed by *untrusted* input keys and unbounded in
-                    // size, so these two stay on the standard library's
-                    // DoS-resistant hasher (unlike the builder-internal
-                    // maps, which are bounded by window/horizon — see
-                    // `kav_history::fxhash`).
-                    let mut states: HashMap<u64, OnlineVerifier<V>> =
-                        seed.states.into_iter().collect();
-                    let mut errors: KeyErrors = seed.errors;
-                    let mut failed: HashSet<u64> = errors.iter().map(|(k, _)| *k).collect();
-                    let mut reports: KeyReports = seed.reports;
-                    // One recv per message: a batch amortises the channel
-                    // cost over its operations; a probe is answered after
-                    // everything queued before it (the consistent cut).
                     while let Ok(msg) = receiver.recv() {
-                        let batch = match msg {
-                            Msg::Batch(batch) => batch,
+                        match msg {
+                            Msg::Batch(batch) => {
+                                batch.into_iter().for_each(|(key, op)| shard.push(key, op));
+                            }
                             Msg::Probe { snapshot, reply } => {
-                                let progress =
-                                    shard_progress(shard, &states, &reports, &errors);
-                                let snapshot = snapshot.then(|| {
-                                    let states = states
-                                        .iter()
-                                        .map(|(key, state)| KeySnapshot {
-                                            key: *key,
-                                            state: state.snapshot(),
-                                        })
-                                        .collect();
-                                    let reports = reports
-                                        .iter()
-                                        .map(|(key, report)| KeyReport {
-                                            key: *key,
-                                            report: report.clone(),
-                                        })
-                                        .collect();
-                                    let errors = errors
-                                        .iter()
-                                        .map(|(key, error)| KeyError {
-                                            key: *key,
-                                            error: error.clone(),
-                                        })
-                                        .collect();
-                                    (states, reports, errors)
-                                });
-                                // The ingest side may have given up
-                                // waiting (it propagates our panic, not
-                                // a send error), so a failed reply is
-                                // not fatal here.
+                                let progress = shard.progress(index);
+                                let snapshot = snapshot.then(|| shard.snapshot());
+                                // The ingest side may have given up waiting
+                                // (it propagates our panic, not a send
+                                // error), so a failed reply is not fatal.
                                 let _ = reply.send(ShardProbe { progress, snapshot });
-                                continue;
-                            }
-                        };
-                        for (key, op) in batch {
-                            if failed.contains(&key) {
-                                continue;
-                            }
-                            let state = states.entry(key).or_insert_with(|| {
-                                let mut fresh = OnlineVerifier::with_horizon(
-                                    verifier.clone(),
-                                    window,
-                                    horizon,
-                                );
-                                if uncertified {
-                                    // A key first seen after an unverified
-                                    // resume: its earlier records may have
-                                    // been lost with the unproven prefix.
-                                    fresh.mark_uncertified();
-                                }
-                                fresh
-                            });
-                            if let Err(e) = state.push(op) {
-                                errors.push((key, e.to_string()));
-                                failed.insert(key);
-                                let state =
-                                    states.remove(&key).expect("state was just pushed to");
-                                // Keep the aborted report alongside the
-                                // error: a violation already proven must
-                                // survive (abort never certifies YES),
-                                // and the key's accepted ops/segments
-                                // stay in the tallies — progress
-                                // counters must never go backwards when
-                                // a key fails.
-                                reports.push((key, state.abort()));
                             }
                         }
                     }
-                    for (key, state) in states {
-                        // As on the push-error path: if the final flush
-                        // fails validation, a violation already proven on
-                        // this key must still surface (clone only on that
-                        // rare path — freeze consumes the state).
-                        let proven =
-                            (state.verdict_so_far() == Some(false)).then(|| state.clone());
-                        match state.freeze() {
-                            Ok(report) => reports.push((key, report)),
-                            Err(e) => {
-                                errors.push((key, e.to_string()));
-                                if let Some(violated) = proven {
-                                    reports.push((key, violated.abort()));
-                                }
-                            }
-                        }
-                    }
-                    (reports, errors)
+                    shard.finish()
                 });
-                Worker { sender, handle: Some(handle) }
+                ShardThread { sender, handle: Some(handle) }
             })
             .collect();
-        StreamPipeline {
+        Ok(StreamPipeline {
+            buffers: (0..workers.len()).map(|_| empty_batch(batch)).collect(),
             workers,
-            buffers: (0..shards).map(|_| empty_batch(batch)).collect(),
             batch,
-            window,
-            horizon,
             checkpoint_every: config.checkpoint_every,
-            algo,
-            model,
-            k,
-            ops_routed,
-            ops_at_last_snapshot: ops_routed,
-            uncertified,
-            partition: None,
-        }
+            ops_at_last_snapshot: header.ops_routed,
+            header,
+        })
     }
 
     /// Operations pushed into the pipeline so far (across resumes).
     pub fn ops_routed(&self) -> u64 {
-        self.ops_routed
+        self.header.ops_routed
     }
 
     /// True once [`PipelineConfig::checkpoint_every`] operations have been
@@ -706,7 +694,7 @@ impl StreamPipeline {
     /// start). Drivers that persist checkpoints poll this after pushes.
     pub fn checkpoint_due(&self) -> bool {
         self.checkpoint_every > 0
-            && self.ops_routed - self.ops_at_last_snapshot >= self.checkpoint_every
+            && self.header.ops_routed - self.ops_at_last_snapshot >= self.checkpoint_every
     }
 
     /// Routes one completed operation to its key's shard buffer, flushing
@@ -718,7 +706,7 @@ impl StreamPipeline {
     /// Re-raises the worker's own panic if the shard's worker thread has
     /// died (workers only exit early by panicking).
     pub fn push(&mut self, key: u64, op: Operation) {
-        self.ops_routed += 1;
+        self.header.ops_routed += 1;
         let shard = shard_of(key, self.workers.len());
         self.buffers[shard].push((key, op));
         if self.buffers[shard].len() >= self.batch {
@@ -784,32 +772,16 @@ impl StreamPipeline {
     /// Ingest pauses for the probe round-trip; the pipeline then
     /// continues unaffected — snapshotting is not a stop.
     pub fn snapshot(&mut self) -> PipelineSnapshot {
-        let mut states = Vec::new();
-        let mut reports = Vec::new();
-        let mut errors = Vec::new();
+        let mut entries = KeyEntries::default();
         for probe in self.probe(true) {
-            let (s, r, e) = probe.snapshot.expect("probe(true) answers carry snapshots");
-            states.extend(s);
-            reports.extend(r);
-            errors.extend(e);
+            let (states, reports, errors) =
+                probe.snapshot.expect("probe(true) answers carry snapshots");
+            entries.0.extend(states);
+            entries.1.extend(reports);
+            entries.2.extend(errors);
         }
-        states.sort_by_key(|entry| entry.key);
-        reports.sort_by_key(|entry| entry.key);
-        errors.sort_by_key(|entry| entry.key);
-        self.ops_at_last_snapshot = self.ops_routed;
-        PipelineSnapshot {
-            algo: self.algo.to_string(),
-            model: self.model,
-            k: self.k,
-            window: self.window,
-            horizon: self.horizon,
-            ops_routed: self.ops_routed,
-            uncertified: self.uncertified,
-            partition: self.partition,
-            states,
-            reports,
-            errors,
-        }
+        self.ops_at_last_snapshot = self.header.ops_routed;
+        PipelineSnapshot::from_parts(self.header.clone(), sorted(entries))
     }
 
     /// Probes every worker for its live counters and merges them — the
@@ -817,7 +789,7 @@ impl StreamPipeline {
     /// serialization, one channel round-trip per shard.
     pub fn progress(&mut self) -> PipelineProgress {
         let mut merged = PipelineProgress {
-            ops_routed: self.ops_routed,
+            ops_routed: self.header.ops_routed,
             depth_hist: vec![0; DEPTH_BUCKETS],
             ..Default::default()
         };
@@ -865,8 +837,8 @@ impl StreamPipeline {
         for handle in handles {
             match handle.join() {
                 Ok((reports, errors)) => {
-                    output.keys.extend(reports);
-                    output.errors.extend(errors);
+                    output.keys.extend(reports.into_iter().map(|entry| (entry.key, entry.report)));
+                    output.errors.extend(errors.into_iter().map(|entry| (entry.key, entry.error)));
                 }
                 Err(panic) => std::panic::resume_unwind(panic),
             }

@@ -1,10 +1,12 @@
 //! The coordinator↔worker wire protocol of the audit fleet.
 //!
 //! One coordinator process owns ingest and routing; N worker processes
-//! each own a set of key ranges, one [`StreamPipeline`] per range, started
-//! by resuming the snapshot its assignment carries. The two speak a
-//! length-prefixed message stream over any byte pipe (`kav serve` uses
-//! the spawned workers' stdin/stdout; tests use Unix socket pairs):
+//! each own a set of key ranges. A worker process is one thread running a
+//! [`Worker`], which verifies each range it owns inline, in a shard of its
+//! own started by resuming the snapshot the range's assignment carries.
+//! The two speak a length-prefixed message stream over any byte pipe
+//! (`kav serve` uses the spawned workers' stdin/stdout; tests use Unix
+//! socket pairs or in-memory pipes):
 //!
 //! ```text
 //! coordinator → worker        worker → coordinator
@@ -32,10 +34,11 @@
 //!
 //! **Validation discipline**: every fault — a truncated frame or
 //! snapshot, a wrong magic, a key routed or snapshotted outside its
-//! declared range, a non-ascending snapshot version, a duplicate
-//! assignment — is a [`ProtocolError`], which drivers surface as an exit-2
-//! diagnostic. A protocol fault is *unusable input*, never evidence about
-//! the store: no code path turns one into a verdict.
+//! declared range, a key range no [`KeyRange`] can be, a non-ascending
+//! snapshot version, a duplicate assignment — is a [`ProtocolError`],
+//! which drivers surface as an exit-2 diagnostic. A protocol fault is
+//! *unusable input*, never evidence about the store: no code path turns
+//! one into a verdict.
 //!
 //! **No deadlock**: a worker writes only in reply to a request, and the
 //! coordinator writes nothing to a worker whose reply it has not yet read
@@ -47,16 +50,16 @@
 //! re-homes the dead worker's ranges (ASSIGN, BATCH) only once the round
 //! is drained.
 //!
-//! [`StreamPipeline`]: super::StreamPipeline
 //! [`encode_routed_batch`]: kav_history::frame::encode_routed_batch
 
-use super::fragment::{wire_u32, Cursor, LayoutError, SnapshotFragments};
-use super::pipeline::{KeyError, KeyReport, PipelineConfig, StreamPipeline};
+use super::fragment::{wire_u32, Cursor, LayoutError, SnapshotFragments, SnapshotHeader};
+use super::pipeline::{KeyError, KeyReport, PipelineConfig, PipelineSnapshot, Shard};
 use super::SnapshotError;
 use crate::Verifier;
 use kav_history::frame::{decode_routed_batch, BatchError, KeyRange};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -447,16 +450,139 @@ pub(super) fn to_json<T: Serialize>(value: &T) -> Result<Vec<u8>, ProtocolError>
         .map_err(|e| ProtocolError::Json(e.to_string()))
 }
 
-/// One owned range inside a worker.
-struct OwnedRange {
-    range: KeyRange,
-    pipeline: StreamPipeline,
+/// Refuses a range parsed from JSON that fails [`KeyRange::is_valid`],
+/// before anything prints it.
+pub(super) fn valid_range(range: KeyRange) -> Result<KeyRange, ProtocolError> {
+    let invalid = || ProtocolError::Json(format!("invalid key range {range:?}"));
+    range.is_valid().then_some(range).ok_or_else(invalid)
+}
+
+/// One range a [`Worker`] owns: its shard, and the header of its
+/// snapshots — the one its ASSIGN carried, counting every operation routed
+/// to the range since.
+struct OwnedRange<V> {
+    header: SnapshotHeader,
+    shard: Shard<V>,
+}
+
+impl<V: Verifier + Clone> OwnedRange<V> {
+    /// The state of the range, `range`, at this cut.
+    fn snapshot(&self, range: KeyRange) -> Result<RangeSnapshot, ProtocolError> {
+        let snapshot = PipelineSnapshot::from_parts(self.header.clone(), self.shard.snapshot());
+        Ok(RangeSnapshot { range, snapshot: snapshot.try_into()? })
+    }
+}
+
+/// A fleet worker as a state machine: [`handle`](Self::handle) takes one
+/// coordinator message and writes the reply, so what a worker answers is
+/// a function of the messages it was sent. It verifies each range it owns
+/// with a shard of its own, inline, on the thread that calls it.
+pub struct Worker<V> {
+    verifier: V,
+    owned: BTreeMap<KeyRange, OwnedRange<V>>,
+    /// The version of the last SNAPSHOT_REPLY.
+    snapshot_version: u64,
+    /// Whether a FINISH has been answered.
+    finished: bool,
+}
+
+impl<V: Verifier + Clone> Worker<V> {
+    /// A worker owning no range, verifying with clones of `verifier`.
+    pub fn new(verifier: V) -> Self {
+        Worker { verifier, owned: BTreeMap::new(), snapshot_version: 0, finished: false }
+    }
+
+    /// Whether everything the worker verified has been reported: it has
+    /// answered a FINISH and adopted no range since.
+    pub fn done(&self) -> bool {
+        self.finished && self.owned.is_empty()
+    }
+
+    /// Handles one coordinator message (see the module docs), writing the
+    /// framed reply, if the message gets one, to `reply`: ASSIGN and BATCH
+    /// get none. The caller flushes. A snapshot's fragments go to `reply`
+    /// as they are, never gathered into one buffer. A retired range's
+    /// shard is dropped unverified: its state lives on in the reply, which
+    /// the coordinator re-assigns.
+    ///
+    /// # Errors
+    ///
+    /// Every protocol violation described on [`ProtocolError`], and
+    /// `reply`'s I/O errors; the worker is not to be used after one.
+    pub fn handle(
+        &mut self,
+        tag: u8,
+        payload: Vec<u8>,
+        reply: &mut impl Write,
+    ) -> Result<(), ProtocolError> {
+        match tag {
+            tag::ASSIGN => self.assign(payload)?,
+            tag::BATCH => {
+                let (range, ops) = decode_routed_batch(&payload)?;
+                let owned = self.owned.get_mut(&range);
+                let owned = owned.ok_or(ProtocolError::UnassignedRange(range))?;
+                owned.header.ops_routed += ops.len() as u64;
+                ops.into_iter().for_each(|(key, op)| owned.shard.push(key, op));
+            }
+            tag::SNAPSHOT => {
+                self.snapshot_version += 1;
+                let ranges = self.owned.iter().map(|(&range, owned)| owned.snapshot(range));
+                let ranges = ranges.collect::<Result<_, _>>()?;
+                SnapshotReply { version: self.snapshot_version, ranges }
+                    .write_message(reply)?;
+            }
+            tag::RETIRE => {
+                let range = valid_range(parse_json(&payload)?)?;
+                let retired = self.owned.remove(&range);
+                let retired = retired.ok_or(ProtocolError::UnassignedRange(range))?;
+                retired.snapshot(range)?.write_message(reply, tag::RETIRE_REPLY)?;
+            }
+            tag::FINISH => {
+                let ranges = std::mem::take(&mut self.owned).into_iter().map(|(range, owned)| {
+                    let (keys, errors) = owned.shard.finish();
+                    RangeOutput { range, keys, errors }
+                });
+                let finished = FinishReply { ranges: ranges.collect() };
+                write_message(reply, tag::FINISH_REPLY, &to_json(&finished)?)?;
+                self.finished = true;
+            }
+            other => return Err(ProtocolError::UnknownTag(other)),
+        }
+        Ok(())
+    }
+
+    /// Takes ownership of a range by resuming its snapshot with the
+    /// validation [`StreamPipeline::resume`](super::StreamPipeline::resume)
+    /// runs. Trust travels in the snapshot's own flag, so the chain up to
+    /// it counts as verified here.
+    fn assign(&mut self, payload: Vec<u8>) -> Result<(), ProtocolError> {
+        let RangeSnapshot { range, snapshot } = RangeSnapshot::decode(payload)?;
+        let header = &snapshot.header;
+        let ours = (self.verifier.name(), self.verifier.k(), self.verifier.model());
+        if (header.algo.as_str(), header.k, header.model) != ours {
+            return Err(ProtocolError::VerifierMismatch(format!(
+                "fleet runs {}/k={}/model={}, worker runs {}/k={}/model={}",
+                header.algo, header.k, header.model, ours.0, ours.1, ours.2
+            )));
+        }
+        if self.owned.contains_key(&range) {
+            return Err(ProtocolError::DuplicateAssignment(range));
+        }
+        if header.partition != Some(range) {
+            return Err(ProtocolError::PartitionMismatch { range, snapshot: header.partition });
+        }
+        let (window, horizon) = (header.window, Some(header.horizon));
+        let config = PipelineConfig { shards: 1, window, horizon, ..Default::default() };
+        let shard = Shard::resume(&self.verifier, &config, &snapshot.parse()?, true)?.remove(0);
+        self.owned.insert(range, OwnedRange { header: snapshot.header, shard });
+        Ok(())
+    }
 }
 
 /// Runs one fleet worker over a transport until its link closes or a
 /// fault: reads the coordinator's preamble, answers with its own, then
-/// serves the message loop — hosting one [`StreamPipeline`] per assigned
-/// range, each verifying with a clone of `verifier`.
+/// hands every message to a [`Worker`], which writes its reply to
+/// `output`, all on the calling thread.
 ///
 /// FINISH is not terminal: the worker reports every range it owns, drops
 /// them and keeps serving, so it can still adopt a range whose owner died
@@ -468,15 +594,28 @@ struct OwnedRange {
 /// # Errors
 ///
 /// Every protocol violation described on [`ProtocolError`]. The link
-/// closing is `Ok(())` only after the worker has answered a FINISH and
-/// while it owns no range; any other close is
-/// [`ProtocolError::Disconnected`].
+/// closing is `Ok(())` only once the worker is [done](Worker::done); any
+/// other close is [`ProtocolError::Disconnected`].
 pub fn worker_loop<V: Verifier + Clone + Send + 'static>(
     verifier: V,
     mut input: impl Read,
     mut output: impl Write,
 ) -> Result<(), ProtocolError> {
-    let result = worker_loop_inner(verifier, &mut input, &mut output);
+    let mut worker = Worker::new(verifier);
+    let mut serve = || -> Result<(), ProtocolError> {
+        expect_preamble(&mut input, COORDINATOR_MAGIC)?;
+        output.write_all(&WORKER_MAGIC)?;
+        output.flush()?;
+        loop {
+            let (tag, payload) = match read_message(&mut input) {
+                Err(ProtocolError::Disconnected) if worker.done() => return Ok(()),
+                message => message?,
+            };
+            worker.handle(tag, payload, &mut output)?;
+            output.flush()?;
+        }
+    };
+    let result = serve();
     if let Err(e) = &result {
         // Give the coordinator the diagnostic; it is already unwinding if
         // the transport is what failed, hence best-effort.
@@ -484,117 +623,4 @@ pub fn worker_loop<V: Verifier + Clone + Send + 'static>(
         let _ = output.flush();
     }
     result
-}
-
-fn worker_loop_inner<V: Verifier + Clone + Send + 'static>(
-    verifier: V,
-    input: &mut impl Read,
-    output: &mut impl Write,
-) -> Result<(), ProtocolError> {
-    expect_preamble(input, COORDINATOR_MAGIC)?;
-    output.write_all(&WORKER_MAGIC)?;
-    output.flush()?;
-
-    let mut owned: Vec<OwnedRange> = Vec::new();
-    let mut snapshot_version = 0u64;
-    let mut finished = false;
-    loop {
-        let (tag, payload) = match read_message(input) {
-            // Everything this worker verified has been reported.
-            Err(ProtocolError::Disconnected) if finished && owned.is_empty() => return Ok(()),
-            message => message?,
-        };
-        match tag {
-            tag::ASSIGN => {
-                let RangeSnapshot { range, snapshot } = RangeSnapshot::decode(payload)?;
-                let header = &snapshot.header;
-                let ours = (verifier.name(), verifier.k(), verifier.model());
-                if (header.algo.as_str(), header.k, header.model) != ours {
-                    return Err(ProtocolError::VerifierMismatch(format!(
-                        "fleet runs {}/k={}/model={}, worker runs {}/k={}/model={}",
-                        header.algo, header.k, header.model, ours.0, ours.1, ours.2
-                    )));
-                }
-                if owned.iter().any(|o| o.range == range) {
-                    return Err(ProtocolError::DuplicateAssignment(range));
-                }
-                if header.partition != Some(range) {
-                    let snapshot = header.partition;
-                    return Err(ProtocolError::PartitionMismatch { range, snapshot });
-                }
-                // One thread per range (the fleet's parallelism is its
-                // processes); the coordinator owns the checkpoint cadence.
-                // Trust travels in the snapshot's own flag, so the chain
-                // up to it counts as verified here.
-                let (window, horizon) = (header.window, Some(header.horizon));
-                let base = PipelineConfig { shards: 1, checkpoint_every: 0, ..Default::default() };
-                let config = PipelineConfig { window, horizon, ..base };
-                let pipeline =
-                    StreamPipeline::resume(verifier.clone(), config, &snapshot.parse()?, true)?;
-                owned.push(OwnedRange { range, pipeline });
-                owned.sort_by_key(|o| o.range);
-            }
-            tag::BATCH => {
-                let (range, ops) = decode_routed_batch(&payload)?;
-                let slot = owned
-                    .iter_mut()
-                    .find(|o| o.range == range)
-                    .ok_or(ProtocolError::UnassignedRange(range))?;
-                for (key, op) in ops {
-                    slot.pipeline.push(key, op);
-                }
-            }
-            tag::SNAPSHOT => {
-                snapshot_version += 1;
-                let ranges = owned
-                    .iter_mut()
-                    .map(|o| {
-                        let snapshot = o.pipeline.snapshot().try_into()?;
-                        Ok(RangeSnapshot { range: o.range, snapshot })
-                    })
-                    .collect::<Result<_, ProtocolError>>()?;
-                SnapshotReply { version: snapshot_version, ranges }.write_message(output)?;
-                output.flush()?;
-            }
-            tag::RETIRE => {
-                let range: KeyRange = parse_json(&payload)?;
-                let pos = owned
-                    .iter()
-                    .position(|o| o.range == range)
-                    .ok_or(ProtocolError::UnassignedRange(range))?;
-                // Drop the retired pipeline without reports: its state
-                // lives on in the reply the coordinator re-assigns.
-                let mut retired = owned.remove(pos);
-                let snapshot = retired.pipeline.snapshot().try_into()?;
-                RangeSnapshot { range, snapshot }.write_message(output, tag::RETIRE_REPLY)?;
-                output.flush()?;
-            }
-            tag::FINISH => {
-                let ranges = owned
-                    .drain(..)
-                    .map(|o| {
-                        let finished = o.pipeline.finish();
-                        RangeOutput {
-                            range: o.range,
-                            keys: finished
-                                .keys
-                                .into_iter()
-                                .map(|(key, report)| KeyReport { key, report })
-                                .collect(),
-                            errors: finished
-                                .errors
-                                .into_iter()
-                                .map(|(key, error)| KeyError { key, error })
-                                .collect(),
-                        }
-                    })
-                    .collect();
-                let reply = FinishReply { ranges };
-                write_message(output, tag::FINISH_REPLY, &to_json(&reply)?)?;
-                output.flush()?;
-                finished = true;
-            }
-            other => return Err(ProtocolError::UnknownTag(other)),
-        }
-    }
 }

@@ -10,7 +10,7 @@ use k_atomicity::history::frame::{decode_routed_batch, encode_routed_batch, KeyR
 use k_atomicity::history::{History, Operation, Time, Value};
 use k_atomicity::verify::protocol::{
     expect_preamble, read_message, tag, write_message, FinishReply, RangeOutput, RangeSnapshot,
-    SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
+    SnapshotReply, Worker, COORDINATOR_MAGIC, WORKER_MAGIC,
 };
 use k_atomicity::verify::{
     worker_loop, FleetConfig, FleetCoordinator, FleetSummary, Fzf, LayoutError, ModelId,
@@ -20,6 +20,7 @@ use k_atomicity::verify::{
 use k_atomicity::workloads::{streaming_workload, StreamingWorkloadConfig};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -191,6 +192,32 @@ fn worker_rejects_an_assignment_tagged_for_another_range() {
         handle.join().unwrap(),
         Err(ProtocolError::PartitionMismatch { range, snapshot })
             if range == low && snapshot == Some(high)
+    ));
+}
+
+#[test]
+fn worker_refuses_out_of_range_key_ranges() {
+    // A RETIRE for a range no key range can be: refused with an ERROR
+    // before anything prints it.
+    let (mut driver, handle) = spawn_worker();
+    handshake(&mut driver);
+    write_message(&mut driver, tag::RETIRE, br#"{"bits":4000000000,"prefix":0}"#).unwrap();
+    driver.flush().unwrap();
+    expect_error_reply(&mut driver, "invalid key range");
+    assert!(matches!(handle.join().unwrap(), Err(ProtocolError::Json(_))));
+
+    // An ASSIGN whose snapshot header is tagged with such a range.
+    let (mut driver, handle) = spawn_worker();
+    handshake(&mut driver);
+    let (low, _) = KeyRange::ALL.split();
+    let bad = KeyRange { bits: 70_000, prefix: 0 };
+    let mut snapshot = tagged_snapshot(low);
+    snapshot.header.partition = Some(bad);
+    send(&mut driver, &RangeSnapshot { range: low, snapshot });
+    expect_error_reply(&mut driver, "invalid key range");
+    assert!(matches!(
+        handle.join().unwrap(),
+        Err(ProtocolError::Layout(LayoutError::BadRange(range))) if range == bad
     ));
 }
 
@@ -586,6 +613,13 @@ fn hostile_snapshot_bytes_are_typed_errors() {
         reply_payload(vec![entry(KeyRange::ALL, key.clone()), entry(low, key)]);
     assert_eq!(reply_fault(twice), LayoutError::OverlappingRanges(KeyRange::ALL, low));
 
+    // A header tagged with a partition no key range can be.
+    let bad = KeyRange { bits: 70_000, prefix: 0 };
+    let mut mistagged = snapshot_with(low, keys_in(low, 1));
+    mistagged.header.partition = Some(bad);
+    let mistagged = reply_payload(vec![RangeSnapshot { range: low, snapshot: mistagged }]);
+    assert_eq!(reply_fault(mistagged), LayoutError::BadRange(bad));
+
     // Trailing bytes.
     let mut trailing = valid.clone();
     trailing.push(0);
@@ -911,4 +945,81 @@ fn a_worker_exits_cleanly_only_once_finished_and_rangeless() {
     finish(&mut socket);
     drop(socket);
     handle.join().unwrap().expect("a finished worker exits cleanly");
+}
+
+// ---------------------------------------------------------------------------
+// The worker state machine, driven without a transport.
+// ---------------------------------------------------------------------------
+
+/// A verifier that counts its calls and otherwise runs FZF.
+#[derive(Clone)]
+struct CountingVerifier(Arc<AtomicUsize>);
+
+impl Verifier for CountingVerifier {
+    fn k(&self) -> u64 {
+        2
+    }
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+    fn verify(&self, history: &History) -> Verdict {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        Fzf.verify(history)
+    }
+}
+
+/// Worker 0 of a two-worker fleet of `verifier` (window 8) after an
+/// ASSIGN of its fresh range and a BATCH of three operations of one key,
+/// fewer than a window: nothing has sealed. Returns the range too.
+fn worker_holding_a_batch(verifier: CountingVerifier) -> (Worker<CountingVerifier>, KeyRange) {
+    let range = KeyRange::partition(2)[0];
+    let config = PipelineConfig { shards: 1, window: 8, ..Default::default() };
+    let mut pipeline = StreamPipeline::new(verifier.clone(), config);
+    let mut empty = pipeline.snapshot();
+    pipeline.finish();
+    empty.partition = Some(range);
+    let mut assign = Vec::new();
+    let assignment = RangeSnapshot { range, snapshot: empty.try_into().unwrap() };
+    assignment.write_message(&mut assign, tag::ASSIGN).unwrap();
+    let (_, assign) = read_message(&mut assign.as_slice()).unwrap();
+
+    let mut worker = Worker::new(verifier);
+    let mut reply = Vec::new();
+    worker.handle(tag::ASSIGN, assign, &mut reply).unwrap();
+    let key = keys_in(range, 1)[0];
+    let ops = [
+        (key, Operation::write(Value(1), Time(0), Time(5))),
+        (key, Operation::read(Value(1), Time(6), Time(9))),
+        (key, Operation::write(Value(2), Time(10), Time(15))),
+    ];
+    worker.handle(tag::BATCH, encode_routed_batch(range, &ops), &mut reply).unwrap();
+    assert!(reply.is_empty(), "ASSIGN and BATCH get no reply");
+    (worker, range)
+}
+
+#[test]
+fn a_retired_range_verifies_nothing() {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let (mut worker, range) = worker_holding_a_batch(CountingVerifier(calls.clone()));
+    let retire = serde_json::to_string(&range).unwrap().into_bytes();
+    let mut reply = Vec::new();
+    worker.handle(tag::RETIRE, retire, &mut reply).unwrap();
+    drop(worker);
+    assert_eq!(calls.load(Ordering::SeqCst), 0, "a retired range verified a segment");
+    let (got, payload) = read_message(&mut reply.as_slice()).unwrap();
+    assert_eq!(got, tag::RETIRE_REPLY);
+    let retired = RangeSnapshot::decode(payload).unwrap();
+    assert_eq!(retired.range, range);
+    let snapshot = retired.snapshot.parse().unwrap();
+    assert_eq!(snapshot.ops_routed, 3, "the reply counts the batch");
+    assert_eq!(snapshot.states.len(), 1);
+    assert_eq!(snapshot.states[0].state.ops, 3, "the reply holds the batch");
+
+    // The same range finished instead of retired verifies its segment.
+    let (mut worker, _) = worker_holding_a_batch(CountingVerifier(calls.clone()));
+    let mut reply = Vec::new();
+    worker.handle(tag::FINISH, Vec::new(), &mut reply).unwrap();
+    assert_eq!(read_message(&mut reply.as_slice()).unwrap().0, tag::FINISH_REPLY);
+    assert_eq!(calls.load(Ordering::SeqCst), 1);
+    assert!(worker.done(), "a finished worker owning no range may exit");
 }
