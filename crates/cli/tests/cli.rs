@@ -1193,25 +1193,70 @@ fn serve_absorbs_a_sigkilled_worker_via_checkpoint_hand_off() {
 
 #[test]
 fn serve_degrades_yes_to_unknown_on_an_unverifiable_hand_off() {
-    let path = temp_file("fleet_degrade.ndjson");
-    kav(&[
-        "gen", "--workload", "stream", "--keys", "6", "--n", "150", "--k", "2",
-        "--seed", "11", "--out", path.to_str().unwrap(),
-    ]);
-    let path = path.to_str().unwrap();
-
     // No checkpoints and a tiny replay cap: the killed worker's range
     // cannot be handed off verifiably. Soundness discipline: no violation
-    // may be invented (exit stays 0), but certification is refused.
-    let fleet = kav(&[
-        "serve", "--workers", "3", "--k", "2", "--window", "64",
-        "--replay-cap", "8", "--kill-worker", "1:600", path,
+    // may be invented (exit stays 0, no key fails), but certification is
+    // refused. In the second run the stopped range is split later: both
+    // halves stay stopped, so no key is fed across the gap.
+    let runs: [(&str, &[&str], &[&str]); 2] = [
+        (
+            "fleet_degrade.ndjson",
+            &["--keys", "6", "--n", "150", "--k", "2", "--seed", "11"],
+            &["--workers", "3", "--k", "2", "--window", "64", "--replay-cap", "8",
+              "--kill-worker", "1:600"],
+        ),
+        (
+            "fleet_split_stopped.ndjson",
+            &["--keys", "3", "--n", "40", "--seed", "1", "--spread", "4"],
+            &["--workers", "2", "--window", "3", "--batch", "4", "--replay-cap", "2",
+              "--kill-worker", "0:2", "--split-hottest", "69"],
+        ),
+    ];
+    for (name, gen, serve) in runs {
+        let path = temp_file(name);
+        let path = path.to_str().unwrap();
+        let out = kav(&[&["gen", "--workload", "stream", "--out", path], gen].concat());
+        assert!(out.status.success(), "{}", stderr(&out));
+        let fleet = kav(&[&["serve"], serve, &[path]].concat());
+        assert_eq!(fleet.status.code(), Some(0), "{serve:?}: {}", stderr(&fleet));
+        let text = stdout(&fleet);
+        assert!(text.contains("UNKNOWN"), "{serve:?}: {text}");
+        assert!(text.contains("lost their replay"), "{serve:?}: {text}");
+        assert!(!text.contains("fleet certified"), "{serve:?}: {text}");
+    }
+}
+
+#[test]
+fn a_fleet_checkpoint_counts_every_routed_record() {
+    // A replay cap of 8 under a checkpoint every 100 records makes the
+    // hand-off at record 300 unverifiable, so the fleet drops the stopped
+    // range's later frames. Its checkpoint still counts every one of the
+    // 600 records routed, as `kav stream`'s does.
+    let path = temp_file("fleet_count.ndjson");
+    let path = path.to_str().unwrap();
+    let out = kav(&[
+        "gen", "--workload", "deep-stale", "--keys", "5", "--n", "120", "--k", "3",
+        "--seed", "17", "--out", path,
     ]);
-    assert_eq!(fleet.status.code(), Some(0), "{}", stderr(&fleet));
-    let text = stdout(&fleet);
-    assert!(text.contains("UNKNOWN"), "{text}");
-    assert!(text.contains("lost their replay"), "{text}");
-    assert!(!text.contains("fleet certified"), "{text}");
+    assert!(out.status.success(), "{}", stderr(&out));
+    let fleet_ckpt = temp_file("fleet_count_a.ckpt");
+    let single_ckpt = temp_file("fleet_count_b.ckpt");
+    let (fleet_ckpt, single_ckpt) = (fleet_ckpt.to_str().unwrap(), single_ckpt.to_str().unwrap());
+    let audit = ["--algo", "genk", "--k", "2", "--window", "24", "--checkpoint-every", "100"];
+    let fleet = kav(&[
+        &["serve", "--workers", "3", "--replay-cap", "8", "--kill-worker", "1:300"][..],
+        &audit,
+        &["--checkpoint", fleet_ckpt, path],
+    ]
+    .concat());
+    assert_eq!(fleet.status.code(), Some(1), "{}", stderr(&fleet));
+    assert!(stdout(&fleet).contains("(1 uncertified)"), "{}", stdout(&fleet));
+    let single = kav(&[&["stream"][..], &audit, &["--checkpoint", single_ckpt, path]].concat());
+    assert_eq!(single.status.code(), Some(1), "{}", stderr(&single));
+    for ckpt in [fleet_ckpt, single_ckpt] {
+        let text = std::fs::read_to_string(ckpt).unwrap();
+        assert!(text.contains("\"ops_routed\":600,"), "{ckpt}: {text}");
+    }
 }
 
 #[test]

@@ -92,8 +92,7 @@ pub use search::{ExhaustiveSearch, SearchReport, MAX_SEARCH_OPS};
 pub use smallest_k::{smallest_k, staleness_upper_bound, Staleness};
 pub use stream::protocol;
 pub use stream::{
-    fleet_verdict, merge_fragments, merge_reports, partition_snapshot, read_checkpoint,
-    split_ops_share,
+    fleet_verdict, merge_fragments, merge_reports, read_checkpoint,
     worker_loop, Checkpoint, CheckpointError, CheckpointWriter, DepthStats,
     DepthWindow, FleetConfig,
     FleetCoordinator, FleetSummary, Fragment, KeyError, KeyReport, KeySnapshot, LayoutError,

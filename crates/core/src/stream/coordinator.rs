@@ -8,11 +8,24 @@
 //! nest and split cleanly), ingest fans out as routed frame batches, and
 //! per-range snapshots flow back at checkpoint cadence in [fragment
 //! layout](crate::SnapshotFragments), to be [merged](super::merge) into one
-//! ordinary checkpoint without being parsed.
+//! ordinary checkpoint. The coordinator parses no snapshot: it splits one
+//! by filtering its keys ([`SnapshotFragments::partition`]). It alone
+//! counts routed operations, so a range's snapshot counts none and the
+//! merged checkpoint carries the coordinator's count, every operation
+//! routed included, as a single process's does.
 //!
 //! Each range keeps one buffer of the `(key, Operation)` pairs routed to
 //! it since its last acknowledged snapshot. Its unsent tail is the next
 //! batch; frames are built only when that batch goes on the wire.
+//!
+//! # Placement: one way onto a worker
+//!
+//! A range without an owner is *placed*: it goes to the live worker owning
+//! the fewest ranges, as an ASSIGN resuming the range's snapshot followed
+//! by its replay as one BATCH. Every range starts without an owner, and
+//! one loses its owner only when a split creates it or its owner dies
+//! (any transport error, at the preamble or the first ASSIGN too), so
+//! start-up, splits and hand-offs all reach a worker the same way.
 //!
 //! # Hand-off: death is a resume
 //!
@@ -21,9 +34,8 @@
 //! checkpoint slice, a split half, or on hand-off the last one a worker
 //! acknowledged. The coordinator keeps that snapshot for every range, and
 //! the range's buffer is the replay of everything routed since. When
-//! a worker dies (any transport error), each of its ranges is re-assigned
-//! to the survivor owning the fewest ranges: the survivor resumes the
-//! acked snapshot and the coordinator re-sends the replay — an
+//! a worker dies, each of its ranges is placed anew: the new owner resumes
+//! the acked snapshot and the coordinator re-sends the replay — an
 //! exactly-once hand-off, so the fleet report is the one an undisturbed
 //! run produces. Work the dead worker did past the snapshot is
 //! deliberately lost and redone; work is never double-counted.
@@ -33,7 +45,7 @@
 //! cannot be re-fed, and per-key streams now have a **gap** — feeding
 //! later operations across it could prove violations that never
 //! happened. So an unverifiable hand-off *stops the range's audit*: the
-//! acked snapshot's trust flag is set and the survivor resumes it
+//! acked snapshot's trust flag is set and the new owner resumes it
 //! (proven violations survive; its keys are tainted, YES degrades to
 //! UNKNOWN, sticky), the
 //! buffer is dropped, every later operation for the range is dropped and
@@ -44,10 +56,11 @@
 //! acks.
 //!
 //! A hot range splits by the same move in reverse: the owner retires the
-//! range (replying with its snapshot), the snapshot is parsed and
-//! [partitioned](super::merge::partition_snapshot) into the two child
-//! ranges, and each child resumes on its new owner with the parent's
-//! trust flag.
+//! range (replying with its snapshot), the snapshot is
+//! [partitioned](SnapshotFragments::partition) into the two child ranges,
+//! and each child is placed with the parent's trust flag. A child of a
+//! range whose audit stopped is stopped too: the gap is in its keys'
+//! streams as much as in its parent's.
 //!
 //! Trust is state: the only record of an unverified resume or hand-off is
 //! the snapshot's own `uncertified` flag, which every ASSIGN carries and
@@ -56,9 +69,7 @@
 //! [`StreamPipeline`]: super::StreamPipeline
 
 use super::fragment::SnapshotFragments;
-use super::merge::{
-    merge_fragments, partition_snapshot, split_ops_share, FleetSummary, MergeError,
-};
+use super::merge::{merge_fragments, FleetSummary, MergeError};
 use super::pipeline::{check_counts, PipelineOutput, PipelineSnapshot};
 use crate::models::ModelId;
 use super::protocol::{
@@ -142,8 +153,9 @@ impl WorkerSlot {
 /// Everything the coordinator knows about one key range.
 struct RangeState {
     range: KeyRange,
-    /// Index into the worker table.
-    worker: usize,
+    /// Index into the worker table; `None` until the range is placed, and
+    /// again once its owner died.
+    worker: Option<usize>,
     /// Operations routed since `snapshot` was acknowledged, oldest first:
     /// while `replay_intact` the whole hand-off replay, afterwards only
     /// what is still to be sent.
@@ -160,24 +172,24 @@ struct RangeState {
     /// acked snapshot; everything after the break is dropped and counted.
     broken: bool,
     /// Last snapshot the owner acknowledged; until the first checkpoint
-    /// probe, the one the range started from. Never parsed here, except
-    /// to split the range.
+    /// probe, the one the range started from. Never parsed here.
     snapshot: SnapshotFragments,
-    /// Operations routed to this range since it was created (split-heat
-    /// signal, and the `ops_routed` share for fresh assignments).
+    /// Operations routed to this range (split-heat signal): since the
+    /// fleet started, plus half its parent's for a split half.
     routed: u64,
 }
 
 impl RangeState {
-    /// A range with an empty buffer, owned by `worker`.
-    fn new(range: KeyRange, worker: usize, snapshot: SnapshotFragments, routed: u64) -> Self {
+    /// A range waiting to be placed, with an empty buffer. A `broken`
+    /// range (a split half of one) drops everything routed to it.
+    fn new(range: KeyRange, snapshot: SnapshotFragments, routed: u64, broken: bool) -> Self {
         RangeState {
             range,
-            worker,
+            worker: None,
             ops: Vec::new(),
             sent: 0,
-            replay_intact: true,
-            broken: false,
+            replay_intact: !broken,
+            broken,
             snapshot,
             routed,
         }
@@ -204,22 +216,25 @@ pub struct FleetCoordinator {
 impl FleetCoordinator {
     /// Starts a fresh fleet over `links`: exchanges preambles, carves the
     /// key space into [`KeyRange::partition`]`(links.len())` ranges and
-    /// deals them round-robin, each starting from an empty snapshot.
+    /// places them, each starting from an empty snapshot. A worker that
+    /// dies at its preamble or its first ASSIGN is buried and its ranges
+    /// placed on the others, as at any hand-off.
     ///
     /// # Errors
     ///
-    /// Any preamble or assignment failure ([`ProtocolError`]); a fleet
-    /// that cannot start assigns no work.
+    /// A worker answering with the wrong preamble, and no worker left
+    /// alive ([`ProtocolError`]).
     pub fn new(config: FleetConfig, links: Vec<WorkerLink>) -> Result<Self, ProtocolError> {
         let (window, horizon) = (config.window, config.horizon);
         let empty = PipelineSnapshot::empty(&config.algo, config.model, config.k, window, horizon);
         Self::resume(config, links, &empty, true)
     }
 
-    /// Starts a fleet resuming a merged checkpoint: the base snapshot is
-    /// [partitioned](partition_snapshot) over the initial ranges, so any
-    /// fleet size can resume any checkpoint — including one written by a
-    /// single-process `kav stream` run, and vice versa.
+    /// Starts a fleet resuming a merged checkpoint, as
+    /// [`new`](Self::new) starts one: the base snapshot is
+    /// [partitioned](SnapshotFragments::partition) over the initial
+    /// ranges, so any fleet size can resume any checkpoint — including one
+    /// written by a single-process `kav stream` run, and vice versa.
     ///
     /// `prefix_verified` is the caller's claim that the input will be
     /// re-fed from exactly the checkpoint's cut (fingerprint-proven);
@@ -228,8 +243,8 @@ impl FleetCoordinator {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError`] on transport/assignment failure, or when `base`
-    /// does not match `config` or holds a count at or above 2^63.
+    /// [`ProtocolError`] as for [`new`](Self::new), or when `base` does
+    /// not match `config` or holds a count at or above 2^63.
     ///
     /// [`StreamPipeline::resume`]: super::StreamPipeline::resume
     pub fn resume(
@@ -248,45 +263,42 @@ impl FleetCoordinator {
             )));
         }
         check_counts(base)?;
-        let mut workers: Vec<WorkerSlot> = Vec::with_capacity(links.len());
-        for mut link in links {
+        let mut whole: SnapshotFragments = base.clone().try_into()?;
+        whole.header.uncertified |= !prefix_verified;
+        let greet = |link: &mut WorkerLink| -> Result<(), ProtocolError> {
             link.writer.write_all(&COORDINATOR_MAGIC)?;
             link.writer.flush()?;
-            expect_preamble(&mut link.reader, WORKER_MAGIC)?;
-            workers.push(WorkerSlot { link: Some(link), last_snapshot_version: 0 });
+            expect_preamble(&mut link.reader, WORKER_MAGIC)
+        };
+        let mut workers: Vec<WorkerSlot> = Vec::with_capacity(links.len());
+        for mut link in links {
+            let link = match greet(&mut link) {
+                Ok(()) => Some(link),
+                // Dead already: buried before it owns anything.
+                Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => None,
+                Err(e) => return Err(e),
+            };
+            workers.push(WorkerSlot { link, last_snapshot_version: 0 });
         }
-        if workers.is_empty() {
-            return Err(ProtocolError::Disconnected);
-        }
-        let partition = KeyRange::partition(workers.len());
+        // With no live worker, `place` fails the fleet.
+        let ranges: Vec<RangeState> = KeyRange::partition(workers.len())
+            .into_iter()
+            .map(|range| RangeState::new(range, whole.partition(range), 0, false))
+            .collect();
         let mut fleet = FleetCoordinator {
             ops_routed: base.ops_routed,
             ops_at_last_snapshot: base.ops_routed,
             summary: FleetSummary {
                 workers: workers.len(),
-                workers_alive: workers.len(),
-                ranges: partition.len(),
+                workers_alive: workers.iter().filter(|w| w.alive()).count(),
+                ranges: ranges.len(),
                 ..Default::default()
             },
             config,
             workers,
-            ranges: Vec::with_capacity(partition.len()),
+            ranges,
         };
-        let mut remaining = base.ops_routed;
-        let last = partition.len() - 1;
-        for (i, range) in partition.into_iter().enumerate() {
-            // Conserve the fleet-wide ops_routed sum: each slice takes its
-            // accepted ops, the last takes the remainder (pushes to failed
-            // keys are not attributable to a slice).
-            let share =
-                if i == last { remaining } else { split_ops_share(base, range).min(remaining) };
-            remaining -= share;
-            let mut snapshot = partition_snapshot(base, range, share);
-            snapshot.uncertified |= !prefix_verified;
-            let snapshot = snapshot.try_into()?;
-            fleet.ranges.push(RangeState::new(range, i % fleet.workers.len(), snapshot, share));
-            fleet.assign(i)?;
-        }
+        fleet.place()?;
         Ok(fleet)
     }
 
@@ -308,8 +320,8 @@ impl FleetCoordinator {
     }
 
     /// Routes one operation to its range's owner, flushing a full batch
-    /// across the wire. A dead owner triggers hand-off; the operation is
-    /// never lost.
+    /// across the wire, and counts it. A dead owner triggers hand-off; the
+    /// operation is never lost.
     ///
     /// # Errors
     ///
@@ -353,10 +365,11 @@ impl FleetCoordinator {
         if state.sent == state.ops.len() {
             return Ok(());
         }
-        let worker = state.worker;
+        let worker = state.worker.ok_or(ProtocolError::Disconnected)?;
         let payload = encode_routed_batch(state.range, &state.ops[state.sent..]);
         if self.write_to(worker, |out| write_message(out, tag::BATCH, &payload)).is_err() {
-            return self.handle_worker_death(worker);
+            self.bury(worker);
+            return self.place();
         }
         let state = &mut self.ranges[idx];
         if state.replay_intact {
@@ -394,43 +407,52 @@ impl FleetCoordinator {
         Ok(payload)
     }
 
-    /// Sends one request to a worker and reads its `reply_tag` answer. A
-    /// transport failure hands the dead worker's ranges off and returns
-    /// `Ok(None)`.
-    fn request(
-        &mut self,
-        worker: usize,
-        tag: u8,
-        payload: &[u8],
-        reply_tag: u8,
-    ) -> Result<Option<Vec<u8>>, ProtocolError> {
-        let reply = self
-            .write_to(worker, |out| write_message(out, tag, payload))
-            .and_then(|()| self.read_reply(worker, reply_tag));
-        match reply {
-            Ok(payload) => Ok(Some(payload)),
-            Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => {
-                self.handle_worker_death(worker)?;
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Sends range `idx`'s assignment to its owner, resuming the range's
-    /// last acked snapshot.
-    fn assign(&mut self, idx: usize) -> Result<(), ProtocolError> {
-        let state = &self.ranges[idx];
-        let assignment = RangeSnapshot { range: state.range, snapshot: state.snapshot.clone() };
-        self.write_to(state.worker, |out| assignment.write_message(out, tag::ASSIGN))
-    }
-
     /// The live worker owning the fewest ranges (the lowest index on a
-    /// tie).
+    /// tie), counted in one pass over the ranges.
     fn least_loaded(&self) -> Option<usize> {
-        (0..self.workers.len())
-            .filter(|w| self.workers[*w].alive())
-            .min_by_key(|w| self.ranges.iter().filter(|r| r.worker == *w).count())
+        let mut owned = vec![0usize; self.workers.len()];
+        for worker in self.ranges.iter().filter_map(|state| state.worker) {
+            owned[worker] += 1;
+        }
+        (0..self.workers.len()).filter(|w| self.workers[*w].alive()).min_by_key(|w| owned[*w])
+    }
+
+    /// Places every range without an owner (see the module docs): each in
+    /// turn goes to the least-loaded live worker as an ASSIGN of its
+    /// snapshot and, if its buffer holds any, one BATCH of its whole
+    /// replay. A worker dying on the way is buried, and its ranges are
+    /// placed in turn.
+    ///
+    /// # Errors
+    ///
+    /// Only when no worker is left alive: the audit cannot continue. This
+    /// is a transport failure (exit 2), never a verdict.
+    fn place(&mut self) -> Result<(), ProtocolError> {
+        while let Some(idx) = self.ranges.iter().position(|state| state.worker.is_none()) {
+            let worker = self.least_loaded().ok_or(ProtocolError::Disconnected)?;
+            let state = &mut self.ranges[idx];
+            state.worker = Some(worker);
+            let assignment = RangeSnapshot { range: state.range, snapshot: state.snapshot.clone() };
+            let replay =
+                (!state.ops.is_empty()).then(|| encode_routed_batch(state.range, &state.ops));
+            let placed = self.write_to(worker, |out| {
+                assignment.write_message(out, tag::ASSIGN)?;
+                replay.map_or(Ok(()), |payload| write_message(out, tag::BATCH, &payload))
+            });
+            match placed {
+                // The whole buffer went out: nothing is left unsent.
+                Ok(()) => self.ranges[idx].sent = self.ranges[idx].ops.len(),
+                Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => self.bury(worker),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// The workers owning a range, in index order.
+    fn owners(&self) -> Vec<usize> {
+        let owns = |w: usize| self.ranges.iter().any(|state| state.worker == Some(w));
+        (0..self.workers.len()).filter(|w| owns(*w)).collect()
     }
 
     /// Checks that a reply from `worker` covers exactly the ranges it owns.
@@ -442,7 +464,7 @@ impl FleetCoordinator {
         let mut owned: Vec<KeyRange> = self
             .ranges
             .iter()
-            .filter(|state| state.worker == worker)
+            .filter(|state| state.worker == Some(worker))
             .map(|state| state.range)
             .collect();
         owned.sort();
@@ -456,22 +478,23 @@ impl FleetCoordinator {
         Ok(())
     }
 
-    /// Sends `request` to every worker in `workers` before reading any
-    /// reply, so they work in parallel, then reads every `reply_tag`
-    /// answer, a death notwithstanding: nothing may be written to a worker
-    /// whose reply is still unread. Returns the replies in `workers` order,
-    /// and whether a worker died (the dead are buried; their ranges still
-    /// need [`rehome`](Self::rehome)).
+    /// Sends `request` with `payload` to every worker in `workers` before
+    /// reading any reply, so they work in parallel, then reads every
+    /// `reply_tag` answer, a death notwithstanding: nothing may be written
+    /// to a worker whose reply is still unread. Returns the replies in
+    /// `workers` order, and whether a worker died (the dead are buried;
+    /// their ranges still need [`place`](Self::place)).
     fn fan_out(
         &mut self,
         workers: Vec<usize>,
         request: u8,
+        payload: &[u8],
         reply_tag: u8,
     ) -> Result<(Replies, bool), ProtocolError> {
         let mut dead = Vec::new();
         let mut asked = Vec::with_capacity(workers.len());
         for worker in workers {
-            match self.write_to(worker, |out| write_message(out, request, &[])) {
+            match self.write_to(worker, |out| write_message(out, request, payload)) {
                 Ok(()) => asked.push(worker),
                 Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => dead.push(worker),
                 Err(e) => return Err(e),
@@ -491,67 +514,25 @@ impl FleetCoordinator {
         Ok((replies, !dead.is_empty()))
     }
 
-    /// Marks a worker dead.
+    /// Marks a worker dead and hands its ranges off: each loses its owner
+    /// until [`place`](Self::place)d, keeping its acked snapshot and
+    /// replay. A range whose replay overflowed cannot be re-fed, so its
+    /// hand-off is unverifiable and stops its audit (see the module docs):
+    /// the snapshot's trust flag is set and the buffer dropped.
     fn bury(&mut self, worker: usize) {
         self.workers[worker].link = None;
         self.summary.workers_alive = self.workers.iter().filter(|w| w.alive()).count();
-    }
-
-    /// Buries a dead worker and re-homes its ranges (see [`rehome`](Self::rehome)).
-    ///
-    /// # Errors
-    ///
-    /// Only when no worker is left alive.
-    fn handle_worker_death(&mut self, dead: usize) -> Result<(), ProtocolError> {
-        self.bury(dead);
-        self.rehome()
-    }
-
-    /// Re-homes each range of a buried worker on the survivor owning the
-    /// fewest, resuming from the last acked snapshot and re-sending the
-    /// replay (see the module docs). An unverifiable hand-off sets the
-    /// snapshot's trust flag first. Survivors dying during the hand-off
-    /// are buried the same way, recursively.
-    ///
-    /// # Errors
-    ///
-    /// Only when no worker is left alive.
-    fn rehome(&mut self) -> Result<(), ProtocolError> {
-        while let Some(idx) =
-            self.ranges.iter().position(|state| !self.workers[state.worker].alive())
-        {
-            // Nobody left: the audit cannot continue. This is a transport
-            // failure (exit 2), never a verdict.
-            let survivor = self.least_loaded().ok_or(ProtocolError::Disconnected)?;
+        for state in self.ranges.iter_mut().filter(|state| state.worker == Some(worker)) {
+            state.worker = None;
             self.summary.hand_offs += 1;
-            let state = &mut self.ranges[idx];
-            state.worker = survivor;
-            if state.replay_intact {
-                // The whole buffer goes out below; nothing is left unsent.
-                state.sent = state.ops.len();
-            } else {
+            if !state.replay_intact {
                 self.summary.uncertified_hand_offs += 1;
                 state.broken = true;
                 state.snapshot.header.uncertified = true;
                 state.ops.clear();
                 state.sent = 0;
             }
-            let mut outcome = self.assign(idx);
-            let state = &self.ranges[idx];
-            if outcome.is_ok() && !state.ops.is_empty() {
-                let payload = encode_routed_batch(state.range, &state.ops);
-                outcome = self.write_to(survivor, |out| write_message(out, tag::BATCH, &payload));
-            }
-            match outcome {
-                Ok(()) => {}
-                // The survivor died too; bury it and loop — the range is
-                // still homed on a dead worker, so it is picked up again
-                // with its replay intact.
-                Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => self.bury(survivor),
-                Err(e) => return Err(e),
-            }
         }
-        Ok(())
     }
 
     /// Flushes every range and collects one consistent fleet-wide cut,
@@ -578,13 +559,8 @@ impl FleetCoordinator {
             for idx in 0..self.ranges.len() {
                 self.flush_range(idx)?;
             }
-            let probed: Vec<usize> = (0..self.workers.len())
-                .filter(|w| {
-                    self.workers[*w].alive()
-                        && self.ranges.iter().any(|state| state.worker == *w)
-                })
-                .collect();
-            let (payloads, died) = self.fan_out(probed, tag::SNAPSHOT, tag::SNAPSHOT_REPLY)?;
+            let probed = self.owners();
+            let (payloads, died) = self.fan_out(probed, tag::SNAPSHOT, &[], tag::SNAPSHOT_REPLY)?;
             let mut replies = Vec::with_capacity(payloads.len());
             for (worker, payload) in payloads {
                 let reply = SnapshotReply::decode(payload)?;
@@ -596,7 +572,7 @@ impl FleetCoordinator {
                 replies.push((worker, reply));
             }
             if died {
-                self.rehome()?;
+                self.place()?;
                 continue;
             }
             for (worker, reply) in replies {
@@ -625,17 +601,20 @@ impl FleetCoordinator {
             self.ops_at_last_snapshot = self.ops_routed;
             // Every range was just acked: its owner was probed and covered
             // exactly the ranges it owns.
-            return merge_fragments(self.ranges.iter().map(|state| &state.snapshot)).map_err(
-                |e: MergeError| ProtocolError::Json(format!("fleet snapshots do not merge: {e}")),
-            );
+            let acked = self.ranges.iter().map(|state| &state.snapshot);
+            return merge_fragments(acked, self.ops_routed).map_err(|e: MergeError| {
+                ProtocolError::Json(format!("fleet snapshots do not merge: {e}"))
+            });
         }
     }
 
-    /// Splits the hottest range (most routed operations since creation) in
-    /// two: the owner retires it at a consistent cut, the snapshot is
-    /// partitioned between the two children, and the busier half stays
-    /// put while the other re-homes on the least-loaded worker — each with
-    /// the parent's trust flag, so splitting never costs certification.
+    /// Splits the hottest range (most routed operations) in two: the owner
+    /// retires it at a consistent cut, its snapshot is
+    /// [partitioned](SnapshotFragments::partition) between the two halves,
+    /// and each half is placed like any range without an owner. Each half
+    /// keeps the parent's trust flag, so splitting never costs
+    /// certification, and a half of a range whose audit stopped is stopped
+    /// too.
     ///
     /// # Errors
     ///
@@ -649,48 +628,30 @@ impl FleetCoordinator {
             return Ok(());
         };
         self.flush_range(idx)?;
-        let owner = self.ranges[idx].worker;
+        let owner = self.ranges[idx].worker.ok_or(ProtocolError::Disconnected)?;
         let range = self.ranges[idx].range;
-        let Some(payload) =
-            self.request(owner, tag::RETIRE, &to_json(&range)?, tag::RETIRE_REPLY)?
-        else {
+        let retire = to_json(&range)?;
+        let (mut replies, _) = self.fan_out(vec![owner], tag::RETIRE, &retire, tag::RETIRE_REPLY)?;
+        let Some((_, payload)) = replies.pop() else {
             // The owner died before retiring: its hand-off replaces the split.
-            return Ok(());
+            return self.place();
         };
         let retired = RangeSnapshot::decode(payload)?;
         let partition = retired.snapshot.header.partition;
         if retired.range != range || partition != Some(range) {
             return Err(ProtocolError::PartitionMismatch { range, snapshot: partition });
         }
-        let parent = retired.snapshot.parse()?;
+        let parent = self.ranges.swap_remove(idx);
         let (low, high) = range.split();
-        let low_share = split_ops_share(&parent, low);
-        let parent_routed = self.ranges[idx].routed;
-        // Heat resets proportionally so the split halves do not
-        // immediately win the next split election.
-        let make_state = |child: KeyRange, ops: u64, worker: usize| {
-            let snapshot = partition_snapshot(&parent, child, ops).try_into()?;
-            Ok::<_, ProtocolError>(RangeState::new(child, worker, snapshot, parent_routed / 2))
-        };
-        let other = self.least_loaded().ok_or(ProtocolError::Disconnected)?;
-        let low_ops = low_share.min(parent.ops_routed);
-        let low_state = make_state(low, low_ops, owner)?;
-        let high_state = make_state(high, parent.ops_routed - low_ops, other)?;
-        self.ranges.swap_remove(idx);
-        for state in [low_state, high_state] {
-            let worker = state.worker;
-            self.ranges.push(state);
-            match self.assign(self.ranges.len() - 1) {
-                Ok(()) => {}
-                Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => {
-                    self.handle_worker_death(worker)?;
-                }
-                Err(e) => return Err(e),
-            }
+        for half in [low, high] {
+            // Heat resets proportionally so the halves do not immediately
+            // win the next split election.
+            let snapshot = retired.snapshot.partition(half);
+            self.ranges.push(RangeState::new(half, snapshot, parent.routed / 2, parent.broken));
         }
         self.summary.splits += 1;
         self.summary.ranges = self.ranges.len();
-        Ok(())
+        self.place()
     }
 
     /// Finishes the fleet: flushes everything, collects every worker's
@@ -720,24 +681,22 @@ impl FleetCoordinator {
         let mut asked: Vec<usize> =
             (0..self.workers.len()).filter(|w| self.workers[*w].alive()).collect();
         while !asked.is_empty() {
-            let (replies, _) = self.fan_out(asked, tag::FINISH, tag::FINISH_REPLY)?;
+            let (replies, _) = self.fan_out(asked, tag::FINISH, &[], tag::FINISH_REPLY)?;
             for (worker, payload) in replies {
                 let reply: FinishReply = parse_json(&payload)?;
                 self.check_owned(worker, reply.ranges.iter().map(|r| r.range))?;
                 // Final: the worker has dropped these ranges.
-                self.ranges.retain(|state| state.worker != worker);
+                self.ranges.retain(|state| state.worker != Some(worker));
                 outputs.extend(reply.ranges.into_iter().map(|range| PipelineOutput {
                     keys: range.keys.into_iter().map(|e| (e.key, e.report)).collect(),
                     errors: range.errors.into_iter().map(|e| (e.key, e.error)).collect(),
                 }));
             }
             // Only unfinished ranges remain, each on a live worker once
-            // re-homed (no survivor left is a transport failure, never a
+            // placed (no survivor left is a transport failure, never a
             // partial verdict); their owners are asked again.
-            self.rehome()?;
-            asked = (0..self.workers.len())
-                .filter(|w| self.ranges.iter().any(|state| state.worker == *w))
-                .collect();
+            self.place()?;
+            asked = self.owners();
         }
         Ok((super::merge::merge_reports(outputs), self.summary))
     }

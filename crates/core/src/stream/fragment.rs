@@ -3,11 +3,12 @@
 //!
 //! Per §II-B every key's state is independent, so a snapshot of many key
 //! ranges is just the ranges' per-key entries laid out in key order. The
-//! fleet coordinator therefore never parses what it only stores, forwards
-//! and writes: it checks the header and the keys, keeps the bytes it
-//! received, and writes a checkpoint by laying the fragments out inside
-//! the envelope. Only a split and a resume's partition parse fragments
-//! ([`SnapshotFragments::parse`]).
+//! fleet coordinator never parses what it stores, forwards, splits and
+//! writes: it checks the header and the keys, keeps the bytes it
+//! received, [partitions](SnapshotFragments::partition) a snapshot by
+//! filtering keys, and writes a checkpoint by laying the fragments out
+//! inside the envelope. Only a worker parses fragments
+//! ([`SnapshotFragments::parse`]), to resume a range it is assigned.
 //!
 //! A fragment is the compact JSON of one [`KeySnapshot`], [`KeyReport`] or
 //! [`KeyError`], and the header serialises like the snapshot's leading
@@ -217,6 +218,26 @@ impl SnapshotFragments {
         let reports = entries(&self.reports, |e: &KeyReport| e.key)?;
         let errors = entries(&self.errors, |e: &KeyError| e.key)?;
         Ok(PipelineSnapshot::from_parts(self.header.clone(), (states, reports, errors)))
+    }
+
+    /// The slice of this snapshot that `range` covers, tagged with it, for
+    /// a fleet range to resume: each key list filtered to the range and
+    /// sorted by key (even when this snapshot's lists are not), the
+    /// fragments' bytes shared. Like every range's snapshot it counts no
+    /// routed operation (see [`merge_fragments`](super::merge_fragments)).
+    pub fn partition(&self, range: KeyRange) -> SnapshotFragments {
+        let slice = |list: &[Fragment]| {
+            let mut slice: Vec<Fragment> =
+                list.iter().filter(|fragment| range.contains(fragment.key)).cloned().collect();
+            slice.sort_by_key(|fragment| fragment.key);
+            slice
+        };
+        SnapshotFragments {
+            header: SnapshotHeader { ops_routed: 0, partition: Some(range), ..self.header.clone() },
+            states: slice(&self.states),
+            reports: slice(&self.reports),
+            errors: slice(&self.errors),
+        }
     }
 
     /// Writes the snapshot as compact JSON: the bytes `serde_json::to_string`

@@ -17,17 +17,17 @@
 //!   for single-process resume chains.
 //!
 //! [`merge_fragments`] lays per-range snapshots out as one
-//! whole-key-space snapshot without parsing them — a *fleet checkpoint*
-//! is therefore an ordinary checkpoint file, resumable by `kav stream
-//! --resume` or re-partitionable by [`partition_snapshot`] for a
-//! differently sized fleet. [`merge_reports`] does the same for finished
-//! [`PipelineOutput`]s.
+//! whole-key-space snapshot without parsing them, stamped with the count
+//! of routed operations the coordinator alone keeps — a *fleet
+//! checkpoint* is therefore an ordinary checkpoint file, resumable by
+//! `kav stream --resume` or re-partitionable by
+//! [`SnapshotFragments::partition`] for a differently sized fleet.
+//! [`merge_reports`] does the same for finished [`PipelineOutput`]s.
 //!
 //! [`StreamPipeline`]: super::StreamPipeline
 
-use super::fragment::{SnapshotFragments, SnapshotHeader};
-use super::pipeline::{PipelineOutput, PipelineSnapshot};
-use kav_history::frame::KeyRange;
+use super::fragment::SnapshotFragments;
+use super::pipeline::PipelineOutput;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -64,9 +64,12 @@ impl Error for MergeError {}
 /// Folds disjoint per-range snapshots in [fragment
 /// layout](crate::SnapshotFragments) into one whole-key-space snapshot: the
 /// fragments laid out in key order, none of them parsed or copied. The
-/// partition tag is cleared, `ops_routed` summed and the uncertified taint
-/// OR-ed — one tainted shard taints the fleet, YES degrades to UNKNOWN, NO
-/// is unaffected.
+/// partition tag is cleared, `ops_routed` set to the caller's count of
+/// every operation routed into the audit (the parts' own counts are not
+/// read: a range's snapshot counts none, see
+/// [`RangeSnapshot`](super::protocol::RangeSnapshot)), and the uncertified
+/// taint OR-ed — one tainted shard taints the fleet, YES degrades to
+/// UNKNOWN, NO is unaffected.
 ///
 /// # Errors
 ///
@@ -74,10 +77,12 @@ impl Error for MergeError {}
 /// overlapping keys; nothing about a rejected merge is trusted.
 pub fn merge_fragments<'a>(
     parts: impl IntoIterator<Item = &'a SnapshotFragments>,
+    ops_routed: u64,
 ) -> Result<SnapshotFragments, MergeError> {
     let mut parts = parts.into_iter();
     let mut merged = parts.next().ok_or(MergeError::Empty)?.clone();
     merged.header.partition = None;
+    merged.header.ops_routed = ops_routed;
     for part in parts {
         let (ours, theirs) = (&merged.header, &part.header);
         if (&ours.algo, ours.k, ours.model) != (&theirs.algo, theirs.k, theirs.model) {
@@ -92,7 +97,6 @@ pub fn merge_fragments<'a>(
                 ours.window, ours.horizon, theirs.window, theirs.horizon
             )));
         }
-        merged.header.ops_routed = merged.header.ops_routed.saturating_add(theirs.ops_routed);
         merged.header.uncertified |= theirs.uncertified;
         merged.states.extend_from_slice(&part.states);
         merged.reports.extend_from_slice(&part.reports);
@@ -109,44 +113,6 @@ pub fn merge_fragments<'a>(
         return Err(MergeError::OverlappingKey(pair[0]));
     }
     Ok(merged)
-}
-
-/// Carves the slice of `parent` that `range` covers, tagging the result
-/// with the range — the hand-out when a checkpoint is re-partitioned over
-/// a fleet, and the split when a hot shard divides. `ops_routed` is the
-/// caller's share accounting (per-key state does not record which routed
-/// operations belonged to which key, so the caller divides the parent's
-/// total; [`split_ops_share`] is the canonical division). Each key list of
-/// the slice is sorted by key, as the fragment layout requires, even when
-/// `parent`'s were not.
-pub fn partition_snapshot(
-    parent: &PipelineSnapshot,
-    range: KeyRange,
-    ops_routed: u64,
-) -> PipelineSnapshot {
-    fn slice<T: Clone>(entries: &[T], key: impl Fn(&T) -> u64, range: KeyRange) -> Vec<T> {
-        let mut slice: Vec<T> =
-            entries.iter().filter(|entry| range.contains(key(entry))).cloned().collect();
-        slice.sort_by_key(key);
-        slice
-    }
-    let header = SnapshotHeader { ops_routed, partition: Some(range), ..parent.header() };
-    let states = slice(&parent.states, |entry| entry.key, range);
-    let reports = slice(&parent.reports, |entry| entry.key, range);
-    let errors = slice(&parent.errors, |entry| entry.key, range);
-    PipelineSnapshot::from_parts(header, (states, reports, errors))
-}
-
-/// The accepted-operation count of `parent`'s keys inside `range` — the
-/// canonical `ops_routed` share for [`partition_snapshot`]: give one
-/// child its accepted ops and the other `parent.ops_routed` minus that,
-/// so the fleet-wide sum is conserved across splits. The sum saturates.
-pub fn split_ops_share(parent: &PipelineSnapshot, range: KeyRange) -> u64 {
-    let live = parent.states.iter().filter(|entry| range.contains(entry.key));
-    let finalised = parent.reports.iter().filter(|entry| range.contains(entry.key));
-    live.map(|entry| entry.state.ops)
-        .chain(finalised.map(|entry| entry.report.ops))
-        .fold(0, u64::saturating_add)
 }
 
 /// Concatenates disjoint per-range finished outputs into the
@@ -204,9 +170,10 @@ pub fn fleet_verdict(output: &PipelineOutput, summary: &FleetSummary) -> Option<
 
 #[cfg(test)]
 mod tests {
-    use super::super::pipeline::{PipelineConfig, StreamPipeline};
+    use super::super::pipeline::{PipelineConfig, PipelineSnapshot, StreamPipeline};
     use super::*;
     use crate::Fzf;
+    use kav_history::frame::KeyRange;
     use kav_history::{Operation, Time, Value};
 
     fn pipeline_with(keys: &[u64]) -> StreamPipeline {
@@ -250,7 +217,7 @@ mod tests {
             pipe.finish();
             fragments(part)
         });
-        let merged = merge_fragments(&parts).unwrap();
+        let merged = merge_fragments(&parts, whole.ops_routed).unwrap();
         assert_eq!(merged.parse().unwrap(), whole);
         assert_eq!(
             json(&merged),
@@ -264,40 +231,40 @@ mod tests {
         let keys: Vec<u64> = (0..64).collect();
         let whole = pipeline_with(&keys).snapshot();
         let (left, right) = KeyRange::ALL.split();
-        let left_share = split_ops_share(&whole, left);
-        let parts = [
-            partition_snapshot(&whole, left, left_share),
-            partition_snapshot(&whole, right, whole.ops_routed - left_share),
-        ];
-        assert_eq!(parts[0].partition, Some(left));
-        assert!(parts[0].states.iter().all(|e| left.contains(e.key)));
-        let merged = merge_fragments(&parts.map(fragments)).unwrap();
+        let whole_fragments = fragments(whole.clone());
+        let parts = [left, right].map(|range| whole_fragments.partition(range));
+        assert_eq!(parts[0].header.partition, Some(left));
+        assert_eq!(parts[0].header.ops_routed, 0, "a range's snapshot counts no operation");
+        assert!(parts[0].states.iter().all(|fragment| left.contains(fragment.key)));
+        let merged = merge_fragments(&parts, whole.ops_routed).unwrap();
         assert_eq!(merged.parse().unwrap(), whole);
         // Slices come out sorted even from a parent whose keys are not.
         let mut shuffled = whole.clone();
         shuffled.states.reverse();
-        let parts = [left, right].map(|range| partition_snapshot(&shuffled, range, 0));
-        assert!(parts.iter().all(|part| part.states.is_sorted_by_key(|entry| entry.key)));
+        let shuffled = fragments(shuffled);
+        let parts = [left, right].map(|range| shuffled.partition(range));
+        assert!(parts.iter().all(|part| part.states.is_sorted_by_key(|fragment| fragment.key)));
     }
 
     #[test]
     fn merge_rejects_overlap_and_mismatch_and_ors_taint() {
         let snapshot = fragments(pipeline_with(&[1, 2, 3]).snapshot());
-        assert_eq!(merge_fragments([]), Err(MergeError::Empty));
+        assert_eq!(merge_fragments([], 0), Err(MergeError::Empty));
         assert!(matches!(
-            merge_fragments([&snapshot, &snapshot]),
+            merge_fragments([&snapshot, &snapshot], 0),
             Err(MergeError::OverlappingKey(_))
         ));
         let mut other_window = fragments(pipeline_with(&[9]).snapshot());
         other_window.header.window = snapshot.header.window + 1;
         assert!(matches!(
-            merge_fragments([&snapshot, &other_window]),
+            merge_fragments([&snapshot, &other_window], 0),
             Err(MergeError::ConfigMismatch(_))
         ));
         let mut tainted = fragments(pipeline_with(&[100]).snapshot());
         tainted.header.uncertified = true;
-        let merged = merge_fragments([&snapshot, &tainted]).unwrap();
+        let merged = merge_fragments([&snapshot, &tainted], 7).unwrap();
         assert!(merged.header.uncertified, "one tainted shard taints the fleet");
+        assert_eq!(merged.header.ops_routed, 7, "the count is the caller's");
     }
 
     #[test]

@@ -102,10 +102,7 @@ pub use checkpoint::{
 };
 pub use coordinator::{FleetConfig, FleetCoordinator, WorkerLink, DEFAULT_REPLAY_CAP};
 pub use fragment::{Fragment, LayoutError, SnapshotFragments, SnapshotHeader};
-pub use merge::{
-    fleet_verdict, merge_fragments, merge_reports, partition_snapshot, split_ops_share,
-    FleetSummary, MergeError,
-};
+pub use merge::{fleet_verdict, merge_fragments, merge_reports, FleetSummary, MergeError};
 pub use pipeline::{
     KeyError, KeyReport, KeySnapshot, PipelineConfig, PipelineOutput, PipelineProgress,
     PipelineSnapshot, ShardProgress, StreamPipeline,

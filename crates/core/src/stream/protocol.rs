@@ -47,8 +47,8 @@
 //! their final windows in parallel; a worker blocked on a full pipe is
 //! then one the coordinator will read before it writes to it again. The
 //! coordinator reads every reply of a round, even after a death, and
-//! re-homes the dead worker's ranges (ASSIGN, BATCH) only once the round
-//! is drained.
+//! places the dead worker's ranges anew (ASSIGN, BATCH) only once the
+//! round is drained.
 //!
 //! [`encode_routed_batch`]: kav_history::frame::encode_routed_batch
 
@@ -103,6 +103,11 @@ pub mod tag {
 /// One range's snapshot: what ASSIGN hands a worker (an empty snapshot
 /// for a fresh range), what RETIRE_REPLY hands back, and one entry of a
 /// [`SnapshotReply`].
+///
+/// Its header's `ops_routed` is 0, and a worker keeps the header its ASSIGN
+/// carried: the coordinator alone counts routed operations, and stamps its
+/// count on the merged fleet snapshot
+/// ([`merge_fragments`](super::merge_fragments)).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RangeSnapshot {
     /// The range the snapshot covers. On ASSIGN the worker owns it from
@@ -458,8 +463,7 @@ pub(super) fn valid_range(range: KeyRange) -> Result<KeyRange, ProtocolError> {
 }
 
 /// One range a [`Worker`] owns: its shard, and the header of its
-/// snapshots — the one its ASSIGN carried, counting every operation routed
-/// to the range since.
+/// snapshots — the one its ASSIGN carried.
 struct OwnedRange<V> {
     header: SnapshotHeader,
     shard: Shard<V>,
@@ -521,7 +525,6 @@ impl<V: Verifier + Clone> Worker<V> {
                 let (range, ops) = decode_routed_batch(&payload)?;
                 let owned = self.owned.get_mut(&range);
                 let owned = owned.ok_or(ProtocolError::UnassignedRange(range))?;
-                owned.header.ops_routed += ops.len() as u64;
                 ops.into_iter().for_each(|(key, op)| owned.shard.push(key, op));
             }
             tag::SNAPSHOT => {

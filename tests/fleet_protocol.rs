@@ -457,6 +457,47 @@ fn coordinator_refuses_a_bad_worker_preamble() {
     handle.join().unwrap();
 }
 
+#[test]
+fn a_worker_dead_before_its_preamble_is_buried() {
+    // A link whose worker end closed before the preamble exchange.
+    let dead_link = || {
+        let (coordinator_side, worker_side) = UnixStream::pair().expect("socketpair");
+        drop(worker_side);
+        WorkerLink {
+            writer: Box::new(coordinator_side.try_clone().expect("clone")),
+            reader: Box::new(coordinator_side),
+        }
+    };
+    let records = streaming_workload(StreamingWorkloadConfig {
+        keys: 8,
+        ops_per_key: 30,
+        k: 2,
+        seed: 11,
+        ..Default::default()
+    });
+    let (live, live_handle) = worker_link(Fzf);
+    let mut fleet = FleetCoordinator::new(fleet_config(), vec![dead_link(), live])
+        .expect("the fleet starts on the live worker");
+    let config = PipelineConfig { shards: 2, window: 8, ..Default::default() };
+    let mut single = StreamPipeline::new(Fzf, config);
+    for record in &records {
+        fleet.push(record.key, record.op()).unwrap();
+        single.push(record.key, record.op());
+    }
+    let (output, summary) = fleet.finish().expect("the live worker finishes the audit");
+    live_handle.join().unwrap().expect("the live worker exits cleanly");
+    let single = single.finish();
+    assert_eq!(output.keys, single.keys);
+    assert_eq!(output.errors, single.errors);
+    assert_eq!((summary.workers, summary.workers_alive), (2, 1));
+
+    // With no worker alive the fleet cannot start.
+    let err = FleetCoordinator::new(fleet_config(), vec![dead_link(), dead_link()])
+        .err()
+        .expect("a fleet with no live worker must not start");
+    assert!(matches!(err, ProtocolError::Disconnected), "got {err:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Hand-off delivery: what a survivor receives after its peer dies.
 // ---------------------------------------------------------------------------
@@ -1011,7 +1052,7 @@ fn a_retired_range_verifies_nothing() {
     let retired = RangeSnapshot::decode(payload).unwrap();
     assert_eq!(retired.range, range);
     let snapshot = retired.snapshot.parse().unwrap();
-    assert_eq!(snapshot.ops_routed, 3, "the reply counts the batch");
+    assert_eq!(snapshot.ops_routed, 0, "only the coordinator counts routed operations");
     assert_eq!(snapshot.states.len(), 1);
     assert_eq!(snapshot.states[0].state.ops, 3, "the reply holds the batch");
 

@@ -9,6 +9,7 @@
 //!
 //! - the input (2 or 3 keys, 34 operations) and the resume: none, or a
 //!   verified or unverified one from a mid-stream checkpoint;
+//! - the replay cap, 12 or 4 operations;
 //! - a checkpoint never, or every 8 operations;
 //! - one `split_hottest` halfway, or none;
 //! - which worker dies, and before or after which of its messages, or no
@@ -32,9 +33,11 @@
 //! 4. with every hand-off certified (no death included), the merged
 //!    output and every checkpoint equal the single-process ones byte for
 //!    byte;
-//! 5. every schedule returns: it finishes, or its fleet refuses to start
-//!    (a death at an initial assignment), and never gives up while a
-//!    worker is alive.
+//! 5. every schedule returns: its fleet starts (a death at an initial
+//!    assignment is a hand-off like any other), finishes, and never gives
+//!    up while a worker is alive;
+//! 6. every checkpoint counts the operations routed up to its record as
+//!    the single process's does, whatever the hand-offs.
 //!
 //! A few workers stand in for many (Esparza, Ganty and Majumdar on
 //! parameterized verification), and each invariant is a state-reachability
@@ -56,9 +59,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 const WINDOW: usize = 3;
 const BATCH: usize = 4;
-/// Small enough that a range's replay overflows without checkpoints, so
-/// hand-offs come both certified and uncertified.
-const REPLAY_CAP: usize = 12;
+/// Replay caps. At 12 a range's replay overflows only without
+/// checkpoints, so hand-offs come both certified and uncertified; at 4 it
+/// overflows between checkpoints too, so uncertified hand-offs meet
+/// checkpoints and splits.
+const REPLAY_CAPS: [usize; 2] = [12, 4];
 /// Operations per input, about: split evenly over its keys.
 const OPS: usize = 30;
 /// Operations a mid-stream checkpoint covers.
@@ -281,6 +286,7 @@ struct Schedule {
     workers: usize,
     keys: u64,
     resume: Resume,
+    replay_cap: usize,
     checkpoint_every: u64,
     split: bool,
     /// A worker's death, at a message of its own.
@@ -290,22 +296,18 @@ struct Schedule {
 }
 
 /// What one schedule's fleet did.
-enum Outcome {
-    /// The fleet could not start: a death at an initial assignment.
-    Refused,
-    Finished {
-        output: PipelineOutput,
-        summary: FleetSummary,
-        checkpoints: Vec<String>,
-        /// The index of the push after which the first hand-off, and the
-        /// first checkpoint, had happened.
-        first_hand_off: Option<usize>,
-        first_probe: Option<usize>,
-        /// Whether any scheduled death happened.
-        died: bool,
-        /// Each worker's message tags.
-        tags: Vec<Vec<u8>>,
-    },
+struct Outcome {
+    output: PipelineOutput,
+    summary: FleetSummary,
+    checkpoints: Vec<String>,
+    /// The index of the push after which the first hand-off, and the
+    /// first checkpoint, had happened.
+    first_hand_off: Option<usize>,
+    first_probe: Option<usize>,
+    /// Whether any scheduled death happened.
+    died: bool,
+    /// Each worker's message tags.
+    tags: Vec<Vec<u8>>,
 }
 
 /// The input of a schedule: its records, the checkpoint a resume starts
@@ -363,7 +365,7 @@ fn pipeline_config(checkpoint_every: u64) -> PipelineConfig {
     PipelineConfig { shards: 2, window: WINDOW, horizon: None, batch: BATCH, checkpoint_every }
 }
 
-fn fleet_config(checkpoint_every: u64) -> FleetConfig {
+fn fleet_config(checkpoint_every: u64, replay_cap: usize) -> FleetConfig {
     FleetConfig {
         algo: "fzf".to_owned(),
         model: ModelId::KAtomic,
@@ -372,7 +374,7 @@ fn fleet_config(checkpoint_every: u64) -> FleetConfig {
         horizon: None,
         batch: BATCH,
         checkpoint_every,
-        replay_cap: REPLAY_CAP,
+        replay_cap,
     }
 }
 
@@ -411,7 +413,8 @@ impl Reference {
 }
 
 /// Runs one schedule. A panic (a deadlock, a livelock, a worker refusing
-/// a message) and a fleet that gives up are returned as the violation.
+/// a message) and a fleet that refuses to start or gives up are returned
+/// as the violation.
 fn run(schedule: &Schedule, input: &Input) -> Result<Outcome, String> {
     let fleet = Arc::new(Mutex::new(Fleet {
         pipes: (0..schedule.workers).map(|_| Pipe::new()).collect(),
@@ -433,14 +436,13 @@ fn run(schedule: &Schedule, input: &Input) -> Result<Outcome, String> {
         })
         .collect();
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        let config = fleet_config(schedule.checkpoint_every);
+        let config = fleet_config(schedule.checkpoint_every, schedule.replay_cap);
         let coordinator = match &input.base {
             Some((base, verified)) => FleetCoordinator::resume(config, links, base, *verified),
             None => FleetCoordinator::new(config, links),
         };
-        let Ok(mut coordinator) = coordinator else {
-            return Ok(None);
-        };
+        let mut coordinator =
+            coordinator.map_err(|e| format!("the fleet refused to start: {e}"))?;
         let (mut checkpoints, mut first_hand_off, mut first_probe) = (Vec::new(), None, None);
         let feed = input.feed();
         let gave_up = |e| format!("the fleet gave up with a worker alive: {e}");
@@ -460,7 +462,7 @@ fn run(schedule: &Schedule, input: &Input) -> Result<Outcome, String> {
             }
         }
         let (output, summary) = coordinator.finish().map_err(gave_up)?;
-        Ok(Some((output, summary, checkpoints, first_hand_off, first_probe)))
+        Ok((output, summary, checkpoints, first_hand_off, first_probe))
     }));
     let state = fleet.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     match result {
@@ -470,19 +472,15 @@ fn run(schedule: &Schedule, input: &Input) -> Result<Outcome, String> {
             .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_else(|| "a panic".to_owned())),
         Ok(Err(violation)) => Err(violation),
-        Ok(Ok(None)) if state.pipes.iter().any(|pipe| pipe.dead) => Ok(Outcome::Refused),
-        Ok(Ok(None)) => Err("the fleet refused to start with every worker alive".to_owned()),
-        Ok(Ok(Some((output, summary, checkpoints, first_hand_off, first_probe)))) => {
-            Ok(Outcome::Finished {
-                output,
-                summary,
-                checkpoints,
-                first_hand_off,
-                first_probe,
-                died: state.pipes.iter().any(|pipe| pipe.dead),
-                tags: state.pipes.iter().map(|pipe| pipe.tags.clone()).collect(),
-            })
-        }
+        Ok(Ok((output, summary, checkpoints, first_hand_off, first_probe))) => Ok(Outcome {
+            output,
+            summary,
+            checkpoints,
+            first_hand_off,
+            first_probe,
+            died: state.pipes.iter().any(|pipe| pipe.dead),
+            tags: state.pipes.iter().map(|pipe| pipe.tags.clone()).collect(),
+        }),
     }
 }
 
@@ -495,11 +493,23 @@ fn name(verdict: Option<bool>) -> &'static str {
     }
 }
 
-/// Checks invariants 1–4 of a finished schedule against its reference.
+/// The `ops_routed` a checkpoint records.
+fn ops_routed(checkpoint: &str) -> u64 {
+    serde_json::from_str::<PipelineSnapshot>(checkpoint).expect("checkpoints parse").ops_routed
+}
+
+/// Checks invariants 1–4 and 6 of a finished schedule against its
+/// reference.
 fn check(outcome: &Outcome, reference: &Reference) -> Result<(), String> {
-    let Outcome::Finished { output, summary, checkpoints, .. } = outcome else {
-        return Ok(());
-    };
+    let Outcome { output, summary, checkpoints, .. } = outcome;
+    let fleet_counts: Vec<u64> = checkpoints.iter().map(|c| ops_routed(c)).collect();
+    let single_counts: Vec<u64> = reference.checkpoints.iter().map(|c| ops_routed(c)).collect();
+    if fleet_counts != single_counts {
+        return Err(format!(
+            "checkpoints count routed operations {fleet_counts:?}, the single process's \
+             {single_counts:?}"
+        ));
+    }
     let verdict = fleet_verdict(output, summary);
     let single: BTreeMap<u64, Option<bool>> =
         reference.output.keys.iter().map(|(key, report)| (*key, report.k_atomic())).collect();
@@ -547,7 +557,6 @@ fn check(outcome: &Outcome, reference: &Reference) -> Result<(), String> {
 #[derive(Default)]
 struct Tally {
     schedules: usize,
-    refused: usize,
     with_death: usize,
     hand_offs: usize,
     uncertified: usize,
@@ -568,8 +577,13 @@ fn describe(schedule: &Schedule, outcome: Option<&Outcome>, tags: &[Vec<u8>]) ->
         _ => "?",
     };
     let mut text = format!(
-        "{} workers, {} keys, resume {:?}, checkpoint every {}, split {}",
-        schedule.workers, schedule.keys, schedule.resume, schedule.checkpoint_every, schedule.split
+        "{} workers, {} keys, resume {:?}, replay cap {}, checkpoint every {}, split {}",
+        schedule.workers,
+        schedule.keys,
+        schedule.resume,
+        schedule.replay_cap,
+        schedule.checkpoint_every,
+        schedule.split
     );
     if let Some((worker, death)) = schedule.death {
         let (Death::Before(m) | Death::After(m)) = death;
@@ -579,7 +593,7 @@ fn describe(schedule: &Schedule, outcome: Option<&Outcome>, tags: &[Vec<u8>]) ->
     if let Some((worker, deferred)) = schedule.second {
         text += &format!(", then worker {worker} {deferred:?}");
     }
-    if let Some(Outcome::Finished { first_hand_off, first_probe, summary, .. }) = outcome {
+    if let Some(Outcome { first_hand_off, first_probe, summary, .. }) = outcome {
         text += &format!(
             "; first hand-off after push {first_hand_off:?}, first probe after push \
              {first_probe:?}, {} hand-offs ({} uncertified), {} frames dropped",
@@ -589,9 +603,10 @@ fn describe(schedule: &Schedule, outcome: Option<&Outcome>, tags: &[Vec<u8>]) ->
     text
 }
 
-/// Explores every schedule up to the bound: `workers` workers, and with
-/// `second_deaths` a second death during each first death's hand-off.
-fn explore(workers: usize, second_deaths: bool) -> Tally {
+/// Explores every schedule up to the bound: `workers` workers, a replay
+/// cap of `replay_cap`, and with `second_deaths` a second death during
+/// each first death's hand-off.
+fn explore(workers: usize, second_deaths: bool, replay_cap: usize) -> Tally {
     let mut tally = Tally::default();
     for keys in [2, 3] {
         for resume in [Resume::Fresh, Resume::Verified, Resume::Unverified] {
@@ -603,6 +618,7 @@ fn explore(workers: usize, second_deaths: bool) -> Tally {
                         workers,
                         keys,
                         resume,
+                        replay_cap,
                         checkpoint_every,
                         split,
                         death: None,
@@ -611,8 +627,8 @@ fn explore(workers: usize, second_deaths: bool) -> Tally {
                     // The undisturbed run fixes every worker's messages: a
                     // death changes nothing before it.
                     let tags = match run(&base, &input) {
-                        Ok(Outcome::Finished { tags, .. }) => tags,
-                        _ => vec![Vec::new(); workers],
+                        Ok(Outcome { tags, .. }) => tags,
+                        Err(_) => vec![Vec::new(); workers],
                     };
                     let mut schedules = vec![base.clone()];
                     for (worker, messages) in tags.iter().enumerate() {
@@ -643,10 +659,7 @@ fn explore(workers: usize, second_deaths: bool) -> Tally {
                             .map_err(Clone::clone)
                             .and_then(|outcome| check(outcome, &reference).map(|()| outcome));
                         match verdict {
-                            Ok(Outcome::Refused) => tally.refused += 1,
-                            Ok(Outcome::Finished {
-                                output, summary, checkpoints, died, ..
-                            }) => {
+                            Ok(Outcome { output, summary, checkpoints, died, .. }) => {
                                 for (_, report) in &output.keys {
                                     let slot = match report.k_atomic() {
                                         Some(false) => 0,
@@ -677,13 +690,12 @@ fn explore(workers: usize, second_deaths: bool) -> Tally {
     tally
 }
 
-fn report(tally: &Tally) {
+fn report(replay_cap: usize, tally: &Tally) {
     println!(
-        "explored {} fleet schedules: {} refused to start, {} with a death, {} hand-offs ({} \
+        "replay cap {replay_cap}: explored {} fleet schedules: {} with a death, {} hand-offs ({} \
          uncertified), {} splits, {} checkpoints; key verdicts {} NO, {} YES, {} UNKNOWN; {} \
          violations",
         tally.schedules,
-        tally.refused,
         tally.with_death,
         tally.hand_offs,
         tally.uncertified,
@@ -706,16 +718,20 @@ fn report(tally: &Tally) {
 
 #[test]
 fn every_schedule_of_two_workers_keeps_every_invariant() {
-    let tally = explore(2, false);
-    report(&tally);
-    // The bound reaches what the invariants are about.
-    assert!(tally.uncertified > 0 && tally.hand_offs > tally.uncertified && tally.splits > 0);
+    for replay_cap in REPLAY_CAPS {
+        let tally = explore(2, false, replay_cap);
+        report(replay_cap, &tally);
+        // The bound reaches what the invariants are about.
+        assert!(tally.uncertified > 0 && tally.hand_offs > tally.uncertified && tally.splits > 0);
+    }
 }
 
 #[test]
 #[ignore = "the larger bound: run with --release -- --ignored"]
 fn every_schedule_of_three_workers_and_two_deaths_keeps_every_invariant() {
-    let tally = explore(3, true);
-    report(&tally);
-    assert!(tally.uncertified > 0 && tally.hand_offs > tally.uncertified && tally.splits > 0);
+    for replay_cap in REPLAY_CAPS {
+        let tally = explore(3, true, replay_cap);
+        report(replay_cap, &tally);
+        assert!(tally.uncertified > 0 && tally.hand_offs > tally.uncertified && tally.splits > 0);
+    }
 }
