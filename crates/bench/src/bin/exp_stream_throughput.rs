@@ -158,7 +158,7 @@ fn measure_checkpointed(records: &[StreamRecord], shards: usize, every: u64) -> 
 /// path; the ratio between the two is the ingest-ceiling speed-up.
 fn measure_drain(records: &[StreamRecord], shards: usize, batch: usize) -> Measurement {
     fn shard_of(key: u64, shards: usize) -> usize {
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % shards as u64) as usize
+        ((frame::key_hash(key) >> 33) % shards as u64) as usize
     }
     use kav_history::Operation;
     use std::sync::mpsc;

@@ -451,16 +451,21 @@ impl<'a> AuditSession<'a> {
                 }
             }
             if let Some(checkpoints) = &mut checkpoints {
-                if let Some(snapshot) = sink.snapshot_if_due()? {
-                    let position = SourcePosition {
-                        lines: source.units_read(),
-                        fingerprint: source
-                            .fingerprint()
-                            .expect("checkpointing sessions always fingerprint"),
-                        malformed: total_malformed,
-                        malformed_samples: malformed.clone(),
-                    };
-                    checkpoints.write(position, snapshot)?;
+                match sink.snapshot_if_due()? {
+                    // Still probed at cadence, so acks keep replays bounded.
+                    Some(_) if sink.gapped() => checkpoints.halt(),
+                    Some(snapshot) => {
+                        let position = SourcePosition {
+                            lines: source.units_read(),
+                            fingerprint: source
+                                .fingerprint()
+                                .expect("checkpointing sessions always fingerprint"),
+                            malformed: total_malformed,
+                            malformed_samples: malformed.clone(),
+                        };
+                        checkpoints.write(position, snapshot)?;
+                    }
+                    None => {}
                 }
             }
             if self.progress_every > 0 && records.is_multiple_of(self.progress_every) {
@@ -678,6 +683,13 @@ enum Sink {
 }
 
 impl Sink {
+    /// Whether an uncertified hand-off stopped a fleet range's audit, so no
+    /// snapshot from here on resumes soundly: its keys skip a gap.
+    fn gapped(&self) -> bool {
+        matches!(self, Sink::Fleet { coordinator, .. }
+            if coordinator.summary().uncertified_hand_offs > 0)
+    }
+
     /// A snapshot when the checkpoint cadence is due.
     fn snapshot_if_due(&mut self) -> Result<Option<Snapshot>, ProtocolError> {
         Ok(match self {
@@ -718,9 +730,13 @@ enum Snapshot {
 /// file atomically).
 struct CheckpointThread<'a> {
     path: &'a str,
+    /// The version the chain continued after at start.
+    started: u64,
     /// The version of the last checkpoint handed to the writer, which
     /// progress records report.
     handed: u64,
+    /// Set once [`halt`](Self::halt) stopped the writes.
+    halted: bool,
     in_flight: bool,
     jobs: Option<mpsc::Sender<(SourcePosition, Snapshot)>>,
     results: mpsc::Receiver<io::Result<u64>>,
@@ -748,7 +764,9 @@ impl<'a> CheckpointThread<'a> {
         });
         Ok(CheckpointThread {
             path,
+            started: last,
             handed: last,
+            halted: false,
             in_flight: false,
             jobs: Some(jobs),
             results,
@@ -781,6 +799,23 @@ impl<'a> CheckpointThread<'a> {
         self.in_flight = true;
         self.handed += 1;
         Ok(())
+    }
+
+    /// Writes no further checkpoint once a gap opened: a later one would
+    /// resume across it, and the last one written predates it. Warns once.
+    fn halt(&mut self) {
+        if std::mem::replace(&mut self.halted, true) {
+            return;
+        }
+        let kept = if self.handed > self.started {
+            format!("{} keeps checkpoint v{}", self.path, self.handed)
+        } else {
+            format!("this run wrote no checkpoint to {}", self.path)
+        };
+        eprintln!(
+            "warning: an uncertified hand-off stopped a range's audit, so no later \
+             checkpoint is written (it would resume across the gap); {kept}"
+        );
     }
 
     /// Waits for the last write.

@@ -1229,9 +1229,10 @@ fn serve_degrades_yes_to_unknown_on_an_unverifiable_hand_off() {
 #[test]
 fn a_fleet_checkpoint_counts_every_routed_record() {
     // A replay cap of 8 under a checkpoint every 100 records makes the
-    // hand-off at record 300 unverifiable, so the fleet drops the stopped
-    // range's later frames. Its checkpoint still counts every one of the
-    // 600 records routed, as `kav stream`'s does.
+    // hand-off at record 300 unverifiable, so the fleet writes no
+    // checkpoint from then on. The last one it wrote, at record 200, is
+    // the one `kav stream` writes over those 200 records, byte for byte:
+    // it counts every record routed up to its cut.
     let path = temp_file("fleet_count.ndjson");
     let path = path.to_str().unwrap();
     let out = kav(&[
@@ -1239,6 +1240,9 @@ fn a_fleet_checkpoint_counts_every_routed_record() {
         "--seed", "17", "--out", path,
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
+    let text = std::fs::read_to_string(path).unwrap();
+    let prefix = temp_file("fleet_count_200.ndjson");
+    std::fs::write(&prefix, text.lines().take(200).collect::<Vec<_>>().join("\n") + "\n").unwrap();
     let fleet_ckpt = temp_file("fleet_count_a.ckpt");
     let single_ckpt = temp_file("fleet_count_b.ckpt");
     let (fleet_ckpt, single_ckpt) = (fleet_ckpt.to_str().unwrap(), single_ckpt.to_str().unwrap());
@@ -1251,12 +1255,63 @@ fn a_fleet_checkpoint_counts_every_routed_record() {
     .concat());
     assert_eq!(fleet.status.code(), Some(1), "{}", stderr(&fleet));
     assert!(stdout(&fleet).contains("(1 uncertified)"), "{}", stdout(&fleet));
-    let single = kav(&[&["stream"][..], &audit, &["--checkpoint", single_ckpt, path]].concat());
+    assert!(stderr(&fleet).contains("keeps checkpoint v2"), "{}", stderr(&fleet));
+    let single = kav(&[
+        &["stream"][..],
+        &audit,
+        &["--checkpoint", single_ckpt, prefix.to_str().unwrap()],
+    ]
+    .concat());
     assert_eq!(single.status.code(), Some(1), "{}", stderr(&single));
-    for ckpt in [fleet_ckpt, single_ckpt] {
-        let text = std::fs::read_to_string(ckpt).unwrap();
-        assert!(text.contains("\"ops_routed\":600,"), "{ckpt}: {text}");
-    }
+    let fleet_bytes = std::fs::read_to_string(fleet_ckpt).unwrap();
+    assert!(fleet_bytes.contains("\"ops_routed\":200,"), "{fleet_bytes}");
+    assert_eq!(fleet_bytes, std::fs::read_to_string(single_ckpt).unwrap());
+}
+
+#[test]
+fn a_fleet_writes_no_checkpoint_past_an_uncertified_hand_off() {
+    // Worker 0 dies at record 50 with its replay cap (2) long overflowed,
+    // so the hand-off stops its range's audit. The checkpoint due at
+    // record 80 would hold that range at its last acked state, which a
+    // resume would feed the rest of the input across the gap; the fleet
+    // keeps the one from record 40 instead, and that one resumes to the
+    // uninterrupted table.
+    let path = temp_file("fleet_gap.ndjson");
+    let path = path.to_str().unwrap();
+    let out = kav(&[
+        "gen", "--workload", "stream", "--keys", "3", "--n", "40", "--seed", "1", "--spread",
+        "4", "--out", path,
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = std::fs::read_to_string(path).unwrap();
+    let head = temp_file("fleet_gap_100.ndjson");
+    std::fs::write(&head, text.lines().take(100).collect::<Vec<_>>().join("\n") + "\n").unwrap();
+    let ckpt = temp_file("fleet_gap.ckpt");
+    let _ = std::fs::remove_file(&ckpt);
+    let ckpt = ckpt.to_str().unwrap();
+    let audit = ["--window", "3", "--batch", "4"];
+    let fleet = kav(&[
+        &["serve", "--workers", "2", "--replay-cap", "2", "--kill-worker", "0:50"][..],
+        &audit,
+        &["--checkpoint", ckpt, "--checkpoint-every", "40", head.to_str().unwrap()],
+    ]
+    .concat());
+    assert_eq!(fleet.status.code(), Some(0), "{}", stderr(&fleet));
+    assert!(stdout(&fleet).contains("1 hand-offs (1 uncertified)"), "{}", stdout(&fleet));
+    let warning = stderr(&fleet);
+    assert!(warning.contains("no later checkpoint is written"), "{warning}");
+    assert!(warning.contains("keeps checkpoint v1"), "{warning}");
+    let saved = std::fs::read_to_string(ckpt).unwrap();
+    assert!(saved.starts_with("{\"format\":1,\"version\":1,"), "{saved}");
+    let resumed = kav(&[&["stream"][..], &audit, &["--resume", ckpt, path]].concat());
+    assert_eq!(resumed.status.code(), Some(0), "{}", stderr(&resumed));
+    let whole = kav(&[&["stream"][..], &audit, &[path]].concat());
+    assert_eq!(whole.status.code(), Some(0), "{}", stderr(&whole));
+    let table = |out: &Output| {
+        let text = stdout(out);
+        text.lines().filter(|line| line.contains(" | ")).map(str::to_owned).collect::<Vec<_>>()
+    };
+    assert_eq!(table(&resumed), table(&whole));
 }
 
 #[test]

@@ -73,11 +73,12 @@ use super::merge::{merge_fragments, FleetSummary, MergeError};
 use super::pipeline::{check_counts, PipelineOutput, PipelineSnapshot};
 use crate::models::ModelId;
 use super::protocol::{
-    expect_preamble, parse_json, read_message, tag, to_json, valid_range, write_message,
+    expect_preamble, parse_json, read_message, tag, to_json, valid_range, write_message, Batch,
     FinishReply, ProtocolError, RangeSnapshot, SnapshotReply, COORDINATOR_MAGIC, WORKER_MAGIC,
 };
-use kav_history::frame::{encode_routed_batch, KeyRange};
+use kav_history::frame::KeyRange;
 use kav_history::Operation;
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 
 /// Default bound on the per-range replay, in operations. At 48 bytes a
@@ -147,6 +148,17 @@ struct WorkerSlot {
 impl WorkerSlot {
     fn alive(&self) -> bool {
         self.link.is_some()
+    }
+
+    /// Writes one message to the worker, flushing.
+    fn write(
+        &mut self,
+        message: impl FnOnce(&mut Box<dyn Write + Send>) -> io::Result<()>,
+    ) -> Result<(), ProtocolError> {
+        let link = self.link.as_mut().ok_or(ProtocolError::Disconnected)?;
+        message(&mut link.writer)?;
+        link.writer.flush()?;
+        Ok(())
     }
 }
 
@@ -366,8 +378,8 @@ impl FleetCoordinator {
             return Ok(());
         }
         let worker = state.worker.ok_or(ProtocolError::Disconnected)?;
-        let payload = encode_routed_batch(state.range, &state.ops[state.sent..]);
-        if self.write_to(worker, |out| write_message(out, tag::BATCH, &payload)).is_err() {
+        let batch = Batch { range: state.range, ops: Cow::Borrowed(&state.ops[state.sent..]) };
+        if self.workers[worker].write(|out| batch.write_message(out)).is_err() {
             self.bury(worker);
             return self.place();
         }
@@ -378,18 +390,6 @@ impl FleetCoordinator {
             state.ops.clear();
             state.sent = 0;
         }
-        Ok(())
-    }
-
-    /// Writes one message to a worker, flushing.
-    fn write_to(
-        &mut self,
-        worker: usize,
-        message: impl FnOnce(&mut Box<dyn Write + Send>) -> io::Result<()>,
-    ) -> Result<(), ProtocolError> {
-        let link = self.workers[worker].link.as_mut().ok_or(ProtocolError::Disconnected)?;
-        message(&mut link.writer)?;
-        link.writer.flush()?;
         Ok(())
     }
 
@@ -433,11 +433,11 @@ impl FleetCoordinator {
             let state = &mut self.ranges[idx];
             state.worker = Some(worker);
             let assignment = RangeSnapshot { range: state.range, snapshot: state.snapshot.clone() };
-            let replay =
-                (!state.ops.is_empty()).then(|| encode_routed_batch(state.range, &state.ops));
-            let placed = self.write_to(worker, |out| {
+            let replay = (!state.ops.is_empty())
+                .then(|| Batch { range: state.range, ops: Cow::Borrowed(&state.ops) });
+            let placed = self.workers[worker].write(|out| {
                 assignment.write_message(out, tag::ASSIGN)?;
-                replay.map_or(Ok(()), |payload| write_message(out, tag::BATCH, &payload))
+                replay.map_or(Ok(()), |batch| batch.write_message(out))
             });
             match placed {
                 // The whole buffer went out: nothing is left unsent.
@@ -494,7 +494,7 @@ impl FleetCoordinator {
         let mut dead = Vec::new();
         let mut asked = Vec::with_capacity(workers.len());
         for worker in workers {
-            match self.write_to(worker, |out| write_message(out, request, payload)) {
+            match self.workers[worker].write(|out| write_message(out, request, payload)) {
                 Ok(()) => asked.push(worker),
                 Err(ProtocolError::Io(_) | ProtocolError::Disconnected) => dead.push(worker),
                 Err(e) => return Err(e),

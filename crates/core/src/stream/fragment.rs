@@ -280,8 +280,7 @@ impl SnapshotFragments {
         let lists = self.lists();
         let entries = lists.iter().map(|list| list.len()).sum::<usize>();
         let mut index = Vec::with_capacity(28 + INDEX_ENTRY * entries);
-        index.extend_from_slice(&range.bits.to_le_bytes());
-        index.extend_from_slice(&range.prefix.to_le_bytes());
+        put_range(range, &mut index);
         for n in [header.len(), lists[0].len(), lists[1].len(), lists[2].len()] {
             index.extend_from_slice(&wire_u32(n)?.to_le_bytes());
         }
@@ -303,10 +302,7 @@ impl SnapshotFragments {
     ///
     /// A [`LayoutError`] for the first fault found.
     pub(super) fn decode(cursor: &mut Cursor) -> Result<(KeyRange, Self), LayoutError> {
-        let range = KeyRange { bits: cursor.u32()?, prefix: cursor.u64()? };
-        if !range.is_valid() {
-            return Err(LayoutError::BadRange(range));
-        }
+        let range = cursor.range()?;
         let header_len = cursor.u32()?;
         let counts = [cursor.u32()?, cursor.u32()?, cursor.u32()?];
         // The whole index must be present before anything is sized by it.
@@ -348,6 +344,13 @@ impl SnapshotFragments {
     }
 }
 
+/// Appends `range` as the wire lays out every key range: `bits u32 |
+/// prefix u64`, read back by [`Cursor::range`].
+pub(super) fn put_range(range: KeyRange, out: &mut Vec<u8>) {
+    out.extend_from_slice(&range.bits.to_le_bytes());
+    out.extend_from_slice(&range.prefix.to_le_bytes());
+}
+
 /// A read position in a received message payload. Fragments decoded from
 /// it keep the payload alive and point into it, so no fragment is copied.
 pub(super) struct Cursor {
@@ -361,9 +364,14 @@ impl Cursor {
         Cursor { payload: Arc::new(payload), at: 0 }
     }
 
+    /// Bytes not yet read.
+    pub(super) fn left(&self) -> usize {
+        self.payload.len() - self.at
+    }
+
     /// Steps over the next `n` bytes, returning their span.
     fn take(&mut self, n: u64) -> Result<(usize, usize), LayoutError> {
-        let left = self.payload.len() - self.at;
+        let left = self.left();
         if n > left as u64 {
             return Err(LayoutError::Truncated { at: self.at, needed: n, left });
         }
@@ -372,16 +380,27 @@ impl Cursor {
         Ok((start, self.at))
     }
 
+    /// Reads the next `N` bytes.
+    pub(super) fn array<const N: usize>(&mut self) -> Result<&[u8; N], LayoutError> {
+        let (start, end) = self.take(N as u64)?;
+        Ok(self.payload[start..end].try_into().expect("N bytes"))
+    }
+
     /// Reads a little-endian `u32`.
     pub(super) fn u32(&mut self) -> Result<u32, LayoutError> {
-        let (start, end) = self.take(4)?;
-        Ok(u32::from_le_bytes(self.payload[start..end].try_into().expect("4 bytes")))
+        self.array().map(|bytes| u32::from_le_bytes(*bytes))
     }
 
     /// Reads a little-endian `u64`.
     pub(super) fn u64(&mut self) -> Result<u64, LayoutError> {
-        let (start, end) = self.take(8)?;
-        Ok(u64::from_le_bytes(self.payload[start..end].try_into().expect("8 bytes")))
+        self.array().map(|bytes| u64::from_le_bytes(*bytes))
+    }
+
+    /// Reads a key range laid out by [`put_range`], refusing one that
+    /// fails [`KeyRange::is_valid`].
+    pub(super) fn range(&mut self) -> Result<KeyRange, LayoutError> {
+        let range = KeyRange { bits: self.u32()?, prefix: self.u64()? };
+        range.is_valid().then_some(range).ok_or(LayoutError::BadRange(range))
     }
 
     /// Ends the decode: nothing may follow the last declared field.
@@ -393,12 +412,12 @@ impl Cursor {
     }
 }
 
-/// Why bytes in fragment layout cannot be used. The protocol surfaces
+/// Why a snapshot or batch payload cannot be used. The protocol surfaces
 /// each as a [`ProtocolError`](super::ProtocolError), never a verdict.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LayoutError {
-    /// A field or fragment of `needed` bytes at offset `at`, where only
-    /// `left` bytes remain.
+    /// A field, fragment or frame of `needed` bytes at offset `at`, where
+    /// only `left` bytes remain.
     Truncated {
         /// Offset of the field in the payload.
         at: usize,
@@ -411,11 +430,13 @@ pub enum LayoutError {
     TrailingBytes(usize),
     /// A range, or a header's partition, that fails [`KeyRange::is_valid`].
     BadRange(KeyRange),
+    /// A batch frame whose kind byte is neither read (0) nor write (1).
+    BadKind(u8),
     /// Two ranges of one message overlap, so a key could belong to both.
     OverlappingRanges(KeyRange, KeyRange),
     /// The header is not the JSON of a [`SnapshotHeader`].
     Header(String),
-    /// A key outside the range its snapshot is tagged with.
+    /// A key outside the range its snapshot or batch is tagged with.
     ForeignKey {
         /// The key.
         key: u64,
@@ -446,18 +467,20 @@ pub enum LayoutError {
 impl fmt::Display for LayoutError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LayoutError::Truncated { at, needed, left } => write!(
-                f,
-                "snapshot truncated: {needed} bytes declared at offset {at}, {left} left"
-            ),
+            LayoutError::Truncated { at, needed, left } => {
+                write!(f, "payload truncated: {needed} bytes needed at offset {at}, {left} left")
+            }
             LayoutError::TrailingBytes(n) => write!(f, "{n} bytes follow the last snapshot"),
             LayoutError::BadRange(range) => write!(f, "invalid key range {range:?}"),
+            LayoutError::BadKind(kind) => {
+                write!(f, "invalid kind byte {kind} (0 = read, 1 = write)")
+            }
             LayoutError::OverlappingRanges(a, b) => {
                 write!(f, "snapshots for overlapping ranges {a} and {b}")
             }
             LayoutError::Header(e) => write!(f, "bad snapshot header: {e}"),
             LayoutError::ForeignKey { key, range } => {
-                write!(f, "snapshot key {key} lies outside its range {range}")
+                write!(f, "key {key} lies outside its range {range}")
             }
             LayoutError::KeyOrder { key, previous } => {
                 write!(f, "snapshot key {key} does not ascend past {previous}")

@@ -535,26 +535,6 @@ impl<V: Verifier> OnlineVerifier<V> {
         self.ops
     }
 
-    /// Segments verified so far.
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
-
-    /// Segments that verified as violations so far.
-    pub fn violations(&self) -> usize {
-        self.violations
-    }
-
-    /// Segments that verified inconclusive so far.
-    pub fn inconclusive(&self) -> usize {
-        self.inconclusive
-    }
-
-    /// Horizon-breach reads so far.
-    pub fn horizon_breaches(&self) -> u64 {
-        self.horizon_breaches
-    }
-
     /// Reads expired as orphans so far.
     pub fn orphaned_reads(&self) -> u64 {
         self.builder.orphaned_reads()

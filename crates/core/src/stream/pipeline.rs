@@ -38,7 +38,7 @@ use super::{
 };
 use crate::models::ModelId;
 use crate::Verifier;
-use kav_history::frame::KeyRange;
+use kav_history::frame::{key_hash, KeyRange};
 use kav_history::stream::DEPTH_BUCKETS;
 use kav_history::Operation;
 use serde::{Deserialize, Serialize};
@@ -849,10 +849,10 @@ impl StreamPipeline {
     }
 }
 
-/// Maps a key to a shard with a multiplicative hash, so clustered key
-/// ranges still spread across workers.
+/// Maps a key to a shard by its [`key_hash`], so clustered key ranges
+/// still spread across workers.
 fn shard_of(key: u64, shards: usize) -> usize {
-    ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % shards as u64) as usize
+    ((key_hash(key) >> 33) % shards as u64) as usize
 }
 
 #[cfg(test)]

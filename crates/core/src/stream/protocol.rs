@@ -13,7 +13,7 @@
 //! ───────────────────         ────────────────────
 //! COORDINATOR_MAGIC           WORKER_MAGIC          (stream preambles)
 //! ASSIGN   {RangeSnapshot}
-//! BATCH    routed frames      (no reply — ingest is pipelined)
+//! BATCH    {Batch}            (no reply — ingest is pipelined)
 //! SNAPSHOT                    SNAPSHOT_REPLY {SnapshotReply}
 //! RETIRE   {KeyRange}         RETIRE_REPLY   {RangeSnapshot}
 //! FINISH                      FINISH_REPLY   {FinishReply}
@@ -24,13 +24,15 @@
 //! it can adopt the ranges of a peer that died at the finish line (see
 //! [`worker_loop`] for when it exits).
 //!
-//! Every message is `tag u8 | length u32 LE | payload`. BATCH payloads
-//! are [`encode_routed_batch`] bytes (magic, key-range routing header,
-//! length-prefixed frames). Snapshots travel in [fragment
-//! layout](crate::SnapshotFragments): a [`RangeSnapshot`] is its range, a JSON
-//! header and one JSON fragment per key, and a [`SnapshotReply`] is
-//! `version u64 | count u32` followed by `count` of them. RETIRE and
-//! FINISH_REPLY payloads are JSON.
+//! Every message is `tag u8 | length u32 LE | payload`: the framing and
+//! the preambles delimit and version every payload. A [`Batch`] is its key
+//! range (`bits u32 | prefix u64`) and one v2 frame ([`FRAME_LEN_V2`]
+//! bytes) per operation. Snapshots travel in [fragment
+//! layout](crate::SnapshotFragments): a [`RangeSnapshot`] is its range, laid
+//! out as a batch's, a JSON header and one JSON fragment per key, and a
+//! [`SnapshotReply`] is `version u64 | count u32` followed by `count` of
+//! them. Both are read through one cursor and fail with one
+//! [`LayoutError`]. RETIRE and FINISH_REPLY payloads are JSON.
 //!
 //! **Validation discipline**: every fault — a truncated frame or
 //! snapshot, a wrong magic, a key routed or snapshotted outside its
@@ -49,14 +51,13 @@
 //! coordinator reads every reply of a round, even after a death, and
 //! places the dead worker's ranges anew (ASSIGN, BATCH) only once the
 //! round is drained.
-//!
-//! [`encode_routed_batch`]: kav_history::frame::encode_routed_batch
 
-use super::fragment::{wire_u32, Cursor, LayoutError, SnapshotFragments, SnapshotHeader};
+use super::fragment::{put_range, wire_u32, Cursor, LayoutError, SnapshotFragments, SnapshotHeader};
 use super::pipeline::{KeyError, KeyReport, PipelineConfig, PipelineSnapshot, Shard};
 use super::SnapshotError;
 use crate::Verifier;
-use kav_history::frame::{decode_routed_batch, BatchError, KeyRange};
+use kav_history::frame::{decode_frame_v2, encode_frame_v2, KeyRange, FRAME_LEN_V2};
+use kav_history::Operation;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -81,7 +82,7 @@ pub mod tag {
     /// Coordinator → worker: take ownership of a key range, starting from
     /// its [`RangeSnapshot`](super::RangeSnapshot).
     pub const ASSIGN: u8 = 1;
-    /// Coordinator → worker: a routed frame batch.
+    /// Coordinator → worker: a [`Batch`](super::Batch) for an owned range.
     pub const BATCH: u8 = 2;
     /// Coordinator → worker: snapshot every owned range.
     pub const SNAPSHOT: u8 = 3;
@@ -145,6 +146,51 @@ impl RangeSnapshot {
         let (range, snapshot) = SnapshotFragments::decode(&mut cursor)?;
         cursor.finish()?;
         Ok(RangeSnapshot { range, snapshot })
+    }
+}
+
+/// One BATCH: operations routed to a range the worker owns, in push order.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Batch<'a> {
+    /// The range every operation's key lies in.
+    pub range: KeyRange,
+    /// The `(key, operation)` pairs, lent by the coordinator, owned once decoded.
+    pub ops: Cow<'a, [(u64, Operation)]>,
+}
+
+impl Batch<'_> {
+    /// Writes this batch as one BATCH message. The caller flushes.
+    ///
+    /// # Errors
+    ///
+    /// Transport I/O errors, and a batch too large for one message.
+    pub fn write_message(&self, out: &mut impl Write) -> io::Result<()> {
+        let mut payload = Vec::with_capacity(12 + self.ops.len() * FRAME_LEN_V2);
+        put_range(self.range, &mut payload);
+        for (key, op) in self.ops.iter() {
+            encode_frame_v2(*key, op, &mut payload);
+        }
+        write_message(out, tag::BATCH, &payload)
+    }
+
+    /// Decodes a BATCH payload: a valid range, then at least one frame,
+    /// each whole, with a valid kind byte and a key inside the range.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Layout`] for the first fault found.
+    pub fn decode(payload: Vec<u8>) -> Result<Self, ProtocolError> {
+        let mut cursor = Cursor::new(payload);
+        let range = cursor.range()?;
+        let mut ops = Vec::with_capacity(cursor.left() / FRAME_LEN_V2);
+        while ops.is_empty() || cursor.left() > 0 {
+            let (key, op) = decode_frame_v2(cursor.array()?).map_err(LayoutError::BadKind)?;
+            if !range.contains(key) {
+                return Err(LayoutError::ForeignKey { key, range }.into());
+            }
+            ops.push((key, op));
+        }
+        Ok(Batch { range, ops: Cow::Owned(ops) })
     }
 }
 
@@ -241,10 +287,8 @@ pub enum ProtocolError {
     Oversized(u32),
     /// A JSON payload that does not parse as its message type.
     Json(String),
-    /// A snapshot payload that is not in [fragment layout](crate::SnapshotFragments).
+    /// A batch or snapshot payload that does not decode.
     Layout(LayoutError),
-    /// A BATCH payload rejected by frame validation.
-    Batch(BatchError),
     /// An ASSIGN for a range the worker already owns.
     DuplicateAssignment(KeyRange),
     /// A BATCH or RETIRE for a range the worker does not own.
@@ -300,8 +344,7 @@ impl fmt::Display for ProtocolError {
                 "fleet message of {len} bytes exceeds the {MAX_MESSAGE_LEN}-byte bound"
             ),
             ProtocolError::Json(e) => write!(f, "malformed fleet message payload: {e}"),
-            ProtocolError::Layout(e) => write!(f, "malformed fleet snapshot: {e}"),
-            ProtocolError::Batch(e) => write!(f, "bad frame batch: {e}"),
+            ProtocolError::Layout(e) => write!(f, "malformed fleet message: {e}"),
             ProtocolError::DuplicateAssignment(range) => {
                 write!(f, "range {range} assigned twice to the same worker")
             }
@@ -338,7 +381,6 @@ impl Error for ProtocolError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ProtocolError::Io(e) => Some(e),
-            ProtocolError::Batch(e) => Some(e),
             ProtocolError::Layout(e) => Some(e),
             ProtocolError::Snapshot(e) => Some(e),
             _ => None,
@@ -349,12 +391,6 @@ impl Error for ProtocolError {
 impl From<io::Error> for ProtocolError {
     fn from(e: io::Error) -> Self {
         ProtocolError::Io(e)
-    }
-}
-
-impl From<BatchError> for ProtocolError {
-    fn from(e: BatchError) -> Self {
-        ProtocolError::Batch(e)
     }
 }
 
@@ -522,10 +558,10 @@ impl<V: Verifier + Clone> Worker<V> {
         match tag {
             tag::ASSIGN => self.assign(payload)?,
             tag::BATCH => {
-                let (range, ops) = decode_routed_batch(&payload)?;
+                let Batch { range, ops } = Batch::decode(payload)?;
                 let owned = self.owned.get_mut(&range);
                 let owned = owned.ok_or(ProtocolError::UnassignedRange(range))?;
-                ops.into_iter().for_each(|(key, op)| owned.shard.push(key, op));
+                ops.iter().for_each(|&(key, op)| owned.shard.push(key, op));
             }
             tag::SNAPSHOT => {
                 self.snapshot_version += 1;

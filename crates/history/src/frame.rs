@@ -21,20 +21,17 @@
 //! [`FrameWriter::new_v2`] for v2).
 //!
 //! Frames exist only where operations leave the process as bytes. In
-//! memory, routed operations stay `(key, Operation)` pairs; this module
-//! turns them into frames at two boundaries:
+//! memory, routed operations stay `(key, Operation)` pairs. A stream file
+//! is the 8-byte magic [`FRAME_MAGIC`] followed by consecutive frames
+//! (`kav gen --format binary`, `kav stream --format binary`). [`Reader`]
+//! streams it through any `BufRead` and mirrors the NDJSON reader's
+//! accounting: frames take the place of lines in checkpoint positions, and
+//! the resume [`Fingerprint`] chain digests one chunk per frame — so a
+//! checkpoint records which format produced it, and cross-format resume
+//! fails the fingerprint check instead of silently mixing formats.
 //!
-//! * **Files, pipes and stdin** — a stream is the 8-byte magic
-//!   [`FRAME_MAGIC`] followed by consecutive frames (`kav gen --format
-//!   binary`, `kav stream --format binary`). [`Reader`] streams it through
-//!   any `BufRead` and mirrors the NDJSON reader's accounting: frames take
-//!   the place of lines in checkpoint positions, and the resume
-//!   [`Fingerprint`] chain digests one chunk per frame — so a checkpoint
-//!   records which format produced it, and cross-format resume fails the
-//!   fingerprint check instead of silently mixing formats.
-//! * **The fleet wire** — [`encode_routed_batch`] writes a routing header
-//!   and one v2 frame per pair, and [`decode_routed_batch`] validates and
-//!   decodes them back into pairs on the worker.
+//! The fleet wire carries v2 frames too; it lays them out with
+//! [`encode_frame_v2`] and reads them with [`decode_frame_v2`].
 
 use crate::fxhash::Fingerprint;
 use crate::ndjson::{NdjsonError, StreamRecord};
@@ -57,14 +54,6 @@ pub const FRAME_LEN: usize = 37;
 /// Size of one encoded v2 frame in bytes (v1 plus the client id).
 pub const FRAME_LEN_V2: usize = 45;
 
-/// Leading magic of a routed frame batch (the coordinator↔worker wire
-/// payload, see [`encode_routed_batch`]); also versions that layout.
-/// `KVB2` batches carry 45-byte v2 frames.
-pub const BATCH_MAGIC: [u8; 4] = *b"KVB2";
-
-/// Byte length of the routed-batch header: magic, range, payload length.
-pub const BATCH_HEADER_LEN: usize = 20;
-
 const KIND_READ: u8 = 0;
 const KIND_WRITE: u8 = 1;
 
@@ -83,7 +72,7 @@ fn encode_frame(key: u64, op: &Operation, out: &mut Vec<u8>) {
 }
 
 /// Appends one operation as a 45-byte v2 frame (v1 plus the client id).
-fn encode_frame_v2(key: u64, op: &Operation, out: &mut Vec<u8>) {
+pub fn encode_frame_v2(key: u64, op: &Operation, out: &mut Vec<u8>) {
     encode_frame(key, op, out);
     out.extend_from_slice(&op.client.to_le_bytes());
 }
@@ -112,7 +101,11 @@ fn decode_frame(frame: &[u8]) -> Result<(u64, Operation), u8> {
 }
 
 /// Decodes one 45-byte v2 frame; `Err` carries the offending kind byte.
-fn decode_frame_v2(frame: &[u8]) -> Result<(u64, Operation), u8> {
+///
+/// # Errors
+///
+/// A kind byte that is neither read (0) nor write (1).
+pub fn decode_frame_v2(frame: &[u8; FRAME_LEN_V2]) -> Result<(u64, Operation), u8> {
     let (key, mut op) = decode_frame(&frame[..FRAME_LEN])?;
     op.client = u64::from_le_bytes(frame[37..45].try_into().expect("8-byte slice"));
     Ok((key, op))
@@ -135,9 +128,12 @@ pub struct KeyRange {
     pub prefix: u64,
 }
 
-/// The multiplier behind both `shard_of` and [`KeyRange`]: keys are
-/// compared by the bits of `key * KEY_HASH_MULTIPLIER`.
-const KEY_HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The multiplicative hash that places keys: a [`KeyRange`] pins its top
+/// bits, and a pipeline's `shard_of` takes its high half modulo the shard
+/// count, so clustered keys still spread.
+pub fn key_hash(key: u64) -> u64 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
 
 impl KeyRange {
     /// The whole key space (the one range a single-worker fleet owns).
@@ -159,7 +155,7 @@ impl KeyRange {
         if self.bits == 0 {
             return true;
         }
-        key.wrapping_mul(KEY_HASH_MULTIPLIER) >> (64 - self.bits) == self.prefix
+        key_hash(key) >> (64 - self.bits) == self.prefix
     }
 
     /// Whether some key hashes into both ranges: one range's prefix
@@ -202,154 +198,6 @@ impl fmt::Display for KeyRange {
         } else {
             write!(f, "{:0width$b}/{}", self.prefix, self.bits, width = self.bits as usize)
         }
-    }
-}
-
-/// Why routed-batch bytes were rejected (see [`decode_routed_batch`]).
-///
-/// Every variant is an input-protocol fault, never a verdict: the fleet
-/// surfaces these as exit-2 diagnostics.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BatchError {
-    /// The header does not start with [`BATCH_MAGIC`].
-    BadMagic([u8; 4]),
-    /// Fewer than [`BATCH_HEADER_LEN`] header bytes arrived.
-    TruncatedHeader {
-        /// Bytes actually present.
-        bytes: usize,
-    },
-    /// The declared range fails [`KeyRange::is_valid`].
-    BadRange(KeyRange),
-    /// The payload is shorter than the header declared.
-    TruncatedPayload {
-        /// Payload bytes the header declared.
-        declared: usize,
-        /// Payload bytes actually present.
-        actual: usize,
-    },
-    /// The payload length is not a whole number of frames.
-    TruncatedFrames {
-        /// Payload length in bytes.
-        bytes: usize,
-    },
-    /// A frame's kind byte is neither read (0) nor write (1).
-    BadKind {
-        /// 1-based frame number within the batch.
-        frame: usize,
-        /// The offending byte.
-        kind: u8,
-    },
-    /// A frame's key hashes outside the declared routing range.
-    ForeignKey {
-        /// 1-based frame number within the batch.
-        frame: usize,
-        /// The misrouted key.
-        key: u64,
-        /// The range the header declared.
-        range: KeyRange,
-    },
-}
-
-impl fmt::Display for BatchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BatchError::BadMagic(got) => {
-                write!(f, "bad batch magic {got:?} (expected {BATCH_MAGIC:?})")
-            }
-            BatchError::TruncatedHeader { bytes } => {
-                write!(f, "truncated batch header: {bytes} bytes (need {BATCH_HEADER_LEN})")
-            }
-            BatchError::BadRange(range) => {
-                write!(f, "malformed key range {range:?} in batch header")
-            }
-            BatchError::TruncatedPayload { declared, actual } => {
-                write!(f, "truncated batch payload: header declared {declared} bytes, got {actual}")
-            }
-            BatchError::TruncatedFrames { bytes } => {
-                write!(
-                    f,
-                    "batch payload of {bytes} bytes is not whole frames ({FRAME_LEN_V2} bytes each)"
-                )
-            }
-            BatchError::BadKind { frame, kind } => {
-                write!(f, "frame {frame}: invalid kind byte {kind} (0 = read, 1 = write)")
-            }
-            BatchError::ForeignKey { frame, key, range } => {
-                write!(f, "frame {frame}: key {key} routed outside its declared range {range}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BatchError {}
-
-/// Encodes routed operations for the coordinator↔worker wire:
-/// [`BATCH_MAGIC`], the owning [`KeyRange`] (`bits` u32 LE, `prefix` u64
-/// LE), the payload length (u32 LE), then one v2 frame per pair.
-///
-/// The explicit length prefix is what lets the reader distinguish a short
-/// read (connection died mid-batch) from a complete batch, and the range
-/// header is what lets the receiving worker reject misrouted keys instead
-/// of silently auditing someone else's shard.
-pub fn encode_routed_batch(range: KeyRange, ops: &[(u64, Operation)]) -> Vec<u8> {
-    let payload_len = ops.len() * FRAME_LEN_V2;
-    let mut out = Vec::with_capacity(BATCH_HEADER_LEN + payload_len);
-    out.extend_from_slice(&BATCH_MAGIC);
-    out.extend_from_slice(&range.bits.to_le_bytes());
-    out.extend_from_slice(&range.prefix.to_le_bytes());
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    for (key, op) in ops {
-        encode_frame_v2(*key, op, &mut out);
-    }
-    out
-}
-
-/// Decodes and fully validates routed-batch bytes, in this order: magic,
-/// header completeness, declared vs actual payload length, whole frames,
-/// every kind byte, and **every key inside the declared range**.
-///
-/// # Errors
-///
-/// One [`BatchError`] per fault class; a valid batch round-trips
-/// [`encode_routed_batch`] exactly.
-pub fn decode_routed_batch(bytes: &[u8]) -> Result<(KeyRange, Vec<(u64, Operation)>), BatchError> {
-    if bytes.len() >= BATCH_MAGIC.len() && bytes[..BATCH_MAGIC.len()] != BATCH_MAGIC {
-        let mut got = [0u8; 4];
-        got.copy_from_slice(&bytes[..4]);
-        return Err(BatchError::BadMagic(got));
-    }
-    if bytes.len() < BATCH_HEADER_LEN {
-        return Err(BatchError::TruncatedHeader { bytes: bytes.len() });
-    }
-    let range = KeyRange {
-        bits: u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice")),
-        prefix: u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice")),
-    };
-    if !range.is_valid() {
-        return Err(BatchError::BadRange(range));
-    }
-    let declared = u32::from_le_bytes(bytes[16..20].try_into().expect("4-byte slice")) as usize;
-    let payload = &bytes[BATCH_HEADER_LEN..];
-    if payload.len() != declared {
-        return Err(BatchError::TruncatedPayload { declared, actual: payload.len() });
-    }
-    if !payload.len().is_multiple_of(FRAME_LEN_V2) {
-        return Err(BatchError::TruncatedFrames { bytes: payload.len() });
-    }
-    let mut ops = Vec::with_capacity(payload.len() / FRAME_LEN_V2);
-    // A bad kind byte anywhere outranks a foreign key in an earlier frame.
-    let mut foreign = None;
-    for (i, frame) in payload.chunks_exact(FRAME_LEN_V2).enumerate() {
-        let (key, op) =
-            decode_frame_v2(frame).map_err(|kind| BatchError::BadKind { frame: i + 1, kind })?;
-        if foreign.is_none() && !range.contains(key) {
-            foreign = Some(BatchError::ForeignKey { frame: i + 1, key, range });
-        }
-        ops.push((key, op));
-    }
-    match foreign {
-        Some(e) => Err(e),
-        None => Ok((range, ops)),
     }
 }
 
@@ -601,11 +449,10 @@ impl<R: BufRead> Iterator for Reader<R> {
                 self.frame_len
             ))));
         }
-        let raw = &self.buf[..len];
         let decoded = if self.frame_len == FRAME_LEN_V2 {
-            decode_frame_v2(raw)
+            decode_frame_v2(&self.buf)
         } else {
-            decode_frame(raw)
+            decode_frame(&self.buf[..len])
         };
         match decoded {
             Ok((key, op)) => Some(Ok(StreamRecord::new(key, op))),
@@ -717,12 +564,6 @@ mod tests {
         // Untagged records still encode in v1 — byte-identical streams.
         v1.write_record(&records[1]).unwrap();
         assert_eq!(v1.finish().unwrap().len(), FRAME_MAGIC.len() + FRAME_LEN);
-
-        // Routed batches (always v2) preserve the tag and the push order.
-        let pairs: Vec<_> = records.iter().map(|r| (r.key, r.op())).collect();
-        let (_, decoded) =
-            decode_routed_batch(&encode_routed_batch(KeyRange::ALL, &pairs)).unwrap();
-        assert_eq!(decoded, pairs);
     }
 
     #[test]
@@ -786,71 +627,6 @@ mod tests {
         assert!(!KeyRange { bits: KeyRange::MAX_BITS + 1, prefix: 0 }.is_valid());
         assert_eq!(KeyRange::ALL.to_string(), "*/0");
         assert_eq!(KeyRange { bits: 3, prefix: 0b010 }.to_string(), "010/3");
-    }
-
-    #[test]
-    fn routed_batch_roundtrip_and_rejections() {
-        let (left, right) = KeyRange::ALL.split();
-        let batch: Vec<_> = sample()
-            .iter()
-            .filter(|record| left.contains(record.key))
-            .map(|record| (record.key, record.op()))
-            .collect();
-        let bytes = encode_routed_batch(left, &batch);
-        let (range, decoded) = decode_routed_batch(&bytes).unwrap();
-        assert_eq!(range, left);
-        assert_eq!(decoded, batch);
-
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(decode_routed_batch(&bad), Err(BatchError::BadMagic(_))));
-        // Truncated header.
-        assert!(matches!(
-            decode_routed_batch(&bytes[..BATCH_HEADER_LEN - 1]),
-            Err(BatchError::TruncatedHeader { .. })
-        ));
-        // Truncated payload (declared length no longer matches).
-        if !batch.is_empty() {
-            assert!(matches!(
-                decode_routed_batch(&bytes[..bytes.len() - 1]),
-                Err(BatchError::TruncatedPayload { .. })
-            ));
-        }
-        // Malformed range header.
-        let mut bad = bytes.clone();
-        bad[4..8].copy_from_slice(&200u32.to_le_bytes());
-        assert!(matches!(decode_routed_batch(&bad), Err(BatchError::BadRange(_))));
-        // A key routed to the wrong shard is rejected, not audited.
-        let misrouted = encode_routed_batch(right, &batch);
-        if !batch.is_empty() {
-            assert!(matches!(
-                decode_routed_batch(&misrouted),
-                Err(BatchError::ForeignKey { .. })
-            ));
-        }
-        // A corrupted kind byte inside the payload is rejected. In a v2
-        // frame the kind byte sits 9 bytes from the end (before the
-        // 8-byte client id).
-        if !batch.is_empty() {
-            let mut bad = bytes.clone();
-            let kind_at = bad.len() - 9;
-            bad[kind_at] = 9;
-            assert!(matches!(decode_routed_batch(&bad), Err(BatchError::BadKind { .. })));
-        }
-        // A payload that is not whole frames, with a matching declared length.
-        let mut torn = bytes[..BATCH_HEADER_LEN].to_vec();
-        torn[16..20].copy_from_slice(&44u32.to_le_bytes());
-        torn.extend_from_slice(&[0; 44]);
-        assert_eq!(decode_routed_batch(&torn), Err(BatchError::TruncatedFrames { bytes: 44 }));
-        // Every kind byte is checked before any key: a bad kind in frame 2
-        // outranks a foreign key in frame 1.
-        let foreign = (0u64..).find(|k| right.contains(*k)).unwrap();
-        let write = Operation::write(Value(1), Time(0), Time(5));
-        let mut bad = encode_routed_batch(left, &[(foreign, write), (0, write)]);
-        let kind_at = bad.len() - 9;
-        bad[kind_at] = 9;
-        assert_eq!(decode_routed_batch(&bad), Err(BatchError::BadKind { frame: 2, kind: 9 }));
     }
 
     #[test]

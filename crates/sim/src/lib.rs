@@ -90,11 +90,6 @@ impl Simulation {
         &self.config
     }
 
-    /// The fault schedule this simulation injects (empty by default).
-    pub fn faults(&self) -> &FaultSchedule {
-        &self.faults
-    }
-
     /// Runs the simulation to completion and returns the recorded
     /// histories.
     pub fn run(&self) -> SimOutput {

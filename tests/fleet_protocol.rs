@@ -6,11 +6,11 @@
 //!
 //! [`ProtocolError`]: k_atomicity::verify::ProtocolError
 
-use k_atomicity::history::frame::{decode_routed_batch, encode_routed_batch, KeyRange};
-use k_atomicity::history::{History, Operation, Time, Value};
+use k_atomicity::history::frame::KeyRange;
+use k_atomicity::history::{History, Operation, Time, Value, Weight};
 use k_atomicity::verify::protocol::{
-    expect_preamble, read_message, tag, write_message, FinishReply, RangeOutput, RangeSnapshot,
-    SnapshotReply, Worker, COORDINATOR_MAGIC, WORKER_MAGIC,
+    expect_preamble, read_message, tag, write_message, Batch, FinishReply, RangeOutput,
+    RangeSnapshot, SnapshotReply, Worker, COORDINATOR_MAGIC, WORKER_MAGIC,
 };
 use k_atomicity::verify::{
     worker_loop, FleetConfig, FleetCoordinator, FleetSummary, Fzf, LayoutError, ModelId,
@@ -18,6 +18,7 @@ use k_atomicity::verify::{
     WorkerLink,
 };
 use k_atomicity::workloads::{streaming_workload, StreamingWorkloadConfig};
+use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,6 +77,15 @@ fn one_frame_batch(key: u64) -> [(u64, Operation); 1] {
     [(key, Operation::write(Value(1), Time(0), Time(5)))]
 }
 
+/// The BATCH payload routing `ops` to `range`, as a coordinator sends it.
+fn batch_payload(range: KeyRange, ops: &[(u64, Operation)]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    Batch { range, ops: Cow::Borrowed(ops) }.write_message(&mut bytes).unwrap();
+    let (got, payload) = read_message(&mut bytes.as_slice()).unwrap();
+    assert_eq!(got, tag::BATCH);
+    payload
+}
+
 #[test]
 fn worker_rejects_a_bad_preamble() {
     let (mut driver, handle) = spawn_worker();
@@ -94,12 +104,17 @@ fn worker_rejects_a_batch_with_bad_magic() {
     let (mut driver, handle) = spawn_worker();
     handshake(&mut driver);
     assign(&mut driver, KeyRange::ALL);
-    let mut payload = encode_routed_batch(KeyRange::ALL, &one_frame_batch(1));
+    // Garbage where the range header was: `XXXX` reads as a range of
+    // 0x5858_5858 bits, which no key range can be.
+    let mut payload = batch_payload(KeyRange::ALL, &one_frame_batch(1));
     payload[..4].copy_from_slice(b"XXXX");
     write_message(&mut driver, tag::BATCH, &payload).unwrap();
     driver.flush().unwrap();
-    expect_error_reply(&mut driver, "magic");
-    assert!(matches!(handle.join().unwrap(), Err(ProtocolError::Batch(_))));
+    expect_error_reply(&mut driver, "invalid key range");
+    assert!(matches!(
+        handle.join().unwrap(),
+        Err(ProtocolError::Layout(LayoutError::BadRange(range))) if range.bits == 0x5858_5858
+    ));
 }
 
 #[test]
@@ -107,12 +122,15 @@ fn worker_rejects_truncated_frames() {
     let (mut driver, handle) = spawn_worker();
     handshake(&mut driver);
     assign(&mut driver, KeyRange::ALL);
-    // Chop the payload mid-frame: the declared length no longer matches.
-    let full = encode_routed_batch(KeyRange::ALL, &one_frame_batch(1));
+    // Chop the payload mid-frame: the frame is no longer whole.
+    let full = batch_payload(KeyRange::ALL, &one_frame_batch(1));
     write_message(&mut driver, tag::BATCH, &full[..full.len() - 7]).unwrap();
     driver.flush().unwrap();
     expect_error_reply(&mut driver, "truncated");
-    assert!(matches!(handle.join().unwrap(), Err(ProtocolError::Batch(_))));
+    assert!(matches!(
+        handle.join().unwrap(),
+        Err(ProtocolError::Layout(LayoutError::Truncated { needed: 45, left: 38, .. }))
+    ));
 }
 
 #[test]
@@ -126,11 +144,15 @@ fn worker_rejects_keys_routed_outside_the_range() {
     // A batch *tagged* with the assigned range but smuggling a foreign
     // key: the frame-level validation must catch the mismatch before
     // the key is ever audited under the wrong shard.
-    let payload = encode_routed_batch(low, &one_frame_batch(high_key));
+    let payload = batch_payload(low, &one_frame_batch(high_key));
     write_message(&mut driver, tag::BATCH, &payload).unwrap();
     driver.flush().unwrap();
     expect_error_reply(&mut driver, "outside");
-    assert!(matches!(handle.join().unwrap(), Err(ProtocolError::Batch(_))));
+    assert!(matches!(
+        handle.join().unwrap(),
+        Err(ProtocolError::Layout(LayoutError::ForeignKey { key, range }))
+            if key == high_key && range == low
+    ));
 }
 
 #[test]
@@ -141,7 +163,7 @@ fn worker_rejects_batches_for_unassigned_ranges() {
     handshake(&mut driver);
     assign(&mut driver, low);
     // Correctly self-consistent batch, but for a range nobody gave us.
-    let payload = encode_routed_batch(high, &one_frame_batch(high_key));
+    let payload = batch_payload(high, &one_frame_batch(high_key));
     write_message(&mut driver, tag::BATCH, &payload).unwrap();
     driver.flush().unwrap();
     expect_error_reply(&mut driver, "does not own");
@@ -298,10 +320,11 @@ fn scripted_worker(
 }
 
 /// The decoded BATCH messages a [`recording_worker`] received, in order.
-type Batches = Vec<(KeyRange, Vec<(u64, Operation)>)>;
+type Batches = Vec<Batch<'static>>;
 
 /// A recording fake worker: answers the preamble, decodes every BATCH
-/// through `decode_routed_batch` and records it, and answers FINISH with
+/// through `Batch::decode` (which refuses an empty one) and records it,
+/// and answers FINISH with
 /// its owned ranges and no reports. With `die_after: Some(n)` it closes
 /// its socket once it has received `n` batches.
 fn recording_worker(die_after: Option<usize>) -> (WorkerLink, JoinHandle<Batches>) {
@@ -316,7 +339,7 @@ fn recording_worker(die_after: Option<usize>) -> (WorkerLink, JoinHandle<Batches
             let (got, payload) = read_message(&mut worker_side).unwrap();
             match got {
                 tag::ASSIGN => owned.push(RangeSnapshot::decode(payload).unwrap().range),
-                tag::BATCH => batches.push(decode_routed_batch(&payload).unwrap()),
+                tag::BATCH => batches.push(Batch::decode(payload).unwrap()),
                 tag::FINISH => {
                     let ranges = owned
                         .iter()
@@ -534,15 +557,14 @@ fn hand_off_run(
     }
     let (_, summary) = fleet.finish().expect("the survivor finishes the audit");
     let batches =
-        survivor_handle.join().unwrap().into_iter().filter(|(r, _)| *r == range).collect();
+        survivor_handle.join().unwrap().into_iter().filter(|b| b.range == range).collect();
     (ops, batches, summary)
 }
 
 #[test]
 fn an_intact_replay_is_re_sent_once() {
     let (ops, batches, summary) = hand_off_run(1 << 16, 1, 14);
-    assert!(batches.iter().all(|(_, b)| !b.is_empty()), "an empty batch: {batches:?}");
-    let received: Vec<_> = batches.into_iter().flat_map(|(_, b)| b).collect();
+    let received: Vec<_> = batches.into_iter().flat_map(|b| b.ops.into_owned()).collect();
     assert_eq!(received, ops, "the replay and the rest, each once, in routing order");
     assert_eq!((summary.hand_offs, summary.uncertified_hand_offs), (1, 0));
 }
@@ -550,10 +572,7 @@ fn an_intact_replay_is_re_sent_once() {
 #[test]
 fn an_overflowed_replay_drops_the_rest() {
     let (_, batches, summary) = hand_off_run(6, 2, 20);
-    assert!(
-        batches.iter().all(|(_, b)| b.is_empty()),
-        "no write may reach the survivor across the gap: {batches:?}"
-    );
+    assert!(batches.is_empty(), "no write may reach the survivor across the gap: {batches:?}");
     assert_eq!(summary.frames_dropped, 8);
     assert_eq!((summary.hand_offs, summary.uncertified_hand_offs), (1, 1));
 }
@@ -678,6 +697,95 @@ fn hostile_snapshot_bytes_are_typed_errors() {
     let (third_key, fourth) = (first_len - 8 + 2 * 12, keys_in(low, 4)[3]);
     relabelled[third_key..third_key + 8].copy_from_slice(&fourth.to_le_bytes());
     assert_eq!(reply_fault(relabelled), LayoutError::Mislabelled { key: fourth });
+
+    // BATCH payloads go through the same cursor: `bits u32 | prefix u64`,
+    // then one 45-byte v2 frame per operation, its kind byte at offset 36.
+    // Random operations round-trip, client tags and push order included.
+    let mut seed = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    };
+    for len in 1..=64 {
+        let range = [KeyRange::ALL, low, high][len % 3];
+        let mut ops = Vec::with_capacity(len);
+        while ops.len() < len {
+            let (key, value, start) = (next(), next(), next());
+            let client = [0, u64::MAX, next()][next() as usize % 3];
+            let (start, finish) = (Time(start), Time(start.saturating_add(next() % 100)));
+            let op = if value % 2 == 0 {
+                Operation::weighted_write(Value(value), start, finish, Weight(next() as u32))
+            } else {
+                Operation::read(Value(value), start, finish)
+            };
+            if range.contains(key) {
+                ops.push((key, op.with_client(client)));
+            }
+        }
+        let decoded = Batch::decode(batch_payload(range, &ops)).expect("a valid batch decodes");
+        assert_eq!((decoded.range, decoded.ops.as_ref()), (range, ops.as_slice()));
+    }
+    let range = low;
+    let ops: Vec<_> = keys_in(range, 3).into_iter().flat_map(one_frame_batch).collect();
+    let batch = batch_payload(range, &ops);
+    let batch_fault = |payload: Vec<u8>| match Batch::decode(payload) {
+        Err(ProtocolError::Layout(e)) => e,
+        other => panic!("expected a layout fault, got {other:?}"),
+    };
+    // Every truncation: a cut at a frame boundary is a shorter batch (the
+    // message framing, not the payload, says where a message ends); any
+    // other cut, the range header alone included, is truncated.
+    for cut in 0..batch.len() {
+        let whole = cut.checked_sub(12).filter(|n| *n > 0 && n % 45 == 0).map(|n| n / 45);
+        match whole {
+            Some(frames) => assert_eq!(
+                Batch::decode(batch[..cut].to_vec()).unwrap().ops.as_ref(),
+                &ops[..frames]
+            ),
+            None => assert!(
+                matches!(batch_fault(batch[..cut].to_vec()), LayoutError::Truncated { .. }),
+                "cut at {cut}"
+            ),
+        }
+    }
+    let foreign_key = keys_in(high, 1)[0];
+    let write = Operation::write(Value(1), Time(0), Time(5));
+    let mut bad_kind = batch.clone();
+    bad_kind[12 + 45 + 36] = 9;
+    let mut bad_range = batch.clone();
+    bad_range[..4].copy_from_slice(&200u32.to_le_bytes());
+    // The first fault found wins: a foreign key in frame 1 before a bad
+    // kind byte in frame 2.
+    let mut foreign_first = batch_payload(range, &[(foreign_key, write), (ops[0].0, write)]);
+    foreign_first[12 + 45 + 36] = 9;
+    let truncated = |at, left| LayoutError::Truncated { at, needed: 45, left };
+    let hostile: [(Vec<u8>, LayoutError); 6] = [
+        (batch[..batch.len() - 20].to_vec(), truncated(102, 25)),
+        ([&batch[..], &batch[12..22]].concat(), truncated(147, 10)),
+        (batch[..12].to_vec(), truncated(12, 0)),
+        (bad_kind, LayoutError::BadKind(9)),
+        (bad_range, LayoutError::BadRange(KeyRange { bits: 200, prefix: range.prefix })),
+        (foreign_first, LayoutError::ForeignKey { key: foreign_key, range }),
+    ];
+    // Each fault is typed, and a worker owning the range answers it with
+    // an ERROR and stops, without a panic.
+    for (payload, fault) in hostile {
+        assert_eq!(batch_fault(payload.clone()), fault);
+        let mut input = COORDINATOR_MAGIC.to_vec();
+        RangeSnapshot { range, snapshot: tagged_snapshot(range) }
+            .write_message(&mut input, tag::ASSIGN)
+            .unwrap();
+        write_message(&mut input, tag::BATCH, &payload).unwrap();
+        let mut output = Vec::new();
+        let exit = worker_loop(Fzf, input.as_slice(), &mut output);
+        assert!(matches!(exit, Err(ProtocolError::Layout(ref e)) if *e == fault), "{exit:?}");
+        let mut reply = output.strip_prefix(&WORKER_MAGIC).expect("the worker's preamble");
+        let (got, text) = read_message(&mut reply).unwrap();
+        assert_eq!(got, tag::ERROR);
+        assert!(String::from_utf8_lossy(&text).starts_with("malformed fleet message: "));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1033,7 +1141,7 @@ fn worker_holding_a_batch(verifier: CountingVerifier) -> (Worker<CountingVerifie
         (key, Operation::read(Value(1), Time(6), Time(9))),
         (key, Operation::write(Value(2), Time(10), Time(15))),
     ];
-    worker.handle(tag::BATCH, encode_routed_batch(range, &ops), &mut reply).unwrap();
+    worker.handle(tag::BATCH, batch_payload(range, &ops), &mut reply).unwrap();
     assert!(reply.is_empty(), "ASSIGN and BATCH get no reply");
     (worker, range)
 }
