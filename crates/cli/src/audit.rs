@@ -22,7 +22,8 @@ use kav_core::{
     DEFAULT_REPLAY_CAP,
 };
 use kav_history::fxhash::Fingerprint;
-use kav_history::{frame, ndjson, History};
+use kav_history::ndjson::{self, NdjsonError};
+use kav_history::{frame, History};
 use serde::Serialize;
 use std::error::Error;
 use std::fs::File;
@@ -375,32 +376,42 @@ impl<'a> AuditSession<'a> {
         // Fingerprint whenever checkpoints are written (so they can later
         // be verified) or verified (a resume).
         let fingerprinted = self.checkpoint_path.is_some() || self.resume.is_some();
-        let input: Box<dyn BufRead> = if self.input == "-" {
-            Box::new(std::io::stdin().lock())
+        // Stdin through a reader of its own rather than its lock, which
+        // cannot move to the NDJSON reader thread.
+        let input: Box<dyn BufRead + Send> = if self.input == "-" {
+            Box::new(BufReader::with_capacity(INPUT_BUFFER_BYTES, io::stdin()))
         } else {
             let file = File::open(self.input).map_err(|e| format!("{}: {e}", self.input))?;
             Box::new(BufReader::with_capacity(INPUT_BUFFER_BYTES, file))
         };
-        let mut source = if self.binary {
-            let reader = if fingerprinted {
+        // A resumed prefix is skipped on this thread; the rest of an NDJSON
+        // input is decoded ahead on every core.
+        let (mut source, prefix_verified) = if self.binary {
+            let mut reader = if fingerprinted {
                 frame::Reader::with_fingerprint(input, Fingerprint::new())
             } else {
                 frame::Reader::new(input)
             }
             .map_err(|e| bad_input(format!("{}: {e}", self.input)))?;
-            IngestSource::Binary(reader)
-        } else if fingerprinted {
-            IngestSource::Ndjson(ndjson::Reader::with_fingerprint(input, Fingerprint::new()))
+            let verified = self.verify_prefix(|n| {
+                Ok((reader.skip_raw_frames(n).map_err(NdjsonError::Io)?, reader.fingerprint()))
+            })?;
+            (IngestSource::Binary(reader), verified)
         } else {
-            IngestSource::Ndjson(ndjson::Reader::new(input))
+            let mut reader = if fingerprinted {
+                ndjson::Reader::with_fingerprint(input, Fingerprint::new())
+            } else {
+                ndjson::Reader::new(input)
+            };
+            let verified =
+                self.verify_prefix(|n| Ok((reader.skip_raw_lines(n)?, reader.fingerprint())))?;
+            (IngestSource::Ndjson(reader.decode_ahead()), verified)
         };
-        let (prefix_verified, mut total_malformed, mut malformed) = match &self.resume {
-            Some(checkpoint) => (
-                verify_prefix(&mut source, self.input, checkpoint)?,
-                checkpoint.source.malformed,
-                checkpoint.source.malformed_samples.clone(),
-            ),
-            None => (true, 0, Vec::new()),
+        let (mut total_malformed, mut malformed) = match &self.resume {
+            Some(checkpoint) => {
+                (checkpoint.source.malformed, checkpoint.source.malformed_samples.clone())
+            }
+            None => (0, Vec::new()),
         };
 
         let mut sink = self.open_sink(prefix_verified)?;
@@ -425,7 +436,7 @@ impl<'a> AuditSession<'a> {
                     Sink::Pipeline(pipeline) => pipeline.push(record.key, record.op()),
                     Sink::Fleet { coordinator, .. } => coordinator.push(record.key, record.op())?,
                 },
-                Err(e @ ndjson::NdjsonError::Parse { .. }) => {
+                Err(e @ NdjsonError::Parse { .. }) => {
                     if self.strict {
                         return Err(bad_input(format!("--strict: {e}")));
                     }
@@ -434,9 +445,7 @@ impl<'a> AuditSession<'a> {
                         malformed.push(e.to_string());
                     }
                 }
-                Err(ndjson::NdjsonError::Io(e)) => {
-                    return Err(format!("{}: {e}", self.input).into())
-                }
+                Err(e) => return Err(input_failure(self.input, e)),
             }
             records += 1;
             if let (Sink::Fleet { workers, coordinator }, Some(plan)) = (&mut sink, &self.fleet) {
@@ -499,6 +508,47 @@ impl<'a> AuditSession<'a> {
             checkpoints.finish()?;
         }
         self.report(&output, &summary, total_malformed, &malformed)
+    }
+
+    /// Step 2's resume check: re-reads the prefix the checkpoint
+    /// summarised with `skip` (which skips up to `n` raw units and returns
+    /// how many it skipped and the fingerprint after them) and proves it
+    /// byte-identical before its verdicts are trusted. Returns whether the
+    /// prefix was verified — stdin cannot be; a fresh audit has none.
+    fn verify_prefix(
+        &self,
+        skip: impl FnOnce(u64) -> Result<(u64, Option<u64>), NdjsonError>,
+    ) -> CmdResult<bool> {
+        let Some(checkpoint) = &self.resume else { return Ok(true) };
+        let input = self.input;
+        if input == "-" {
+            // The operator feeds the remaining records, the audit continues,
+            // and YES degrades to UNKNOWN (NO stays sound). Lines and
+            // fingerprint restart with this run's input, consistent with any
+            // checkpoint written from it.
+            eprintln!(
+                "warning: resuming from stdin skips prefix verification — \
+                 a YES verdict will degrade to UNKNOWN"
+            );
+            return Ok(false);
+        }
+        let lines = checkpoint.source.lines;
+        let (skipped, fingerprint) = skip(lines).map_err(|e| input_failure(input, e))?;
+        let problem = if skipped < lines {
+            format!(
+                "input ends after {skipped} records but the checkpoint covers {lines}; \
+                 wrong input file?"
+            )
+        } else if fingerprint != Some(checkpoint.source.fingerprint) {
+            format!(
+                "the first {lines} input records differ from the ones the checkpoint \
+                 summarised (fingerprint mismatch — wrong file, or a different --format?); \
+                 resuming would silently corrupt the audit"
+            )
+        } else {
+            return Ok(true);
+        };
+        Err(bad_input(format!("--resume: {problem}")))
     }
 
     /// Step 3: where verified operations go. A fleet spawns its workers
@@ -848,42 +898,14 @@ impl Drop for Workers {
     }
 }
 
-/// Step 2's resume check: re-reads the prefix the checkpoint summarised
-/// from `input` and proves it byte-identical before its verdicts are
-/// trusted. Returns whether the prefix was verified — stdin cannot be.
-fn verify_prefix(
-    source: &mut IngestSource,
-    input: &str,
-    checkpoint: &Checkpoint,
-) -> CmdResult<bool> {
-    if input == "-" {
-        // The operator feeds the remaining records, the audit continues,
-        // and YES degrades to UNKNOWN (NO stays sound). Lines and
-        // fingerprint restart with this run's input, consistent with any
-        // checkpoint written from it.
-        eprintln!(
-            "warning: resuming from stdin skips prefix verification — \
-             a YES verdict will degrade to UNKNOWN"
-        );
-        return Ok(false);
+/// An input failure that ends the audit, after the input's name: an I/O
+/// error as the system words it, or a line over the cap.
+fn input_failure(input: &str, e: NdjsonError) -> Box<dyn Error> {
+    match e {
+        NdjsonError::Io(e) => format!("{input}: {e}"),
+        e => format!("{input}: {e}"),
     }
-    let lines = checkpoint.source.lines;
-    let skipped = source.skip_units(lines).map_err(|e| format!("{input}: {e}"))?;
-    let problem = if skipped < lines {
-        format!(
-            "input ends after {skipped} records but the checkpoint covers {lines}; \
-             wrong input file?"
-        )
-    } else if source.fingerprint() != Some(checkpoint.source.fingerprint) {
-        format!(
-            "the first {lines} input records differ from the ones the checkpoint \
-             summarised (fingerprint mismatch — wrong file, or a different --format?); \
-             resuming would silently corrupt the audit"
-        )
-    } else {
-        return Ok(true);
-    };
-    Err(bad_input(format!("--resume: {problem}")))
+    .into()
 }
 
 /// One NDJSON progress record, written to stderr every `--progress-every`
@@ -918,13 +940,15 @@ struct ProgressLine {
 /// NDJSON and frames for binary; checkpoints store whichever the run used,
 /// so a resume must keep the format (the fingerprint enforces it).
 enum IngestSource {
-    Ndjson(ndjson::Reader<Box<dyn BufRead>>),
-    /// `--format binary`.
-    Binary(frame::Reader<Box<dyn BufRead>>),
+    /// Decoded ahead on every core.
+    Ndjson(ndjson::DecodeAhead),
+    /// `--format binary`: frames decode inline, for less than a hand-off
+    /// to another thread would cost.
+    Binary(frame::Reader<Box<dyn BufRead + Send>>),
 }
 
 impl IngestSource {
-    fn next_record(&mut self) -> Option<Result<ndjson::StreamRecord, ndjson::NdjsonError>> {
+    fn next_record(&mut self) -> Option<Result<ndjson::StreamRecord, NdjsonError>> {
         match self {
             IngestSource::Ndjson(r) => r.next(),
             IngestSource::Binary(r) => r.next(),
@@ -942,14 +966,6 @@ impl IngestSource {
         match self {
             IngestSource::Ndjson(r) => r.fingerprint(),
             IngestSource::Binary(r) => r.fingerprint(),
-        }
-    }
-
-    /// Skips up to `n` raw units without decoding them; returns how many.
-    fn skip_units(&mut self, n: u64) -> std::io::Result<u64> {
-        match self {
-            IngestSource::Ndjson(r) => r.skip_raw_lines(n),
-            IngestSource::Binary(r) => r.skip_raw_frames(n),
         }
     }
 }

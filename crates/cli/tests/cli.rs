@@ -322,6 +322,54 @@ fn stream_strict_fails_fast_on_first_malformed_line() {
     }
 }
 
+#[test]
+fn strict_exits_at_a_malformed_first_line_while_stdin_stays_open() {
+    // The input is still open when --strict stops the audit: leaving must
+    // not wait on the thread blocked reading it.
+    use std::io::Write;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    for driver in DRIVERS {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_kav"))
+            .args(argv(driver, &["--strict", "-"]))
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("kav binary spawns");
+        let mut stdin = child.stdin.take().unwrap();
+        stdin.write_all(b"not json\n").unwrap();
+        stdin.flush().unwrap();
+        let started = Instant::now();
+        while child.try_wait().unwrap().is_none() && started.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let waited = started.elapsed();
+        if child.try_wait().unwrap().is_none() {
+            child.kill().unwrap();
+        }
+        let out = child.wait_with_output().unwrap();
+        drop(stdin);
+        assert!(waited < Duration::from_secs(5), "{} took {waited:?} to exit", driver[0]);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains("--strict: line 1"), "{}", stderr(&out));
+    }
+}
+
+#[test]
+fn a_line_over_the_cap_ends_the_audit_with_a_typed_error() {
+    // 2 MiB with no newline: the reader stops at the 1 MiB line cap
+    // rather than buffering the line whole.
+    let input = vec![b'x'; 2 << 20];
+    for driver in DRIVERS {
+        let out = kav_with_stdin(&argv(driver, &["-"]), &input);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        let expected = "-: line 1: longer than the 1048576-byte line cap";
+        assert!(stderr(&out).contains(expected), "{}", stderr(&out));
+        assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    }
+}
+
 /// `lines` as an NDJSON document whose line 2 is not UTF-8: a key-7
 /// record that would be well-formed but for one byte in an unknown field.
 fn with_invalid_utf8_on_line_two(lines: &[&str]) -> Vec<u8> {

@@ -31,7 +31,23 @@
 //! Every NDJSON byte is decoded the same way, whether it comes from a
 //! file, a pipe or stdin: a [`Reader`] splits the input into raw lines
 //! and decodes each with [`parse_line`], which is
-//! `serde_json::from_str`. Records are written by [`StreamWriter`].
+//! `serde_json::from_str`. A raw line may hold at most [`MAX_LINE_BYTES`]
+//! bytes before its newline; a longer one ends the stream with
+//! [`NdjsonError::LineTooLong`], so no input makes a reader buffer more.
+//! Records are written by [`StreamWriter`].
+//!
+//! [`DecodeAhead`] spreads the same decoding over threads: one thread
+//! cuts the input into line-aligned blocks, a pool decodes them with the
+//! function [`Reader`] uses, and the consuming thread takes them back in
+//! input order, counting and fingerprinting each raw line as it yields
+//! it. It yields what a [`Reader`] yields, item for item, with the same
+//! line counts and fingerprints, and is built from one (say, after a
+//! resumed audit has skipped its prefix), so `kav stream` and `kav serve`
+//! read every NDJSON input through it.
+
+mod ahead;
+
+pub use ahead::DecodeAhead;
 
 use crate::fxhash::Fingerprint;
 use crate::{OpKind, Operation, Time, Value, Weight, UNTAGGED_CLIENT};
@@ -39,8 +55,13 @@ use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 use std::path::Path;
+
+/// The most bytes a raw line may hold before its newline. A record is 70
+/// to 200 bytes, so this leaves ample room for unknown fields, and it
+/// bounds what one line makes a reader buffer.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// One line of an NDJSON operation stream: an operation plus its register.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -109,6 +130,13 @@ pub enum NdjsonError {
         /// What was wrong with it.
         source: serde_json::Error,
     },
+    /// A raw line longer than [`MAX_LINE_BYTES`], with its 1-based line
+    /// number. The stream ends there: the line is neither counted nor
+    /// fingerprinted.
+    LineTooLong {
+        /// Line the over-long line starts.
+        line: usize,
+    },
 }
 
 impl fmt::Display for NdjsonError {
@@ -117,6 +145,9 @@ impl fmt::Display for NdjsonError {
             NdjsonError::Io(e) => write!(f, "i/o error: {e}"),
             NdjsonError::Parse { line, source } => {
                 write!(f, "line {line}: invalid stream record: {source}")
+            }
+            NdjsonError::LineTooLong { line } => {
+                write!(f, "line {line}: longer than the {MAX_LINE_BYTES}-byte line cap")
             }
         }
     }
@@ -127,6 +158,7 @@ impl Error for NdjsonError {
         match self {
             NdjsonError::Io(e) => Some(e),
             NdjsonError::Parse { source, .. } => Some(source),
+            NdjsonError::LineTooLong { .. } => None,
         }
     }
 }
@@ -157,6 +189,17 @@ impl From<std::io::Error> for NdjsonError {
 /// ```
 pub fn parse_line(line: &str) -> Result<StreamRecord, serde_json::Error> {
     serde_json::from_str(line)
+}
+
+/// Decodes one raw line, newline included: `None` when it is blank, and
+/// a malformed record when it is not UTF-8. Both readers decode every
+/// line with this.
+fn decode_raw_line(raw: &[u8]) -> Option<Result<StreamRecord, serde_json::Error>> {
+    match std::str::from_utf8(raw).map(str::trim) {
+        Ok("") => None,
+        Ok(text) => Some(parse_line(text)),
+        Err(e) => Some(Err(serde::DeError::custom(e.to_string()).into())),
+    }
 }
 
 /// Serialises one record as a single NDJSON line (no trailing newline).
@@ -255,7 +298,9 @@ impl<W: std::io::Write> StreamWriter<W> {
 /// [`SliceReader`]. Each raw line is copied into one reused buffer and
 /// decoded with [`parse_line`]; a line that is not valid UTF-8 is a
 /// malformed record ([`NdjsonError::Parse`]), like any other line that
-/// fails to decode.
+/// fails to decode. A line longer than [`MAX_LINE_BYTES`] ends the stream
+/// ([`NdjsonError::LineTooLong`]). [`decode_ahead`](Reader::decode_ahead)
+/// hands the rest of the input to a [`DecodeAhead`].
 ///
 /// For checkpointable audits the reader can also maintain a running
 /// [`Fingerprint`] of every *raw line* it consumes (including blank and
@@ -267,6 +312,8 @@ pub struct Reader<R> {
     line: u64,
     buf: Vec<u8>,
     fingerprint: Option<Fingerprint>,
+    /// Set once a line over the cap ended the stream.
+    ended: bool,
 }
 
 /// A [`Reader`] over bytes already in memory. `&[u8]` is a [`BufRead`],
@@ -291,14 +338,14 @@ pub type SliceReader<'a> = Reader<&'a [u8]>;
 impl<R: BufRead> Reader<R> {
     /// Wraps a buffered reader (no fingerprinting).
     pub fn new(input: R) -> Self {
-        Reader { input, line: 0, buf: Vec::new(), fingerprint: None }
+        Reader { input, line: 0, buf: Vec::new(), fingerprint: None, ended: false }
     }
 
     /// Wraps a buffered reader and fingerprints every consumed line —
     /// pass [`Fingerprint::new`] for a fresh stream, or a digest carried
     /// over from a checkpoint to continue its chain.
     pub fn with_fingerprint(input: R, fingerprint: Fingerprint) -> Self {
-        Reader { input, line: 0, buf: Vec::new(), fingerprint: Some(fingerprint) }
+        Reader { input, line: 0, buf: Vec::new(), fingerprint: Some(fingerprint), ended: false }
     }
 
     /// Lines consumed so far (blank and malformed lines included).
@@ -317,8 +364,9 @@ impl<R: BufRead> Reader<R> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the underlying reader.
-    pub fn skip_raw_lines(&mut self, n: u64) -> std::io::Result<u64> {
+    /// Propagates I/O errors from the underlying reader, and a line over
+    /// [`MAX_LINE_BYTES`] as [`NdjsonError::LineTooLong`].
+    pub fn skip_raw_lines(&mut self, n: u64) -> Result<u64, NdjsonError> {
         let mut skipped = 0;
         while skipped < n && self.read_raw_line()? {
             skipped += 1;
@@ -327,11 +375,18 @@ impl<R: BufRead> Reader<R> {
     }
 
     /// Reads the next raw line, with its `\n` if it has one, into `buf`,
-    /// and counts and fingerprints it. `false` at end of input.
-    fn read_raw_line(&mut self) -> std::io::Result<bool> {
+    /// and counts and fingerprints it. `false` at end of input, and after
+    /// a line over the cap.
+    fn read_raw_line(&mut self) -> Result<bool, NdjsonError> {
         self.buf.clear();
-        if self.input.read_until(b'\n', &mut self.buf)? == 0 {
+        // One byte past the cap tells an over-long line from a full one.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if self.ended || (&mut self.input).take(limit).read_until(b'\n', &mut self.buf)? == 0 {
             return Ok(false);
+        }
+        if self.buf.len() as u64 == limit && self.buf.last() != Some(&b'\n') {
+            self.ended = true;
+            return Err(NdjsonError::LineTooLong { line: self.line as usize + 1 });
         }
         self.line += 1;
         if let Some(fp) = &mut self.fingerprint {
@@ -349,17 +404,12 @@ impl<R: BufRead> Iterator for Reader<R> {
             match self.read_raw_line() {
                 Ok(true) => {}
                 Ok(false) => return None,
-                Err(e) => return Some(Err(e.into())),
+                Err(e) => return Some(Err(e)),
             }
-            let decoded = match std::str::from_utf8(&self.buf).map(str::trim) {
-                Ok("") => continue,
-                Ok(text) => parse_line(text),
-                Err(e) => Err(serde::DeError::custom(e.to_string()).into()),
-            };
-            return Some(decoded.map_err(|source| NdjsonError::Parse {
-                line: self.line as usize,
-                source,
-            }));
+            if let Some(decoded) = decode_raw_line(&self.buf) {
+                let line = self.line as usize;
+                return Some(decoded.map_err(|source| NdjsonError::Parse { line, source }));
+            }
         }
     }
 }

@@ -9,7 +9,10 @@
 //!   an [`ndjson::Reader`] over the whole slice and one over the same
 //!   bytes in small chunks (a pipe or stdin) yield the same records, the
 //!   same 1-based errors, the same line counts and the same resume
-//!   fingerprints, so checkpoints from either source interchange.
+//!   fingerprints, so checkpoints from either source interchange. So does
+//!   an [`ndjson::DecodeAhead`] with one to four decode threads, fresh or
+//!   after a [`ndjson::Reader`] has skipped a resumed prefix, and both
+//!   readers end at the same line over the line cap.
 //! * The binary frame format roundtrips the same records, and its
 //!   [`frame::Reader`] agrees with itself over any chunking the same way.
 
@@ -18,6 +21,46 @@ use k_atomicity::history::fxhash::Fingerprint;
 use k_atomicity::history::ndjson::{self, NdjsonError, StreamRecord};
 use k_atomicity::history::{OpKind, Time, Value, Weight};
 use proptest::prelude::*;
+use std::io::{BufRead, BufReader, Cursor};
+
+/// Every item a reader yields (an error as its message, which names its
+/// line), each with the line count and fingerprint right after it.
+type Trace = Vec<(Result<StreamRecord, String>, u64, Option<u64>)>;
+
+/// Where a reader stands: lines consumed and the fingerprint so far.
+trait Position {
+    fn position(&self) -> (u64, Option<u64>);
+}
+
+impl<R: BufRead> Position for ndjson::Reader<R> {
+    fn position(&self) -> (u64, Option<u64>) {
+        (self.lines_read(), self.fingerprint())
+    }
+}
+
+impl Position for ndjson::DecodeAhead {
+    fn position(&self) -> (u64, Option<u64>) {
+        (self.lines_read(), self.fingerprint())
+    }
+}
+
+/// Reads `reader` to its end; returns its trace and its final position.
+fn trace(
+    mut reader: impl Iterator<Item = Result<StreamRecord, NdjsonError>> + Position,
+) -> (Trace, (u64, Option<u64>)) {
+    let mut items = Vec::new();
+    while let Some(item) = reader.next() {
+        let (lines, fingerprint) = reader.position();
+        items.push((item.map_err(|e| e.to_string()), lines, fingerprint));
+    }
+    (items, reader.position())
+}
+
+/// A fingerprinting reader over `doc` in `chunk`-byte reads.
+fn chunked_reader(doc: &[u8], chunk: usize) -> ndjson::Reader<BufReader<Cursor<Vec<u8>>>> {
+    let input = BufReader::with_capacity(chunk, Cursor::new(doc.to_vec()));
+    ndjson::Reader::with_fingerprint(input, Fingerprint::new())
+}
 
 fn record_strategy() -> impl Strategy<Value = StreamRecord> {
     (
@@ -199,7 +242,12 @@ proptest! {
     /// same 1-based errors, the same line counts and the same resume
     /// fingerprints — which is what lets a checkpoint written from one
     /// source resume under the other. Every well-formed line decodes to
-    /// its record and every other non-blank line is one error.
+    /// its record and every other non-blank line is one error. The
+    /// decode-ahead reader over the same chunked input, whose small reads
+    /// cut its blocks after a line or mid-line, traces exactly what the
+    /// chunked reader does with every decode thread count from one to
+    /// four, and so does one built after a [`ndjson::Reader`] skipped the
+    /// first `skip` raw lines, as a resumed audit does.
     #[test]
     fn readers_agree_on_records_errors_and_fingerprints(
         records in prop::collection::vec(record_strategy(), 0..12),
@@ -208,6 +256,7 @@ proptest! {
         trailing_newline in any::<bool>(),
         shuffle_seed in any::<u64>(),
         chunk in 1usize..16,
+        skip in 0u64..8,
     ) {
         let mut lines: Vec<(Vec<u8>, Option<StreamRecord>)> = records
             .iter()
@@ -267,6 +316,24 @@ proptest! {
         let expected: Vec<StreamRecord> = lines.iter().filter_map(|(_, r)| *r).collect();
         prop_assert_eq!(decoded, expected);
         prop_assert_eq!(errors, breakage_picks.len());
+
+        let reference = trace(chunked_reader(&doc, chunk));
+        for threads in 1..=4 {
+            let ahead = chunked_reader(&doc, chunk).decode_ahead_with(threads);
+            prop_assert_eq!(trace(ahead), reference.clone(), "{} decode threads", threads);
+        }
+        let mut sequential = chunked_reader(&doc, chunk);
+        let mut resumed = chunked_reader(&doc, chunk);
+        let skipped = sequential.skip_raw_lines(skip).unwrap();
+        prop_assert_eq!(resumed.skip_raw_lines(skip).unwrap(), skipped);
+        let threads = 1 + skip as usize % 4;
+        prop_assert_eq!(
+            trace(resumed.decode_ahead_with(threads)),
+            trace(sequential),
+            "{} decode threads after {} skipped lines",
+            threads,
+            skipped
+        );
     }
 
     /// The buffered line writer is byte-identical to serde serialisation,
@@ -414,6 +481,49 @@ proptest! {
             prop_assert_eq!(a.frames_read(), b.frames_read());
             prop_assert_eq!(a.fingerprint(), b.fingerprint());
             prop_assert_eq!(rest(&mut a), rest(&mut b), "chunk {} after skip {}", chunk, skip);
+        }
+    }
+}
+
+/// A raw line over [`ndjson::MAX_LINE_BYTES`] ends both readers at its
+/// line number, whichever way the input is chunked, while a line at the cap
+/// decodes: the line count and fingerprint stop before the long line, and
+/// skipping across it fails the same way.
+#[test]
+fn a_line_over_the_cap_ends_both_readers_at_its_line() {
+    let record = |value: u64, pad: usize| {
+        let head = format!("{{\"kind\":\"write\",\"value\":{value},\"start\":0,\"finish\":1");
+        // An unknown string field pads the record to `pad` bytes.
+        let fill = pad.saturating_sub(head.len() + 8);
+        format!("{head},\"x\":\"{}\"}}", "y".repeat(fill)).into_bytes()
+    };
+    let cap = ndjson::MAX_LINE_BYTES;
+    assert_eq!(record(2, cap).len(), cap);
+    for (long, newline) in [(cap + 1, true), (cap + 1, false), (2 * cap, true)] {
+        let mut doc = [record(1, 0), Vec::new(), record(2, cap), record(3, long)].join(&b'\n');
+        if newline {
+            doc.extend_from_slice(b"\n{\"kind\":\"read\",\"value\":1,\"start\":2,\"finish\":3}\n");
+        }
+        for chunk in [7, 64 * 1024] {
+            let reference = trace(chunked_reader(&doc, chunk));
+            let (items, (lines, _)) = &reference;
+            assert_eq!(*lines, 3, "{long} bytes, chunk {chunk}");
+            assert_eq!(items.len(), 3, "{long} bytes, chunk {chunk}");
+            let expected = format!("line 4: longer than the {cap}-byte line cap");
+            assert_eq!(items[2].0, Err(expected), "{long} bytes, chunk {chunk}");
+            for threads in 1..=2 {
+                let ahead = chunked_reader(&doc, chunk).decode_ahead_with(threads);
+                assert!(
+                    trace(ahead) == reference,
+                    "{long} bytes, chunk {chunk}, {threads} threads"
+                );
+            }
+            let mut skip = chunked_reader(&doc, chunk);
+            match skip.skip_raw_lines(5) {
+                Err(NdjsonError::LineTooLong { line: 4 }) => {}
+                other => panic!("skipping across the long line gave {other:?}"),
+            }
+            assert_eq!(skip.lines_read(), 3);
         }
     }
 }
